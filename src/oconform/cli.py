@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .context import (build_graph, context_of_event, enabled_log_activities,
-                      event_preset)
+                      event_preset, events_in_log_order)
 from .metrics import check, format_summary, report_to_json
 from .ocel import LogError, parse_log, serialize_log
 from .ocpn import ModelError, flower_model, parse_model, serialize_model
@@ -110,7 +110,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     group = [e.id for e in log.events
              if context_of_event(log, graph, e.id) == ctx]
     detail = replay_context_group(net, log, graph, group, cfg)
-    ordered_preset = [e.id for e in log.events if e.id in preset]
+    ordered_preset = [e.id for e in events_in_log_order(log, preset)]
 
     print(f"event: {event.id}")
     print(f"activity: {event.activity}")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .ocel import EventLog, LogError, ObjectId
+from .ocel import Event, EventLog, LogError, ObjectId
 
 Prefix = tuple[str, ...]
 
@@ -112,19 +112,27 @@ def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:
         raise LogError(f"unknown event id {event_id!r}") from None
 
 
+def events_in_log_order(log: EventLog, event_ids: Iterable[str]) -> list[Event]:
+    """The log's events among the given ids (a preset, say), in log order.
+
+    Ids the log does not contain are ignored.
+    """
+    index = log.event_index
+    positions = sorted(index[eid] for eid in set(event_ids) if eid in index)
+    return [log.events[i] for i in positions]
+
+
 def object_prefix(log: EventLog, preset: Iterable[str], obj: ObjectId) -> Prefix:
     """Activity sequence of the preset's events containing obj, in log order."""
-    wanted = set(preset)
-    return tuple(e.activity for e in log.events
-                 if e.id in wanted and obj in e.omap)
+    return tuple(e.activity for e in events_in_log_order(log, preset)
+                 if obj in e.omap)
 
 
 def _prefixes_by_object(log: EventLog, preset: frozenset[str]) -> dict[ObjectId, list[str]]:
     out: dict[ObjectId, list[str]] = {}
-    for e in log.events:
-        if e.id in preset:
-            for o in e.omap:
-                out.setdefault(o, []).append(e.activity)
+    for e in events_in_log_order(log, preset):
+        for o in e.omap:
+            out.setdefault(o, []).append(e.activity)
     return out
 
 

@@ -19,7 +19,8 @@ from typing import Any
 from .context import build_graph, group_by_context
 from .ocel import EventLog, LogError
 from .ocpn import AcceptingOCPN
-from .replay import DEFAULT_CONFIG, ReplayConfig, replay_context_group
+from .replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
+                     replay_context_group)
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,25 @@ def check(log: EventLog, net: AcceptingOCPN,
     """Compute fitness and precision of the net against the log in one pass.
 
     Replay happens once per context group; every event of a group shares
-    the group's enabled-activity sets.  An event counts as replayable when
-    the net enables at least one activity for its context; precision
-    averages over exactly those events and is None when there are none.
+    the group's enabled-activity sets.  A ``FrontierMemo`` lets each event
+    resume the replay where an earlier event's preset ended.  An event
+    counts as replayable when the net enables at least one activity for
+    its context; precision averages over exactly those events and is None
+    when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
     groups = group_by_context(log, graph)
+    memo = FrontierMemo(net, log, graph,
+                        (eid for members in groups.values() for eid in members))
     fitness_sum = Fraction(0)
     precision_sum = Fraction(0)
     num_replayable = 0
     diagnostics: dict[str, EventDiagnostic] = {}
     truncated = False
     for ctx, members in groups.items():
-        detail = replay_context_group(net, log, graph, members, cfg)
+        detail = replay_context_group(net, log, graph, members, cfg, memo)
         en_model = detail.outcome.enabled
         en_log = frozenset(log.event(eid).activity for eid in members)
         replayable = bool(en_model)

@@ -72,6 +72,11 @@ class EventLog:
         return {e.id: e for e in self.events}
 
     @cached_property
+    def event_index(self) -> dict[str, int]:
+        """Position of each event in the log's total order, by event id."""
+        return {e.id: position for position, e in enumerate(self.events)}
+
+    @cached_property
     def activities(self) -> frozenset[str]:
         return frozenset(e.activity for e in self.events)
 

@@ -13,7 +13,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Any, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from .ocel import EventLog, LogError, ObjectId
 
@@ -62,7 +63,8 @@ class Marking:
 
     def __init__(self, tokens: Iterable[Token] | Mapping[Token, int] = ()):
         counts: dict[Token, int] = {}
-        if isinstance(tokens, Mapping):
+        # the exact-type test first: the abstract-class check is slower
+        if type(tokens) is dict or isinstance(tokens, Mapping):
             for token, n in tokens.items():
                 if n < 0:
                     raise ModelError(f"negative token count for {token}")
@@ -74,6 +76,15 @@ class Marking:
         self._counts = counts
         self._key: tuple[tuple[str, str, int], ...] | None = None
         self._by_place: dict[str, frozenset[str]] | None = None
+
+    @classmethod
+    def _of(cls, counts: dict[Token, int]) -> "Marking":
+        """Wrap counts that are all positive already, without copying them."""
+        marking = cls.__new__(cls)
+        marking._counts = counts
+        marking._key = None
+        marking._by_place = None
+        return marking
 
     def key(self) -> tuple[tuple[str, str, int], ...]:
         if self._key is None:
@@ -116,7 +127,7 @@ class Marking:
         merged = dict(self._counts)
         for t, n in other._counts.items():
             merged[t] = merged.get(t, 0) + n
-        return Marking(merged)
+        return Marking._of(merged)
 
     def __sub__(self, other: "Marking") -> "Marking":
         reduced = dict(self._counts)
@@ -128,7 +139,7 @@ class Marking:
                 reduced[t] = left
             else:
                 reduced.pop(t, None)
-        return Marking(reduced)
+        return Marking._of(reduced)
 
     def __repr__(self) -> str:
         parts = []
@@ -334,7 +345,26 @@ def binding_enabled(net: AcceptingOCPN, marking: Marking, binding: Binding) -> b
 def execute_binding(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
     if not binding_enabled(net, marking, binding):
         raise ModelError(f"binding of {binding.transition!r} is not enabled")
-    return (marking - consumed(net, binding)) + produced(net, binding)
+    return _fire(net, marking, binding)
+
+
+def _fire(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
+    """Execute a binding the caller already knows to be enabled in M."""
+    by_type = binding.by_type
+    counts = dict(marking._counts)
+    for place, _ in net._preset[binding.transition]:
+        for obj in by_type.get(place.otype, ()):
+            token = (place.id, obj)
+            left = counts[token] - 1
+            if left:
+                counts[token] = left
+            else:
+                del counts[token]
+    for place, _ in net._postset[binding.transition]:
+        for obj in by_type.get(place.otype, ()):
+            token = (place.id, obj)
+            counts[token] = counts.get(token, 0) + 1
+    return Marking._of(counts)
 
 
 def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[str]:

@@ -10,17 +10,18 @@ in any of those states are the model's answer to "what may happen next".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import Context, EventObjectGraph, event_preset, preset_objects
+from .context import (Context, EventObjectGraph, event_preset,
+                      events_in_log_order, preset_objects)
 from .ocel import EventLog, ObjectId
-from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError,
+from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
                    _candidate_objects, binding_enabled, enabled_visible_labels,
-                   enumerate_bindings, execute_binding, initial_marking_for,
-                   is_final)
+                   enumerate_bindings, initial_marking_for, is_final)
 
 SILENT_VARIABLE_MODES = ("singleton", "subsets")
 
@@ -106,9 +107,8 @@ class GroupReplay:
 def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
                                event_id: str) -> tuple[VisibleBindingStep, ...]:
     """The event's ancestors as visible binding steps, in log order."""
-    preset = event_preset(graph, event_id)
     return tuple(VisibleBindingStep.for_event(e)
-                 for e in log.events if e.id in preset)
+                 for e in events_in_log_order(log, event_preset(graph, event_id)))
 
 
 def binding_sequence_context(
@@ -152,7 +152,7 @@ def _silent_successors(net: AcceptingOCPN, marking: Marking,
             bindings = enumerate_bindings(net, marking, t.id,
                                           subset_cap=cfg.subset_cap)
         for binding in bindings:
-            yield execute_binding(net, marking, binding)
+            yield _fire(net, marking, binding)
 
 
 def _singleton_bindings(net: AcceptingOCPN, marking: Marking,
@@ -181,52 +181,67 @@ class _SingleReplay:
     markings: frozenset[Marking]
     replayed: bool
     truncated: bool
+    # markings entering the last cursor, before its silent search, and the
+    # number of states expanded before that cursor
+    entering: tuple[Marking, ...] = ()
+    expanded_before_end: int = 0
 
 
-def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
-                   objects: frozenset[ObjectId], cfg: ReplayConfig) -> _SingleReplay:
-    """Breadth-first replay of one binding sequence.
+_UNREPLAYABLE = _SingleReplay(frozenset(), frozenset(), False, False)
+
+
+def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
+            start: Sequence[Marking], entry: Mapping[int, Marking],
+            cfg: ReplayConfig, budget: int) -> _SingleReplay:
+    """Breadth-first replay of a binding sequence from ``start``.
 
     States are (marking, cursor) pairs, deduplicated; the cursor counts
-    executed visible steps.  From each state the next visible binding is
-    taken when enabled, otherwise every silent firing is followed.  A state
-    at the end of the sequence is fully replayed: its marking is collected
-    and its enabled visible labels are added to the outcome.  Fully
-    replayed states still follow silent firings, so the collected markings
-    are closed under silent reachability.
+    executed visible steps, and every start marking is at cursor 0.  From
+    each state the next visible binding is taken when enabled, otherwise
+    every silent firing is followed.  A state at the end of the sequence is
+    fully replayed: its marking is collected and its enabled visible labels
+    are added to the outcome.  Fully replayed states still follow silent
+    firings, so the collected markings are closed under silent
+    reachability.  ``entry[k]``, where present, is added to every marking
+    a visible firing moves to cursor k; the markings that enter the last
+    cursor (the start markings, for an empty sequence) are returned as
+    ``entering``.  More than ``budget`` states cut the search off, flagged
+    truncated.  Every step's activity must be a visible label of the net.
     """
-    try:
-        start = initial_marking_for(net, objects)
-    except ModelError:
-        return _SingleReplay(frozenset(), frozenset(), False, False)
-    for step in steps:
-        if step.activity not in net.label_to_transition:
-            # an unmatched activity can never fire: the sequence is unreplayable
-            return _SingleReplay(frozenset(), frozenset(), False, False)
-
+    last = len(steps)
+    bindings = [_binding_for_step(net, step) for step in steps]
     enabled: set[str] = set()
     markings: set[Marking] = set()
+    entering = dict.fromkeys(() if last else start)
     replayed = False
     truncated = False
-    queue: deque[tuple[Marking, int]] = deque([(start, 0)])
-    seen = {(start, 0)}
+    queue: deque[tuple[Marking, int]] = deque((m, 0) for m in start)
+    seen = set(queue)
     expanded = 0
+    at_end = 0
     while queue:
-        if expanded >= cfg.max_states:
+        if expanded >= budget:
             truncated = True
             break
         marking, cursor = queue.popleft()
         expanded += 1
-        if cursor == len(steps):
+        if cursor == last:
+            at_end += 1
             replayed = True
             markings.add(marking)
             enabled |= enabled_visible_labels(net, marking)
         advanced = False
-        if cursor < len(steps):
-            binding = _binding_for_step(net, steps[cursor])
-            if binding is not None and binding_enabled(net, marking, binding):
+        if cursor < last:
+            binding = bindings[cursor]
+            if binding_enabled(net, marking, binding):
                 advanced = True
-                state = (execute_binding(net, marking, binding), cursor + 1)
+                after = _fire(net, marking, binding)
+                added = entry.get(cursor + 1)
+                if added is not None:
+                    after = after + added
+                if cursor + 1 == last:
+                    entering[after] = None
+                state = (after, cursor + 1)
                 if state not in seen:
                     seen.add(state)
                     queue.append(state)
@@ -239,7 +254,175 @@ def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
                 if state not in seen:
                     seen.add(state)
                     queue.append(state)
-    return _SingleReplay(frozenset(enabled), frozenset(markings), replayed, truncated)
+    return _SingleReplay(frozenset(enabled), frozenset(markings), replayed,
+                         truncated, tuple(entering), expanded - at_end)
+
+
+def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
+                   objects: frozenset[ObjectId], cfg: ReplayConfig) -> _SingleReplay:
+    """Replay of one binding sequence from the initial marking of all its
+    objects, within the ``max_states`` budget."""
+    try:
+        start = initial_marking_for(net, objects)
+    except ModelError:
+        return _UNREPLAYABLE
+    for step in steps:
+        if step.activity not in net.label_to_transition:
+            # an unmatched activity can never fire: the sequence is unreplayable
+            return _UNREPLAYABLE
+    return _search(net, steps, (start,), {}, cfg, cfg.max_states)
+
+
+def lazy_entry_exact(net: AcceptingOCPN) -> bool:
+    """True iff replay may let objects enter its markings lazily.
+
+    Lazy entry leaves an object out of the markings until a visible step
+    first binds it (or, for the replayed event's own objects, until the
+    end of the sequence), and then adds its initial token.  That gives the
+    same states as starting from the initial marking of every object when
+    no silent transition can bind an object that sits in its initial
+    place: every object type of every silent transition has an input place
+    of that type, and none of those places is initial.
+    """
+    for t in net.silent_transitions:
+        inputs = net.input_places_by_type(t.id)
+        for otype in net.tpl(t.id):
+            places = inputs.get(otype)
+            if not places or any(p.initial for p in places):
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Frontier:
+    """Where replay of an event's preset may resume."""
+
+    cursor: int                      # visible steps behind it: the preset's size
+    markings: tuple[Marking, ...]    # raw markings entering that cursor
+    objects: frozenset[ObjectId]     # objects that have entered those markings
+    states: int                      # states expanded before that cursor
+
+
+_START = _Frontier(0, (Marking(),), frozenset(), 0)
+
+
+def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
+                        event_id: str) -> str | None:
+    """The latest direct predecessor d such that d's log-ordered preset,
+    followed by d, opens the event's log-ordered preset.
+
+    That holds exactly when d's position in the event's preset equals the
+    size of d's own preset.
+    """
+    index = log.event_index
+    positions = sorted(index[eid] for eid in graph.presets[event_id])
+    for pred in sorted(graph.direct_predecessors[event_id],
+                       key=index.__getitem__, reverse=True):
+        if bisect_left(positions, index[pred]) == len(graph.presets[pred]):
+            return pred
+    return None
+
+
+class FrontierMemo:
+    """Replay frontiers shared by the events of one ``check``.
+
+    An event's frontier is the raw set of markings that enter the end of
+    its preset's binding sequence, before that cursor's silent search: the
+    next step decides which silent firings follow.  An event resumes from
+    the frontier of its prefix predecessor d or, when d comes later in
+    ``order``, of d's own prefix predecessor, and so on; it replays only
+    the rest of its preset.  ``order`` lists the event ids in the order
+    they will be replayed; the users of each frontier are counted from it,
+    and a frontier is dropped when its last user took it.  The frontiers
+    depend on the replay config, so one memo serves one config.  Nets on
+    which lazy entry is not exact (``lazy`` is False) replay every event
+    from scratch.
+    """
+
+    def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+                 order: Iterable[str]) -> None:
+        self.lazy = lazy_entry_exact(net)
+        self._frontiers: dict[str, _Frontier] = {}
+        self._base: dict[str, str] = {}
+        self._users: dict[str, int] = {}
+        if not self.lazy:
+            return
+        preds: dict[str, str | None] = {}
+
+        def pred_of(eid: str) -> str | None:
+            if eid not in preds:
+                preds[eid] = _prefix_predecessor(log, graph, eid)
+            return preds[eid]
+
+        done: set[str] = set()
+        for eid in order:
+            # a prefix predecessor's prefix predecessor opens the preset too
+            base = pred_of(eid)
+            while base is not None and base not in done:
+                base = pred_of(base)
+            if base is not None:
+                self._base[eid] = base
+                self._users[base] = self._users.get(base, 0) + 1
+            done.add(eid)
+
+    def __len__(self) -> int:
+        return len(self._frontiers)
+
+    def take(self, event_id: str) -> _Frontier:
+        """The frontier the event resumes from; the empty start if none."""
+        base = self._base.pop(event_id, None)
+        if base is None:
+            return _START
+        users = self._users.pop(base) - 1
+        if users:
+            self._users[base] = users
+            frontier = self._frontiers.get(base)
+        else:
+            frontier = self._frontiers.pop(base, None)
+        return frontier or _START
+
+    def keep(self, event_id: str, frontier: _Frontier) -> None:
+        if event_id in self._users:
+            self._frontiers[event_id] = frontier
+
+
+def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+                    event_id: str, cfg: ReplayConfig,
+                    memo: FrontierMemo) -> _SingleReplay:
+    """Replay one event's preset from the frontier the memo holds for it.
+
+    The result equals ``_replay_single`` on the whole preset, which still
+    runs when the states before the frontier plus the new ones would
+    exceed ``max_states``, so that truncated results stay those of the
+    search from the initial marking.
+    """
+    event = log.event(event_id)
+    ordered = events_in_log_order(log, event_preset(graph, event_id))
+    base = memo.take(event_id)
+    suffix = ordered[base.cursor:]
+    known = set(base.objects)
+    entry: dict[int, Marking] = {}
+    try:
+        for k, omap in enumerate([e.omap for e in suffix] + [event.omap]):
+            new = omap - known
+            if new:
+                known |= new
+                entry[k] = initial_marking_for(net, new)
+    except ModelError:
+        return _UNREPLAYABLE
+    if any(e.activity not in net.label_to_transition for e in suffix):
+        return _UNREPLAYABLE
+    steps = [VisibleBindingStep.for_event(e) for e in suffix]
+    start = base.markings
+    if 0 in entry:
+        start = tuple(m + entry[0] for m in start)
+    single = _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
+    if single.truncated:
+        return _replay_single(net, tuple(VisibleBindingStep.for_event(e) for e in ordered),
+                              frozenset(known), cfg)
+    memo.keep(event_id, _Frontier(len(ordered), single.entering, frozenset(known),
+                                  base.states + single.expanded_before_end))
+    return single
 
 
 def _silent_closure(net: AcceptingOCPN, marking: Marking,
@@ -266,7 +449,7 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
         return False
     for marking in markings:
         if binding_enabled(net, marking, binding):
-            after = execute_binding(net, marking, binding)
+            after = _fire(net, marking, binding)
             if any(is_final(net, m) for m in _silent_closure(net, after, cfg)):
                 return True
     return False
@@ -274,11 +457,14 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
 
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                          events: Iterable[str] | str,
-                         cfg: ReplayConfig = DEFAULT_CONFIG) -> GroupReplay:
+                         cfg: ReplayConfig = DEFAULT_CONFIG,
+                         memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    Within the group, identical (binding sequence, object set) pairs are
-    replayed only once.
+    With a ``memo`` whose net admits lazy entry, each event resumes from
+    the memo's frontier for it.  Otherwise each event is replayed from the
+    initial marking, and within the group identical (binding sequence,
+    object set) pairs are replayed only once.  Both give the same result.
     """
     if isinstance(events, str):
         events = (events,)
@@ -290,13 +476,16 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in member_ids:
-        steps = binding_sequence_of_preset(log, graph, eid)
-        objects = preset_objects(log, graph, eid)
-        key = (steps, objects)
-        single = cache.get(key)
-        if single is None:
-            single = _replay_single(net, steps, objects, cfg)
-            cache[key] = single
+        if memo is not None and memo.lazy:
+            single = _replay_resumed(net, log, graph, eid, cfg, memo)
+        else:
+            steps = binding_sequence_of_preset(log, graph, eid)
+            objects = preset_objects(log, graph, eid)
+            key = (steps, objects)
+            single = cache.get(key)
+            if single is None:
+                single = _replay_single(net, steps, objects, cfg)
+                cache[key] = single
         enabled |= single.enabled
         markings |= single.markings
         replayed = replayed or single.replayed

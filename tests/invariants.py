@@ -4,15 +4,19 @@ violation and returns how many cases it checked."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import oracles
 from oconform.context import (Context, build_graph, context_of_event,
                               event_preset, group_by_context)
 from oconform.metrics import check
-from oconform.ocpn import (Marking, consumed, enabled_visible_labels,
-                           enumerate_bindings, execute_binding, produced)
-from oconform.replay import ReplayConfig
+from oconform.ocel import ObjectId, make_log
+from oconform.ocpn import (AcceptingOCPN, Arc, Marking, consumed,
+                           enabled_visible_labels, enumerate_bindings,
+                           execute_binding, flower_model, produced)
+from oconform.replay import (ReplayConfig, lazy_entry_exact,
+                             replay_context_group)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -171,3 +175,79 @@ def run_grouping_agreement(seed: int = 17, rounds: int = 30) -> int:
             assert context_of_event(log, graph, e.id).entries == \
                 oracles.naive_context_key(log, anc, e.id)
     return rounds
+
+
+RESUME_CONFIGS = (ReplayConfig(),
+                  ReplayConfig(explore_silent_when_enabled=True),
+                  ReplayConfig(max_states=3),
+                  ReplayConfig(silent_variable_mode="subsets"))
+
+
+def run_resumed_replay_agreement(log, net, cfg) -> None:
+    """check's per-event diagnostics, which resume replay from earlier
+    events' frontiers, equal a from-scratch replay of each context group."""
+    report = check(log, net, cfg)
+    by_id = {d.event_id: d for d in report.per_event}
+    graph = build_graph(log)
+    truncated = False
+    for members in group_by_context(log, graph).values():
+        detail = replay_context_group(net, log, graph, members, cfg)
+        truncated = truncated or detail.outcome.truncated
+        for eid in members:
+            d = by_id[eid]
+            assert d.en_model == tuple(sorted(detail.outcome.enabled)), eid
+            assert d.replayable == bool(detail.outcome.enabled), eid
+            assert d.reached_final == detail.reached_final_by_event[eid], eid
+            assert d.truncated == detail.outcome.truncated, eid
+    assert report.truncated == truncated
+
+
+def run_resumed_replay_random(seed: int = 18, rounds: int = 60) -> dict[bool, int]:
+    """Resumed against from-scratch replay on random logs, each against a
+    random net and its own flower net (which replays every event), under
+    every config of RESUME_CONFIGS; returns the random nets checked by
+    whether they admit lazy entry."""
+    rng = random.Random(seed)
+    kinds = {True: 0, False: 0}
+    for _ in range(rounds):
+        log = oracles.random_log(rng)
+        net = oracles.random_net(rng)
+        kinds[lazy_entry_exact(net)] += 1
+        for cfg in RESUME_CONFIGS:
+            run_resumed_replay_agreement(log, net, cfg)
+            run_resumed_replay_agreement(log, flower_model(log), cfg)
+    return kinds
+
+
+def plane_reusing_net(net: AcceptingOCPN) -> AcceptingOCPN:
+    """The bundled reference net with Clean returning the plane to its
+    initial place, which is made final too, so a plane can fly again."""
+    places = tuple(replace(p, final=True) if p.id == "pl1" else p
+                   for p in net.places)
+    arcs = tuple(Arc("t_clean", "pl1") if (a.source, a.target) == ("t_clean", "pl10")
+                 else a for a in net.arcs)
+    return AcceptingOCPN(net.object_types, places, net.transitions, arcs)
+
+
+def chained_airport_log(seed: int = 19, flights: int = 12, planes: int = 2):
+    """Airport flights whose planes live across the whole log, so presets
+    grow with every flight; about a third of the bags skip Unload."""
+    rng = random.Random(seed)
+    streams: list[list[tuple[str, list[ObjectId]]]] = [[] for _ in range(planes)]
+    for f in range(flights):
+        plane = ObjectId(f"p{f % planes}", "plane")
+        bags = [ObjectId(f"b{f}_{k}", "baggage") for k in range(rng.randint(1, 3))]
+        unloaded = [b for b in bags if rng.random() < 0.7] or bags[:1]
+        streams[f % planes] += (
+            [("Fuel plane", [plane])]
+            + [("Check-in", [b]) for b in bags]
+            + [("Load cargo", [plane, *bags]), ("Lift off", [plane]),
+               ("Unload", [plane, *unloaded])]
+            + [("Pick up @ dest", [b]) for b in bags]
+            + [("Clean", [plane])])
+    events = []
+    while any(streams):
+        stream = rng.choice([s for s in streams if s])
+        activity, omap = stream.pop(0)
+        events.append((f"e{len(events) + 1}", activity, omap))
+    return make_log(events)

@@ -1,6 +1,9 @@
 """Randomized invariant checks; seeds are fixed so failures reproduce."""
 
+import pytest
+
 import invariants
+from oconform.ocpn import flower_model
 
 
 def test_marking_conservation():
@@ -38,3 +41,15 @@ def test_tight_state_budgets_only_shrink_enabled_sets(l1, ocpn1):
 
 def test_grouping_matches_naive_oracle():
     invariants.run_grouping_agreement(rounds=30)
+
+
+def test_resumed_replay_matches_from_scratch_on_random_nets():
+    kinds = invariants.run_resumed_replay_random(rounds=60)
+    assert kinds[True] and kinds[False]
+
+
+@pytest.mark.parametrize("cfg", invariants.RESUME_CONFIGS)
+def test_resumed_replay_matches_from_scratch_on_chained_log(ocpn1, cfg):
+    log = invariants.chained_airport_log()
+    for net in (ocpn1, invariants.plane_reusing_net(ocpn1), flower_model(log)):
+        invariants.run_resumed_replay_agreement(log, net, cfg)

@@ -2,15 +2,18 @@ from collections import Counter
 
 import pytest
 
+import invariants
 import oracles
+from oconform import metrics
 from oconform.context import build_graph, context_of_event
 from oconform.ocel import LogError, ObjectId, make_log
-from oconform.ocpn import Marking
+from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
+                           flower_model)
 from oconform.replay import (DEFAULT_CONFIG, EMPTY_OUTCOME, ReplayConfig,
                              VisibleBindingStep, binding_sequence_context,
                              binding_sequence_of_preset,
-                             enabled_model_activities, replay_context_group,
-                             states_for_context)
+                             enabled_model_activities, lazy_entry_exact,
+                             replay_context_group, states_for_context)
 
 E5_STATES = frozenset({
     Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
@@ -206,3 +209,49 @@ def test_variable_silent_subsets_mode_runs():
             net, log, graph, "e1", ReplayConfig(silent_variable_mode=mode))
         assert outcome.replayed
         assert outcome.enabled == {"finish"}
+
+
+def _silent_net(tau_arcs):
+    places = (Place("x0", "X", initial=True), Place("x1", "X"),
+              Place("x2", "X", final=True), Place("y0", "Y", initial=True),
+              Place("y1", "Y", final=True))
+    return AcceptingOCPN(
+        object_types=("X", "Y"), places=places,
+        transitions=(Transition("t_a", "a"), Transition("tau")),
+        arcs=(Arc("x0", "t_a"), Arc("t_a", "x1"), Arc("y0", "t_a"),
+              Arc("t_a", "y1"), *tau_arcs))
+
+
+def test_lazy_entry_exact_on_bundled_and_flower_nets(l1, ocpn1):
+    assert lazy_entry_exact(ocpn1)
+    assert lazy_entry_exact(flower_model(l1))
+    assert lazy_entry_exact(_silent_net((Arc("x1", "tau"), Arc("tau", "x2"))))
+
+
+def test_lazy_entry_not_exact_when_silent_reads_an_initial_place():
+    assert not lazy_entry_exact(_silent_net(
+        (Arc("x1", "tau"), Arc("x0", "tau"), Arc("tau", "x2"))))
+
+
+def test_lazy_entry_not_exact_for_silent_output_only_type():
+    assert not lazy_entry_exact(_silent_net(
+        (Arc("x1", "tau"), Arc("tau", "x2"), Arc("tau", "y1"))))
+
+
+def test_frontier_memo_is_empty_after_check(monkeypatch):
+    log = invariants.chained_airport_log()
+    memos, sizes = [], []
+    replay = metrics.replay_context_group
+
+    def spy(net, log, graph, events, cfg, memo):
+        memos.append(memo)
+        detail = replay(net, log, graph, events, cfg, memo)
+        sizes.append(len(memo))
+        return detail
+
+    monkeypatch.setattr(metrics, "replay_context_group", spy)
+    metrics.check(log, flower_model(log))
+    memo = memos[0]
+    assert memo.lazy and all(m is memo for m in memos)
+    assert max(sizes) > 0
+    assert len(memo) == 0
