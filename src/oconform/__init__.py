@@ -1,8 +1,8 @@
 """Conformance checking for object-centric Petri nets and event logs."""
 
-from .context import (Context, EventObjectGraph, build_graph, context_of_event,
-                      enabled_log_activities, event_preset, group_by_context,
-                      object_prefix, preset_objects)
+from .context import (Context, EventObjectGraph, build_graph, context_group,
+                      context_of_event, enabled_log_activities, event_preset,
+                      group_by_context, object_prefix, preset_objects)
 from .metrics import (ConformanceReport, EventDiagnostic, check, fitness,
                       format_summary, precision, report_to_dict, report_to_json)
 from .ocel import (Event, EventLog, LogError, ObjectId, make_log, parse_log,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .ocel import Event, EventLog, LogError, ObjectId
@@ -61,19 +61,69 @@ class Context:
         return hashlib.sha256(raw).hexdigest()[:16]
 
 
+class _Trie:
+    """Activity sequences as nodes: one root per object type, and one child
+    per (node, activity).  A node is an object type plus the sequence that
+    leads to it from the type's root."""
+
+    def __init__(self) -> None:
+        self._parents: list[tuple[int, str]] = []  # roots: (-1, type)
+        self._children: dict[tuple[int, str], int] = {}
+        self._sequences: dict[int, tuple[str, Prefix]] = {}
+
+    def child(self, parent: int, label: str) -> int:
+        """The node after ``label``; a root, for an object type, at parent -1."""
+        node = self._children.setdefault((parent, label), len(self._parents))
+        if node == len(self._parents):
+            self._parents.append((parent, label))
+            if parent < 0:
+                self._sequences[node] = (label, ())
+        return node
+
+    def sequence(self, node: int) -> tuple[str, Prefix]:
+        """The node's object type and activity sequence."""
+        tail = []
+        at = node
+        while at not in self._sequences:
+            at, activity = self._parents[at]
+            tail.append(activity)
+        otype, head = self._sequences[at]
+        self._sequences[node] = (otype, head + tuple(reversed(tail)))
+        return self._sequences[node]
+
+    def context(self, bag: Iterable[tuple[int, int]]) -> Context:
+        """The context of (node, number of objects) pairs."""
+        per_type: dict[str, list[tuple[Prefix, int]]] = {}
+        for node, n in bag:
+            otype, seq = self.sequence(node)
+            per_type.setdefault(otype, []).append((seq, n))
+        return Context(tuple((otype, tuple(sorted(per_type[otype])))
+                             for otype in sorted(per_type)))
+
+
 @dataclass
 class EventObjectGraph:
-    """Sparse event-object graph over one log.
+    """Sparse event-object graph over one log, with its context groups.
 
     Edges link each event to the previous occurrence of every shared
     object; that keeps the edge set linear in object occurrences while
     preserving reachability, and ancestor sets are what the contexts are
     built from.  ``presets`` maps each event id to its full ancestor set.
+    ``members`` partitions the events by context, groups in the log order
+    of their first event and members in log order, and ``group_of`` maps
+    each event id to its group's number.  A group's ``Context`` is built
+    on first use (``context``).
     """
 
     order: tuple[str, ...]
     direct_predecessors: Mapping[str, frozenset[str]]
     presets: Mapping[str, frozenset[str]]
+    group_of: Mapping[str, int]
+    members: tuple[tuple[str, ...], ...]
+    _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
+    _trie: _Trie = field(repr=False, compare=False)
+    _built: dict[int, Context] = field(default_factory=dict, repr=False,
+                                       compare=False)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -84,14 +134,26 @@ class EventObjectGraph:
             for pred in sorted(self.direct_predecessors[eid]):
                 yield (pred, eid)
 
+    def context(self, group: int) -> Context:
+        """The context shared by the events of one group."""
+        ctx = self._built.get(group)
+        if ctx is None:
+            ctx = self._built[group] = self._trie.context(self._bags[group])
+        return ctx
+
 
 def build_graph(log: EventLog) -> EventObjectGraph:
-    """Build the event-object graph; ancestor sets are memoized in log order."""
-    last_seen: dict[ObjectId, str] = {}
+    """Build the event-object graph; ancestor sets are memoized in log order,
+    and context groups come from a second pass over the log
+    (``_context_groups``)."""
+    slot_of: dict[ObjectId, int] = {}
+    slots = [tuple(slot_of.setdefault(o, len(slot_of)) for o in e.omap)
+             for e in log.events]
+    last_seen: list[str | None] = [None] * len(slot_of)
     direct: dict[str, frozenset[str]] = {}
     presets: dict[str, frozenset[str]] = {}
-    for e in log.events:
-        preds = frozenset(last_seen[o] for o in e.omap if o in last_seen)
+    for e, own in zip(log.events, slots):
+        preds = frozenset(last_seen[s] for s in own if last_seen[s] is not None)
         direct[e.id] = preds
         # every direct predecessor is earlier in the log, so its preset is done
         ancestors: set[str] = set()
@@ -99,9 +161,94 @@ def build_graph(log: EventLog) -> EventObjectGraph:
             ancestors.add(pred)
             ancestors |= presets[pred]
         presets[e.id] = frozenset(ancestors)
-        for o in e.omap:
-            last_seen[o] = e.id
-    return EventObjectGraph(tuple(e.id for e in log.events), direct, presets)
+        for s in own:
+            last_seen[s] = e.id
+    trie = _Trie()
+    group_of, members, bags = _context_groups(
+        log, direct, presets, slots, [o.otype for o in slot_of], trie)
+    return EventObjectGraph(tuple(e.id for e in log.events), direct, presets,
+                            group_of, members, bags, trie)
+
+
+def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
+                    presets: Mapping[str, frozenset[str]],
+                    slots: list[tuple[int, ...]], otypes: list[str], trie: _Trie,
+                    ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
+                               tuple[tuple[tuple[int, int], ...], ...]]:
+    """Every event's context group, in one pass over the log.
+
+    Objects are numbered slots: ``slots[i]`` holds the i-th event's
+    objects and ``otypes[s]`` the type of slot s.  The events of an object
+    inside a preset form a prefix of the object's trace, because the graph
+    chains each object's occurrences.  So a preset is summed up by
+    ``counts``: per object, how many of its occurrences the preset holds.
+    An event's preset is the union of its direct predecessors and their
+    presets, so its counts are, object by object, the largest of its
+    predecessors' counts taken after each predecessor itself.  The largest
+    predecessor's counts are copied, or taken over by its last successor;
+    the others are merged in unless they are already in its preset; and
+    counts are freed once their last successor has read them.  Prefixes
+    are trie nodes, and ``bag`` counts the objects at each node alongside
+    ``counts``: the bag is the context, so equal contexts have equal bag
+    items.  Returns each event's group number, each group's events, and
+    each group's bag items.
+    """
+    trace = [[trie.child(-1, otype)] for otype in otypes]  # node after k occurrences
+    for e, own in zip(log.events, slots):
+        for s in own:
+            trace[s].append(trie.child(trace[s][-1], e.activity))
+
+    def move(counts: dict[int, int], bag: dict[int, int], s: int, k: int) -> None:
+        """Let slot s hold its first k occurrences."""
+        if s in counts:
+            node = trace[s][counts[s]]
+            if bag[node] == 1:
+                del bag[node]
+            else:
+                bag[node] -= 1
+        counts[s] = k
+        node = trace[s][k]
+        bag[node] = bag.get(node, 0) + 1
+
+    users: dict[str, int] = {}
+    for preds in direct.values():
+        for pred in preds:
+            users[pred] = users.get(pred, 0) + 1
+    after: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    number: dict[tuple[tuple[int, int], ...], int] = {}
+    members: list[list[str]] = []
+    group_of: dict[str, int] = {}
+    for e, own in zip(log.events, slots):
+        preds = sorted(direct[e.id], key=lambda d: len(after[d][0]), reverse=True)
+        if not preds:
+            counts: dict[int, int] = {}
+            bag: dict[int, int] = {}
+        elif users[preds[0]] == 1:
+            counts, bag = after[preds[0]]
+        else:
+            counts, bag = (m.copy() for m in after[preds[0]])
+        for pred in preds[1:]:
+            if pred not in presets[preds[0]]:
+                for s, k in after[pred][0].items():
+                    if counts.get(s, 0) < k:
+                        move(counts, bag, s, k)
+        for pred in preds:
+            users[pred] -= 1
+            if not users[pred]:
+                del users[pred], after[pred]
+        for s in own:
+            if s not in counts:
+                move(counts, bag, s, 0)
+        group = number.setdefault(tuple(sorted(bag.items())), len(members))
+        if group == len(members):
+            members.append([])
+        members[group].append(e.id)
+        group_of[e.id] = group
+        if e.id in users:
+            for s in own:
+                move(counts, bag, s, counts[s] + 1)
+            after[e.id] = (counts, bag)
+    return group_of, tuple(map(tuple, members)), tuple(number)
 
 
 def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:
@@ -128,39 +275,32 @@ def object_prefix(log: EventLog, preset: Iterable[str], obj: ObjectId) -> Prefix
                  if obj in e.omap)
 
 
-def _prefixes_by_object(log: EventLog, preset: frozenset[str]) -> dict[ObjectId, list[str]]:
-    out: dict[ObjectId, list[str]] = {}
-    for e in events_in_log_order(log, preset):
-        for o in e.omap:
-            out.setdefault(o, []).append(e.activity)
-    return out
-
-
 def context_of_event(log: EventLog, graph: EventObjectGraph, event_id: str) -> Context:
     """The event's context: per type, the multiset of prefixes of every
     object touched by the event or its ancestors.
 
     Objects that first appear in the event itself contribute the empty
-    sequence.
+    sequence.  ``graph`` must be built from ``log``.
     """
-    event = log.event(event_id)
-    preset = event_preset(graph, event_id)
-    prefixes = _prefixes_by_object(log, preset)
-    for o in event.omap:
-        prefixes.setdefault(o, [])
-    grouped: dict[str, list[Prefix]] = {}
-    for o, acts in prefixes.items():
-        grouped.setdefault(o.otype, []).append(tuple(acts))
-    return Context.from_prefixes(grouped)
+    return graph.context(_group(graph, event_id))
+
+
+def context_group(graph: EventObjectGraph, event_id: str) -> tuple[str, ...]:
+    """The events sharing the given event's context, in log order."""
+    return graph.members[_group(graph, event_id)]
+
+
+def _group(graph: EventObjectGraph, event_id: str) -> int:
+    try:
+        return graph.group_of[event_id]
+    except KeyError:
+        raise LogError(f"unknown event id {event_id!r}") from None
 
 
 def group_by_context(log: EventLog, graph: EventObjectGraph) -> dict[Context, tuple[str, ...]]:
     """Partition the log's events by context; groups keep log order."""
-    groups: dict[Context, list[str]] = {}
-    for e in log.events:
-        ctx = context_of_event(log, graph, e.id)
-        groups.setdefault(ctx, []).append(e.id)
-    return {ctx: tuple(members) for ctx, members in groups.items()}
+    return {graph.context(group): members
+            for group, members in enumerate(graph.members)}
 
 
 def enabled_log_activities(log: EventLog, graph: EventObjectGraph, event_id: str) -> frozenset[str]:
@@ -168,12 +308,8 @@ def enabled_log_activities(log: EventLog, graph: EventObjectGraph, event_id: str
 
     Never empty: the event itself always qualifies.
     """
-    ctx = context_of_event(log, graph, event_id)
-    out = set()
-    for e in log.events:
-        if context_of_event(log, graph, e.id) == ctx:
-            out.add(e.activity)
-    return frozenset(out)
+    return frozenset(log.event(eid).activity
+                     for eid in context_group(graph, event_id))
 
 
 def preset_objects(log: EventLog, graph: EventObjectGraph, event_id: str) -> frozenset[ObjectId]:

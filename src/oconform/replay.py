@@ -84,6 +84,9 @@ class ReplayOutcome:
     binding sequence; when it is False, ``enabled`` is empty.
     ``reached_final`` is diagnostic only: some fully replayed state led to
     an accepting marking after firing the event's own binding.
+    ``truncated`` says that ``max_states`` cut a search short: the replay
+    itself, or the silent search behind a ``reached_final`` that came out
+    False.
     """
 
     enabled: frozenset[str]
@@ -425,34 +428,45 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     return single
 
 
-def _silent_closure(net: AcceptingOCPN, marking: Marking,
-                    cfg: ReplayConfig) -> Iterator[Marking]:
+def _silent_closure_reaches_final(net: AcceptingOCPN, marking: Marking,
+                                  cfg: ReplayConfig) -> tuple[bool, bool]:
+    """Whether silent firings lead from the marking to an accepting one,
+    and whether the search stopped at ``max_states`` before it could tell."""
     queue = deque([marking])
     seen = {marking}
     expanded = 0
     while queue:
         if expanded >= cfg.max_states:
-            break
+            return False, True
         current = queue.popleft()
         expanded += 1
-        yield current
+        if is_final(net, current):
+            return True, False
         for succ in _silent_successors(net, current, cfg):
             if succ not in seen:
                 seen.add(succ)
                 queue.append(succ)
+    return False, False
 
 
 def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
-                               own: VisibleBindingStep, cfg: ReplayConfig) -> bool:
+                               own: VisibleBindingStep,
+                               cfg: ReplayConfig) -> tuple[bool, bool]:
+    """Whether firing the event's own binding from some marking, then silent
+    firings, reaches an accepting marking; and, when it does not, whether
+    some silent search was cut off at ``max_states``."""
     binding = _binding_for_step(net, own)
     if binding is None:
-        return False
+        return False, False
+    truncated = False
     for marking in markings:
         if binding_enabled(net, marking, binding):
-            after = _fire(net, marking, binding)
-            if any(is_final(net, m) for m in _silent_closure(net, after, cfg)):
-                return True
-    return False
+            reached, cut = _silent_closure_reaches_final(
+                net, _fire(net, marking, binding), cfg)
+            if reached:
+                return True, False
+            truncated = truncated or cut
+    return False, truncated
 
 
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
@@ -486,13 +500,14 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
             if single is None:
                 single = _replay_single(net, steps, objects, cfg)
                 cache[key] = single
+        own = VisibleBindingStep.for_event(log.event(eid))
+        reached_final, cut = _own_binding_reaches_final(net, single.markings,
+                                                        own, cfg)
+        reached_final_by_event[eid] = reached_final
         enabled |= single.enabled
         markings |= single.markings
         replayed = replayed or single.replayed
-        truncated = truncated or single.truncated
-        own = VisibleBindingStep.for_event(log.event(eid))
-        reached_final_by_event[eid] = _own_binding_reaches_final(
-            net, single.markings, own, cfg)
+        truncated = truncated or single.truncated or cut
     outcome = ReplayOutcome(frozenset(enabled), replayed,
                             any(reached_final_by_event.values()), truncated)
     return GroupReplay(outcome, frozenset(markings), reached_final_by_event)

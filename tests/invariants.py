@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import oracles
 from oconform.context import (Context, build_graph, context_of_event,
-                              event_preset, group_by_context)
+                              enabled_log_activities, event_preset,
+                              group_by_context)
 from oconform.metrics import check
 from oconform.ocel import ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, consumed,
@@ -160,10 +161,17 @@ def run_chain_oracle_equivalence(seed: int = 16, rounds: int = 200) -> int:
 
 
 def run_grouping_agreement(seed: int = 17, rounds: int = 30) -> int:
-    """Engine context grouping matches the naive full-rescan oracle."""
+    """Engine context grouping matches the naive full-rescan oracle, and
+    every event's log-enabled activities are those of its naive group.
+
+    Besides random logs, this runs on chained airport logs: there an
+    event's direct predecessors (the plane's last event, each bag's) hold
+    different numbers of each object's occurrences."""
     rng = random.Random(seed)
-    for _ in range(rounds):
-        log = oracles.random_log(rng)
+    logs = [oracles.random_log(rng) for _ in range(rounds)]
+    logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
+             for s, flights, planes in ((19, 12, 2), (20, 9, 3), (21, 6, 1))]
+    for log in logs:
         graph = build_graph(log)
         engine = {}
         for ctx, members in group_by_context(log, graph).items():
@@ -172,9 +180,11 @@ def run_grouping_agreement(seed: int = 17, rounds: int = 30) -> int:
         assert engine == {k: v for k, v in naive.items()}
         anc = oracles.closure_ancestors(log)
         for e in log.events:
-            assert context_of_event(log, graph, e.id).entries == \
-                oracles.naive_context_key(log, anc, e.id)
-    return rounds
+            key = oracles.naive_context_key(log, anc, e.id)
+            assert context_of_event(log, graph, e.id).entries == key
+            assert enabled_log_activities(log, graph, e.id) == {
+                log.event(eid).activity for eid in naive[key]}
+    return len(logs)
 
 
 RESUME_CONFIGS = (ReplayConfig(),

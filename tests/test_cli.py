@@ -2,12 +2,15 @@ import json
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import invariants
+import oracles
 from oconform.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from oconform.fixtures import fixture_text
-from oconform.ocel import parse_log
+from oconform.ocel import parse_log, serialize_log
 
 L1 = str(files("oconform").joinpath("fixtures/l1_log.json"))
 OCPN1 = str(files("oconform").joinpath("fixtures/ocpn1_model.json"))
@@ -78,6 +81,33 @@ def test_explain_first_event_has_empty_preset(capsys):
     out = capsys.readouterr().out
     assert "preset: (empty)" in out
     assert "context group: e1, e10" in out
+
+
+def _explain_lines(capsys, log_path, model_path, event_id):
+    assert main(["explain", "--log", log_path, "--model", model_path,
+                 "--event", event_id]) == EXIT_OK
+    out = capsys.readouterr().out
+    return dict(line.split(": ", 1) for line in out.splitlines()
+                if line.startswith(("context group: ", "en_log: ")))
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_explain_group_and_en_log_match_naive_oracle(tmp_path, capsys, chained):
+    log_path = L1
+    if chained:
+        log_path = str(tmp_path / "chained.json")
+        Path(log_path).write_text(
+            serialize_log(invariants.chained_airport_log(flights=5)))
+    log = parse_log(Path(log_path).read_text())
+    group_of = {eid: members
+                for members in oracles.naive_groups(log).values()
+                for eid in members}
+    for e in log.events:
+        lines = _explain_lines(capsys, log_path, OCPN1, e.id)
+        members = group_of[e.id]
+        assert lines["context group"] == ", ".join(members), e.id
+        assert lines["en_log"] == ", ".join(sorted(
+            {log.event(eid).activity for eid in members})), e.id
 
 
 def test_flower_to_stdout(capsys):

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import oracles
-from oconform.context import (Context, build_graph, context_of_event,
-                              enabled_log_activities, event_preset,
-                              group_by_context, object_prefix, preset_objects)
+from oconform.context import (Context, build_graph, context_group,
+                              context_of_event, enabled_log_activities,
+                              event_preset, group_by_context, object_prefix,
+                              preset_objects)
 from oconform.ocel import LogError, ObjectId, make_log
 
 E5_CONTEXT = Context.from_prefixes({
@@ -107,6 +108,17 @@ def test_bundled_log_has_six_context_groups(l1, l1_graph):
         ("e7", "e8", "e9", "e16", "e17", "e18"),
     ]
     assert groups[E5_CONTEXT] == ("e5", "e14")
+
+
+def test_context_group_is_a_lookup_shared_by_its_members(l1, l1_graph):
+    assert context_group(l1_graph, "e5") == ("e5", "e14")
+    assert context_group(l1_graph, "e14") == ("e5", "e14")
+    assert context_of_event(l1, l1_graph, "e5") is \
+        context_of_event(l1, l1_graph, "e14")
+    with pytest.raises(LogError, match="unknown event id"):
+        context_group(l1_graph, "e99")
+    with pytest.raises(LogError, match="unknown event id"):
+        context_of_event(l1, l1_graph, "e99")
 
 
 def test_enabled_log_activities(l1, l1_graph):

@@ -211,6 +211,39 @@ def test_variable_silent_subsets_mode_runs():
         assert outcome.enabled == {"finish"}
 
 
+def _silent_chain_net(length):
+    """After visible ``a``, only ``length`` silent firings in a row reach
+    the final place."""
+    places = (Place("s0", "X", initial=True),
+              *(Place(f"q{i}", "X", final=i == length) for i in range(length + 1)))
+    transitions = (Transition("t_a", "a"),
+                   *(Transition(f"tau{i}") for i in range(length)))
+    arcs = (Arc("s0", "t_a"), Arc("t_a", "q0"),
+            *(a for i in range(length)
+              for a in (Arc(f"q{i}", f"tau{i}"), Arc(f"tau{i}", f"q{i + 1}"))))
+    return AcceptingOCPN(object_types=("X",), places=places,
+                         transitions=transitions, arcs=arcs)
+
+
+def test_reached_final_search_cut_by_the_budget_is_truncated():
+    log = make_log([("e1", "a", [ObjectId("x1", "X")])])
+    graph = build_graph(log)
+    net = _silent_chain_net(5)
+    # the search from the marking after a expands q0 .. q5: six states
+    whole = replay_context_group(net, log, graph, "e1", ReplayConfig(max_states=6))
+    assert whole.reached_final_by_event == {"e1": True}
+    assert whole.outcome.replayed and not whole.outcome.truncated
+    cut = replay_context_group(net, log, graph, "e1", ReplayConfig(max_states=5))
+    assert cut.reached_final_by_event == {"e1": False}
+    assert cut.outcome.replayed and cut.outcome.truncated
+    assert cut.outcome.enabled == whole.outcome.enabled == {"a"}
+    report = metrics.check(log, net, ReplayConfig(max_states=5))
+    assert report.truncated
+    assert [(d.reached_final, d.truncated) for d in report.per_event] == \
+        [(False, True)]
+    assert not metrics.check(log, net, ReplayConfig(max_states=6)).truncated
+
+
 def _silent_net(tau_arcs):
     places = (Place("x0", "X", initial=True), Place("x1", "X"),
               Place("x2", "X", final=True), Place("y0", "Y", initial=True),
