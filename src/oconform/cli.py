@@ -11,7 +11,8 @@ from .context import (build_graph, context_group, context_of_event,
 from .metrics import check, format_summary, report_to_json
 from .ocel import LogError, parse_log, serialize_log
 from .ocpn import ModelError, flower_model, parse_model, serialize_model
-from .replay import DEFAULT_CONFIG, ReplayConfig, replay_context_group
+from .replay import (DEFAULT_CONFIG, SILENT_VARIABLE_MODES, ReplayConfig,
+                     replay_context_group)
 from .simulate import simulate_log
 
 EXIT_OK = 0
@@ -24,7 +25,7 @@ _STATE_LISTING_CAP = 20
 def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-states", type=int, default=DEFAULT_CONFIG.max_states,
                         help="state budget per replay before truncation")
-    parser.add_argument("--silent-variable-mode", choices=("singleton", "subsets"),
+    parser.add_argument("--silent-variable-mode", choices=SILENT_VARIABLE_MODES,
                         default=DEFAULT_CONFIG.silent_variable_mode,
                         help="object guessing for variable arcs on silent transitions")
     parser.add_argument("--subset-cap", type=int, default=DEFAULT_CONFIG.subset_cap,

@@ -190,6 +190,8 @@ class AcceptingOCPN:
     _inputs_by_type: dict[str, dict[str, tuple[Place, ...]]] = field(init=False, repr=False)
     initial_places: dict[str, Place] = field(init=False, repr=False)
     final_places: frozenset[str] = field(init=False, repr=False)
+    silent_transitions: tuple[Transition, ...] = field(init=False, repr=False)
+    visible_transitions: tuple[Transition, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.places_by_id = {}
@@ -209,6 +211,8 @@ class AcceptingOCPN:
                 if t.label in self.label_to_transition:
                     raise ModelError(f"duplicate visible label {t.label!r}")
                 self.label_to_transition[t.label] = t
+        self.silent_transitions = tuple(t for t in self.transitions if t.silent)
+        self.visible_transitions = tuple(t for t in self.transitions if not t.silent)
 
         pre: dict[str, list[tuple[Place, bool]]] = {t.id: [] for t in self.transitions}
         post: dict[str, list[tuple[Place, bool]]] = {t.id: [] for t in self.transitions}
@@ -285,14 +289,6 @@ class AcceptingOCPN:
     def input_places_by_type(self, tid: str) -> dict[str, tuple[Place, ...]]:
         return self._inputs_by_type[tid]
 
-    @property
-    def silent_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.silent)
-
-    @property
-    def visible_transitions(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if not t.silent)
-
 
 # --- firing rule ---
 
@@ -300,7 +296,7 @@ class AcceptingOCPN:
 def consumed(net: AcceptingOCPN, binding: Binding) -> Marking:
     by_type = binding.by_type
     tokens = []
-    for place in net.preset(binding.transition):
+    for place, _ in net._preset[binding.transition]:
         for obj in by_type.get(place.otype, ()):
             tokens.append((place.id, obj))
     return Marking(tokens)
@@ -309,7 +305,7 @@ def consumed(net: AcceptingOCPN, binding: Binding) -> Marking:
 def produced(net: AcceptingOCPN, binding: Binding) -> Marking:
     by_type = binding.by_type
     tokens = []
-    for place in net.postset(binding.transition):
+    for place, _ in net._postset[binding.transition]:
         for obj in by_type.get(place.otype, ()):
             tokens.append((place.id, obj))
     return Marking(tokens)
@@ -421,17 +417,14 @@ def enumerate_bindings(net: AcceptingOCPN, marking: Marking, tid: str,
     Candidates per type are the objects present in every input place of
     that type; types without input places draw from the whole marking.
     Variable types range over non-empty candidate subsets, capped at
-    ``subset_cap`` objects when given.
+    ``subset_cap`` objects when given.  Every combination is enabled as
+    built: each candidate holds a token in every input place of its type,
+    and a place consumes one token per bound object.  A transition without
+    arcs has the one empty binding.
     """
-    tpl = net.tpl(tid)
-    if not tpl:
-        empty = Binding.make(tid, {})
-        if binding_enabled(net, marking, empty):
-            yield empty
-        return
     nv = net.tpl_nv(tid)
     per_type_choices: list[list[tuple[str, frozenset[str]]]] = []
-    for ot in sorted(tpl):
+    for ot in sorted(net.tpl(tid)):
         candidates = _candidate_objects(net, tid, marking, ot)
         if not candidates:
             return
@@ -444,10 +437,9 @@ def enumerate_bindings(net: AcceptingOCPN, marking: Marking, tid: str,
                        for size in range(1, cap + 1)
                        for sub in combinations(ordered, size)]
         per_type_choices.append(choices)
+    # the choices are in type order, so each combination is sorted already
     for combo in product(*per_type_choices):
-        binding = Binding(tid, tuple(sorted(combo)))
-        if binding_enabled(net, marking, binding):
-            yield binding
+        yield Binding(tid, combo)
 
 
 # --- JSON ---

@@ -13,15 +13,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .context import (Context, EventObjectGraph, event_preset,
                       events_in_log_order, preset_objects)
 from .ocel import EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
-                   _candidate_objects, binding_enabled, enabled_visible_labels,
-                   enumerate_bindings, initial_marking_for, is_final)
+                   binding_enabled, enabled_visible_labels, enumerate_bindings,
+                   initial_marking_for, is_final)
 
 SILENT_VARIABLE_MODES = ("singleton", "subsets")
 
@@ -30,15 +29,17 @@ SILENT_VARIABLE_MODES = ("singleton", "subsets")
 class ReplayConfig:
     """Knobs for the replay search.
 
-    ``max_states`` caps how many states the search may expand before it is
-    cut off (the outcome is then flagged truncated).  Variable arcs on
-    silent transitions have no binding recorded in the log, so their object
-    sets must be guessed: ``singleton`` tries single objects only,
-    ``subsets`` tries every non-empty subset of up to ``subset_cap``
-    objects.  ``explore_silent_when_enabled`` additionally follows silent
-    firings from states whose next visible binding is already enabled.
+    ``max_states`` caps how many states a search may expand before it is
+    cut off (the outcome is then flagged truncated); the replay and each
+    search behind ``reached_final`` have their own budget.  Variable arcs
+    on silent transitions have no binding recorded in the log, so their
+    object sets must be guessed: ``subsets`` tries every non-empty subset
+    of up to ``subset_cap`` objects, ``singleton`` the subsets of size 1.
+    ``explore_silent_when_enabled`` additionally follows silent firings
+    from states whose next visible binding is already enabled.
     ``reverse_successors`` flips the enqueue order of equally ranked
-    successor states; results must not depend on it.
+    successor states, in the replay and in the reached-final search;
+    results must not depend on it.
     """
 
     max_states: int = 100_000
@@ -147,42 +148,15 @@ def _binding_for_step(net: AcceptingOCPN, step: VisibleBindingStep) -> Binding |
 
 def _silent_successors(net: AcceptingOCPN, marking: Marking,
                        cfg: ReplayConfig) -> Iterator[Marking]:
+    cap = 1 if cfg.silent_variable_mode == "singleton" else cfg.subset_cap
     for t in net.silent_transitions:
-        if cfg.silent_variable_mode == "singleton":
-            # variable types treated like non-variable: single objects only
-            bindings = _singleton_bindings(net, marking, t.id)
-        else:
-            bindings = enumerate_bindings(net, marking, t.id,
-                                          subset_cap=cfg.subset_cap)
-        for binding in bindings:
+        for binding in enumerate_bindings(net, marking, t.id, subset_cap=cap):
             yield _fire(net, marking, binding)
-
-
-def _singleton_bindings(net: AcceptingOCPN, marking: Marking,
-                        tid: str) -> Iterator[Binding]:
-    tpl = sorted(net.tpl(tid))
-    if not tpl:
-        empty = Binding.make(tid, {})
-        if binding_enabled(net, marking, empty):
-            yield empty
-        return
-    per_type = []
-    for ot in tpl:
-        candidates = sorted(_candidate_objects(net, tid, marking, ot))
-        if not candidates:
-            return
-        per_type.append([(ot, frozenset({o})) for o in candidates])
-    for combo in product(*per_type):
-        binding = Binding(tid, tuple(combo))
-        if binding_enabled(net, marking, binding):
-            yield binding
 
 
 @dataclass(frozen=True)
 class _SingleReplay:
-    enabled: frozenset[str]
-    markings: frozenset[Marking]
-    replayed: bool
+    markings: frozenset[Marking]     # fully replayed: empty when unreplayable
     truncated: bool
     # markings entering the last cursor, before its silent search, and the
     # number of states expanded before that cursor
@@ -190,7 +164,7 @@ class _SingleReplay:
     expanded_before_end: int = 0
 
 
-_UNREPLAYABLE = _SingleReplay(frozenset(), frozenset(), False, False)
+_UNREPLAYABLE = _SingleReplay(frozenset(), False)
 
 
 def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
@@ -202,10 +176,11 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     executed visible steps, and every start marking is at cursor 0.  From
     each state the next visible binding is taken when enabled, otherwise
     every silent firing is followed.  A state at the end of the sequence is
-    fully replayed: its marking is collected and its enabled visible labels
-    are added to the outcome.  Fully replayed states still follow silent
-    firings, so the collected markings are closed under silent
-    reachability.  ``entry[k]``, where present, is added to every marking
+    fully replayed and its marking is collected.  Fully replayed states
+    still follow silent firings, so the collected markings are closed under
+    silent reachability; with an empty sequence the search is the silent
+    closure of the start markings, which is how ``reached_final`` is
+    decided.  ``entry[k]``, where present, is added to every marking
     a visible firing moves to cursor k; the markings that enter the last
     cursor (the start markings, for an empty sequence) are returned as
     ``entering``.  More than ``budget`` states cut the search off, flagged
@@ -213,10 +188,8 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     """
     last = len(steps)
     bindings = [_binding_for_step(net, step) for step in steps]
-    enabled: set[str] = set()
     markings: set[Marking] = set()
     entering = dict.fromkeys(() if last else start)
-    replayed = False
     truncated = False
     queue: deque[tuple[Marking, int]] = deque((m, 0) for m in start)
     seen = set(queue)
@@ -230,9 +203,7 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
         expanded += 1
         if cursor == last:
             at_end += 1
-            replayed = True
             markings.add(marking)
-            enabled |= enabled_visible_labels(net, marking)
         advanced = False
         if cursor < last:
             binding = bindings[cursor]
@@ -257,8 +228,8 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
                 if state not in seen:
                     seen.add(state)
                     queue.append(state)
-    return _SingleReplay(frozenset(enabled), frozenset(markings), replayed,
-                         truncated, tuple(entering), expanded - at_end)
+    return _SingleReplay(frozenset(markings), truncated, tuple(entering),
+                         expanded - at_end)
 
 
 def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
@@ -428,44 +399,24 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     return single
 
 
-def _silent_closure_reaches_final(net: AcceptingOCPN, marking: Marking,
-                                  cfg: ReplayConfig) -> tuple[bool, bool]:
-    """Whether silent firings lead from the marking to an accepting one,
-    and whether the search stopped at ``max_states`` before it could tell."""
-    queue = deque([marking])
-    seen = {marking}
-    expanded = 0
-    while queue:
-        if expanded >= cfg.max_states:
-            return False, True
-        current = queue.popleft()
-        expanded += 1
-        if is_final(net, current):
-            return True, False
-        for succ in _silent_successors(net, current, cfg):
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    return False, False
-
-
 def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
                                own: VisibleBindingStep,
                                cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
     firings, reaches an accepting marking; and, when it does not, whether
-    some silent search was cut off at ``max_states``."""
+    some silent search was cut off at ``max_states``.  Each fired marking
+    gets its own search, and its own budget."""
     binding = _binding_for_step(net, own)
     if binding is None:
         return False, False
     truncated = False
     for marking in markings:
         if binding_enabled(net, marking, binding):
-            reached, cut = _silent_closure_reaches_final(
-                net, _fire(net, marking, binding), cfg)
-            if reached:
+            closure = _search(net, (), (_fire(net, marking, binding),), {},
+                              cfg, cfg.max_states)
+            if any(is_final(net, m) for m in closure.markings):
                 return True, False
-            truncated = truncated or cut
+            truncated = truncated or closure.truncated
     return False, truncated
 
 
@@ -484,9 +435,7 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         events = (events,)
     member_ids = list(events)
     cache: dict[tuple, _SingleReplay] = {}
-    enabled: set[str] = set()
     markings: set[Marking] = set()
-    replayed = False
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in member_ids:
@@ -504,11 +453,10 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         reached_final, cut = _own_binding_reaches_final(net, single.markings,
                                                         own, cfg)
         reached_final_by_event[eid] = reached_final
-        enabled |= single.enabled
         markings |= single.markings
-        replayed = replayed or single.replayed
         truncated = truncated or single.truncated or cut
-    outcome = ReplayOutcome(frozenset(enabled), replayed,
+    enabled = frozenset().union(*(enabled_visible_labels(net, m) for m in markings))
+    outcome = ReplayOutcome(enabled, bool(markings),
                             any(reached_final_by_event.values()), truncated)
     return GroupReplay(outcome, frozenset(markings), reached_final_by_event)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from decimal import Decimal
@@ -14,6 +15,49 @@ from oconform.ocpn import AcceptingOCPN, Place
 from oconform.replay import ReplayConfig
 
 SURPLUS_EVENTS = {"e5", "e6", "e14", "e15"}
+
+GOLDEN_CONFIGS = {
+    "default": ReplayConfig(),
+    "subsets": ReplayConfig(silent_variable_mode="subsets", subset_cap=3),
+    "explore": ReplayConfig(explore_silent_when_enabled=True),
+    "max_states_3": ReplayConfig(max_states=3),
+    "max_states_40": ReplayConfig(max_states=40),
+}
+
+# sha256 of report_to_json on the bundled log.  Replay changes must keep
+# reports byte-identical; only a change meant to alter output re-pins these.
+GOLDEN_REPORTS = {
+    ("ocpn1", "default"):
+        "38cc523c7310241d11accd53b6da8b245da7c96888573d6b4c92aa3d5f0ee995",
+    ("ocpn1", "subsets"):
+        "c5bebbe1bd2a169e9412d105f966d254546edabccacd5f70186373b29dadfbdb",
+    ("ocpn1", "explore"):
+        "172cbc7eee1779a9c8f37db87ab01ed9afbfc69ab2a03ac4ccc53383205d1b31",
+    ("ocpn1", "max_states_3"):
+        "419226f0f5502cc742f6c288ab678de5ed1203a0b96502bc0bb9ed346a96b698",
+    ("ocpn1", "max_states_40"):
+        "5f2a8eb794b59456f0fc037d5abf253a60c1fe62e46186410f0a8d7c2897d2b0",
+    ("flower_l1", "default"):
+        "e385fb49a7bced56c09cfa2b7d3d438aca4c09357ac802d84dedf718c8202f0b",
+    ("flower_l1", "subsets"):
+        "a6f18b10e7b49e871a3e1dae5c3df6b81e0d711a04a8617db03affe5fa8d2c0f",
+    ("flower_l1", "explore"):
+        "a1d7d52d04e2b76f549433beb0aaf434fca964beb3c76dd4c2b76691c71d195d",
+    ("flower_l1", "max_states_3"):
+        "9d7a19e69d6b7c4f8b89d82e16171d72e6b7e3fa69bf04b861be5ff48ac7e41d",
+    ("flower_l1", "max_states_40"):
+        "acf3782930798274a081a090a54f0777c5829d45eb7a80804bd8f53d65130c45",
+    ("restricted", "default"):
+        "78c7eb4ca6e2f0ee9dedc2f8cd134851d9a289cab6c1cda5a72bb64587c5d252",
+    ("restricted", "subsets"):
+        "0bc736fc50c699ba7dc326a7efe462722eda2b5c73d131f3f287d8b480e7d144",
+    ("restricted", "explore"):
+        "3d222788d91670f52845115b5c2e8cd33f40d75ae0920e2e50d20e9d2b9fc52b",
+    ("restricted", "max_states_3"):
+        "419226f0f5502cc742f6c288ab678de5ed1203a0b96502bc0bb9ed346a96b698",
+    ("restricted", "max_states_40"):
+        "6490741c011e1bb738515f9fdc517b43657afe2e1c03bd7dcad8f1a319396bfd",
+}
 
 
 def test_bundled_log_against_bundled_net(l1, ocpn1):
@@ -171,3 +215,11 @@ def test_chain_logs_match_escaping_edges_oracle_sample():
         assert report.fitness == fit
         assert report.precision == prec
         assert report.num_replayable == replayable
+
+
+@pytest.mark.parametrize("net_name, cfg_name", list(GOLDEN_REPORTS))
+def test_reports_on_the_bundled_log_are_pinned(request, l1, net_name, cfg_name):
+    net = request.getfixturevalue(net_name)
+    text = report_to_json(check(l1, net, GOLDEN_CONFIGS[cfg_name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_REPORTS[net_name, cfg_name]

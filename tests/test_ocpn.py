@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -143,6 +144,29 @@ def test_enumerate_bindings_is_deterministic_and_capped(ocpn1):
     assert list(enumerate_bindings(ocpn1, Marking(), "t_load")) == []
 
 
+def test_enumerate_bindings_match_the_oracle_on_random_nets():
+    # the pool holds 3 objects per type, below the oracle's SUBSET_CAP
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        net = oracles.random_net(rng)
+        place_type = {p.id: p.otype for p in net.places}
+        items = oracles.random_marking_items(rng, net)
+        marking = Marking(dict(items))
+        counts = Counter(dict(items))
+        for t in net.transitions:
+            oracle = {frozenset(assign.items()) for assign, _, _ in
+                      oracles._oracle_bindings(net, counts, place_type, t)}
+            singletons = {a for a in oracle if all(len(ids) == 1 for _, ids in a)}
+            for cap, want in ((None, oracle), (1, singletons)):
+                got = list(enumerate_bindings(net, marking, t.id, subset_cap=cap))
+                assert all(binding_enabled(net, marking, b) for b in got)
+                assert len({frozenset(b.objects) for b in got}) == len(got)
+                assert {frozenset(b.objects) for b in got} == want, (t.id, items)
+                checked += len(got)
+    assert checked > 500
+
+
 def test_net_indexes(ocpn1):
     assert ocpn1.tpl("t_load") == {"plane", "baggage"}
     assert ocpn1.variable_types("t_load") == {"baggage"}
@@ -151,6 +175,7 @@ def test_net_indexes(ocpn1):
     assert ocpn1.label_to_transition["Unload"].id == "t_unload"
     assert [t.id for t in ocpn1.silent_transitions] == ["t_tau"]
     assert len(ocpn1.visible_transitions) == 7
+    assert ocpn1.silent_transitions is ocpn1.silent_transitions
     assert {p.id for p in ocpn1.preset("t_unload")} == {"pl7", "pl6"}
     assert {p.id for p in ocpn1.postset("t_unload")} == {"pl9", "pl8"}
     assert ocpn1.initial_places["plane"].id == "pl1"

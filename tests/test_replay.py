@@ -211,11 +211,12 @@ def test_variable_silent_subsets_mode_runs():
         assert outcome.enabled == {"finish"}
 
 
-def _silent_chain_net(length):
-    """After visible ``a``, only ``length`` silent firings in a row reach
-    the final place."""
+def _silent_chain_net(length, final=None):
+    """After visible ``a``, ``length`` silent firings in a row; only the
+    place after the ``final``-th of them (by default the last) is final."""
+    final = length if final is None else final
     places = (Place("s0", "X", initial=True),
-              *(Place(f"q{i}", "X", final=i == length) for i in range(length + 1)))
+              *(Place(f"q{i}", "X", final=i == final) for i in range(length + 1)))
     transitions = (Transition("t_a", "a"),
                    *(Transition(f"tau{i}") for i in range(length)))
     arcs = (Arc("s0", "t_a"), Arc("t_a", "q0"),
@@ -242,6 +243,22 @@ def test_reached_final_search_cut_by_the_budget_is_truncated():
     assert [(d.reached_final, d.truncated) for d in report.per_event] == \
         [(False, True)]
     assert not metrics.check(log, net, ReplayConfig(max_states=6)).truncated
+
+
+def test_reached_final_within_the_budget_is_not_truncated():
+    log = make_log([("e1", "a", [ObjectId("x1", "X")])])
+    graph = build_graph(log)
+    net = _silent_chain_net(5, final=1)
+    # the search from the marking after a expands q0 and the final q1, then
+    # stops at the budget with q2 .. q5 still ahead
+    cfg = ReplayConfig(max_states=2)
+    detail = replay_context_group(net, log, graph, "e1", cfg)
+    assert detail.reached_final_by_event == {"e1": True}
+    assert detail.outcome.replayed and not detail.outcome.truncated
+    report = metrics.check(log, net, cfg)
+    assert not report.truncated
+    assert [(d.reached_final, d.truncated) for d in report.per_event] == \
+        [(True, False)]
 
 
 def _silent_net(tau_arcs):
