@@ -24,7 +24,7 @@ _STATE_LISTING_CAP = 20
 
 def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-states", type=int, default=DEFAULT_CONFIG.max_states,
-                        help="state budget per replay before truncation")
+                        help="state budget per search before truncation")
     parser.add_argument("--silent-variable-mode", choices=SILENT_VARIABLE_MODES,
                         default=DEFAULT_CONFIG.silent_variable_mode,
                         help="object guessing for variable arcs on silent transitions")
@@ -91,6 +91,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.decimals < 0:
+        raise ValueError("--decimals must be non-negative")
     log = parse_log(_read(args.log))
     net = parse_model(_read(args.model))
     report = check(log, net, _config_from(args))

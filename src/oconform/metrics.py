@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -120,16 +120,19 @@ def precision(log: EventLog, net: AcceptingOCPN,
 
 
 def round_fraction(value: Fraction, decimals: int = 2) -> Decimal:
-    """Round half-up to the given number of decimals."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-        quantum, rounding=ROUND_HALF_UP)
+    """Round half-up (away from zero) to the given number of decimals,
+    exactly, whatever the number of decimals."""
+    if decimals < 0:
+        raise ValueError("decimals must be non-negative")
+    scaled = abs(value) * 10 ** decimals
+    digits = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    return Decimal(f"{'-' if value < 0 else ''}{digits}E-{decimals}")
 
 
 def format_fraction(value: Fraction | None, decimals: int = 2) -> str:
     if value is None:
         return "undefined"
-    return str(round_fraction(value, decimals))
+    return f"{round_fraction(value, decimals):f}"
 
 
 def skipped_percent(report: ConformanceReport) -> str:

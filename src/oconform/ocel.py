@@ -109,6 +109,8 @@ def parse_log(data: bytes | str) -> EventLog:
         doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise LogError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise LogError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise LogError("log document must be a JSON object")
     for key in ("object_types", "objects", "events"):

@@ -371,11 +371,9 @@ def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[st
     non-variable types alike).  A type without input places only needs an
     object of that type somewhere in the marking to bind to.
     """
-    labels = set()
-    for t in net.visible_transitions:
-        if _some_binding_enabled(net, t.id, marking):
-            labels.add(t.label)
-    return frozenset(labels)
+    return frozenset(t.label for t in net.visible_transitions
+                     if all(_candidate_objects(net, t.id, marking, ot)
+                            for ot in net.tpl(t.id)))
 
 
 def _candidate_objects(net: AcceptingOCPN, tid: str, marking: Marking,
@@ -388,10 +386,6 @@ def _candidate_objects(net: AcceptingOCPN, tid: str, marking: Marking,
         return common
     return frozenset(obj for (place, obj), _ in marking.items()
                      if net.places_by_id[place].otype == otype)
-
-
-def _some_binding_enabled(net: AcceptingOCPN, tid: str, marking: Marking) -> bool:
-    return all(_candidate_objects(net, tid, marking, ot) for ot in net.tpl(tid))
 
 
 def initial_marking_for(net: AcceptingOCPN, objects: Iterable[ObjectId]) -> Marking:
@@ -451,6 +445,8 @@ def parse_model(data: bytes | str) -> AcceptingOCPN:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     for key in ("object_types", "places", "transitions", "arcs"):
@@ -461,6 +457,9 @@ def parse_model(data: bytes | str) -> AcceptingOCPN:
         raise ModelError("'object_types' must be an array of strings")
     if len(set(raw_types)) != len(raw_types):
         raise ModelError("duplicate object type")
+    for key in ("places", "transitions", "arcs"):
+        if not isinstance(doc[key], list):
+            raise ModelError(f"{key!r} must be an array")
 
     places = []
     for raw in doc["places"]:

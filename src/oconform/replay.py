@@ -30,11 +30,12 @@ class ReplayConfig:
     """Knobs for the replay search.
 
     ``max_states`` caps how many states a search may expand before it is
-    cut off (the outcome is then flagged truncated); the replay and each
-    search behind ``reached_final`` have their own budget.  Variable arcs
-    on silent transitions have no binding recorded in the log, so their
-    object sets must be guessed: ``subsets`` tries every non-empty subset
-    of up to ``subset_cap`` objects, ``singleton`` the subsets of size 1.
+    cut off (the outcome is then flagged truncated); an event's replay and
+    the one search behind its ``reached_final`` have a budget each.
+    Variable arcs on silent transitions have no binding recorded in the
+    log, so their object sets must be guessed: ``subsets`` tries every
+    non-empty subset of up to ``subset_cap`` objects, ``singleton`` the
+    subsets of size 1.
     ``explore_silent_when_enabled`` additionally follows silent firings
     from states whose next visible binding is already enabled.
     ``reverse_successors`` flips the enqueue order of equally ranked
@@ -86,8 +87,8 @@ class ReplayOutcome:
     ``reached_final`` is diagnostic only: some fully replayed state led to
     an accepting marking after firing the event's own binding.
     ``truncated`` says that ``max_states`` cut a search short: the replay
-    itself, or the silent search behind a ``reached_final`` that came out
-    False.
+    itself, or the one silent search, from every marking the event's own
+    binding fired into, behind a ``reached_final`` that came out False.
     """
 
     enabled: frozenset[str]
@@ -180,11 +181,11 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     still follow silent firings, so the collected markings are closed under
     silent reachability; with an empty sequence the search is the silent
     closure of the start markings, which is how ``reached_final`` is
-    decided.  ``entry[k]``, where present, is added to every marking
-    a visible firing moves to cursor k; the markings that enter the last
-    cursor (the start markings, for an empty sequence) are returned as
-    ``entering``.  More than ``budget`` states cut the search off, flagged
-    truncated.  Every step's activity must be a visible label of the net.
+    decided, in one search from every marking the own binding fired into.
+    ``entry[k]``, where present, is added to every marking a visible
+    firing moves to cursor k; the markings that enter the last cursor (the
+    start markings, for an empty sequence) are returned as ``entering``.
+    More than ``budget`` states cut the search off, flagged truncated.  Every step's activity must be a visible label of the net.
     """
     last = len(steps)
     bindings = [_binding_for_step(net, step) for step in steps]
@@ -404,20 +405,17 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
                                cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
     firings, reaches an accepting marking; and, when it does not, whether
-    some silent search was cut off at ``max_states``.  Each fired marking
-    gets its own search, and its own budget."""
+    the silent search was cut off at ``max_states``.  One search starts
+    from every fired marking, under one budget."""
     binding = _binding_for_step(net, own)
     if binding is None:
         return False, False
-    truncated = False
-    for marking in markings:
-        if binding_enabled(net, marking, binding):
-            closure = _search(net, (), (_fire(net, marking, binding),), {},
-                              cfg, cfg.max_states)
-            if any(is_final(net, m) for m in closure.markings):
-                return True, False
-            truncated = truncated or closure.truncated
-    return False, truncated
+    # one binding fired from distinct markings gives distinct markings
+    fired = [_fire(net, m, binding) for m in markings
+             if binding_enabled(net, m, binding)]
+    closure = _search(net, (), fired, {}, cfg, cfg.max_states)
+    reached = any(is_final(net, m) for m in closure.markings)
+    return reached, closure.truncated and not reached
 
 
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .ocel import Event, EventLog, ObjectId
-from .ocpn import (AcceptingOCPN, Binding, ModelError, enumerate_bindings,
+from .ocpn import (AcceptingOCPN, ModelError, enumerate_bindings,
                    execute_binding, initial_marking_for, is_final)
 
 
@@ -25,13 +25,6 @@ class SimulationResult:
     log: EventLog
     instances_emitted: int
     discarded: tuple[tuple[int, str], ...]  # (instance number, reason)
-
-
-def _all_enabled_bindings(net: AcceptingOCPN, marking) -> list[Binding]:
-    bindings: list[Binding] = []
-    for t in net.transitions:
-        bindings.extend(enumerate_bindings(net, marking, t.id))
-    return bindings
 
 
 def simulate_log(net: AcceptingOCPN, instances: int, seed: int,
@@ -77,7 +70,8 @@ def simulate_log(net: AcceptingOCPN, instances: int, seed: int,
         steps = 0
         outcome = None
         while True:
-            bindings = _all_enabled_bindings(net, marking)
+            bindings = [b for t in net.transitions
+                        for b in enumerate_bindings(net, marking, t.id)]
             if instance == 1 and steps == 0 and not bindings:
                 raise DeadModelError("no binding is enabled from the initial marking")
             if is_final(net, marking) and steps >= 1:

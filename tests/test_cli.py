@@ -36,6 +36,21 @@ def test_check_decimals_flag(capsys):
         "fitness=1.0000 precision=0.8889 skipped=0%\n"
 
 
+def test_check_renders_many_decimals(capsys):
+    assert main(["check", "--log", L1, "--model", OCPN1,
+                 "--decimals", "40"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        f"fitness=1.{'0' * 40} precision=0.{'8' * 39}9 skipped=0%\n"
+
+
+def test_negative_decimals_are_invalid(capsys):
+    assert main(["check", "--log", L1, "--model", OCPN1,
+                 "--decimals", "-3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --decimals must be non-negative\n"
+
+
 def test_check_writes_report(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["check", "--log", L1, "--model", OCPN1,
@@ -174,6 +189,24 @@ def test_invalid_model_is_invalid(tmp_path, capsys):
     }))
     assert main(["check", "--log", L1, "--model", str(bad)]) == EXIT_INVALID
     assert "two initial places" in capsys.readouterr().err
+
+
+def test_non_array_places_are_invalid(tmp_path, capsys):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps({"object_types": ["t"], "places": None,
+                               "transitions": [], "arcs": []}))
+    assert main(["check", "--log", L1, "--model", str(bad)]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: 'places' must be an array\n"
+
+
+@pytest.mark.parametrize("flag", ["--log", "--model"])
+def test_deeply_nested_input_is_invalid(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"--log": L1, "--model": OCPN1, flag: str(deep)}
+    assert main(["check", "--log", paths["--log"],
+                 "--model", paths["--model"]]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: malformed JSON: nested too deeply\n"
 
 
 def test_unknown_event_is_invalid(capsys):

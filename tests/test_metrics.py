@@ -158,6 +158,18 @@ def test_rounding_is_half_up():
     assert format_fraction(None) == "undefined"
 
 
+def test_rounding_is_exact_at_any_number_of_decimals():
+    # just below a half: rounding a 28-digit quotient would carry it up
+    assert round_fraction(Fraction(5 * 10**30 - 1, 10**33)) == Decimal("0.00")
+    assert round_fraction(Fraction(-1, 8)) == Decimal("-0.13")
+    assert round_fraction(Fraction(2, 3), 0) == Decimal("1")
+    assert format_fraction(Fraction(1, 3), 40) == "0." + "3" * 40
+    assert format_fraction(Fraction(2, 3), 40) == "0." + "6" * 39 + "7"
+    assert format_fraction(Fraction(0), 10) == "0.0000000000"
+    with pytest.raises(ValueError, match="non-negative"):
+        round_fraction(Fraction(1, 3), -3)
+
+
 def test_skipped_percent_rounds_to_integer(l1, restricted):
     report = check(l1, restricted)
     assert skipped_percent(report) == "56%"

@@ -116,6 +116,13 @@ def test_parse_rejects_bad_documents(text, message):
         parse_log(text)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"a": ' * 100_000 + "1" + "}" * 100_000])
+def test_parse_rejects_deeply_nested_json(text):
+    with pytest.raises(LogError, match="nested too deeply"):
+        parse_log(text)
+
+
 def test_validate_reports_index_and_type_mismatches():
     obj = ObjectId("o1", "t")
     wrong_type = ObjectId("o1", "u")

@@ -261,6 +261,20 @@ def test_parse_model_rejects_bad_documents(text, message):
         parse_model(text)
 
 
+@pytest.mark.parametrize("key", ["places", "transitions", "arcs"])
+@pytest.mark.parametrize("value", [None, 3, 1.5, True, False])
+def test_parse_model_rejects_non_array_nodes_and_arcs(key, value):
+    doc = {"object_types": ["t"], "places": [], "transitions": [], "arcs": []}
+    doc[key] = value
+    with pytest.raises(ModelError, match=f"'{key}' must be an array"):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_model_rejects_deeply_nested_json():
+    with pytest.raises(ModelError, match="nested too deeply"):
+        parse_model("[" * 100_000 + "]" * 100_000)
+
+
 def test_parse_model_defaults():
     net = parse_model(json.dumps({
         "object_types": ["t"],

@@ -4,7 +4,7 @@ import pytest
 
 import invariants
 import oracles
-from oconform import metrics
+from oconform import metrics, replay
 from oconform.context import build_graph, context_of_event
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
@@ -259,6 +259,72 @@ def test_reached_final_within_the_budget_is_not_truncated():
     assert not report.truncated
     assert [(d.reached_final, d.truncated) for d in report.per_event] == \
         [(True, False)]
+
+
+def _two_branch_net():
+    """``a`` puts x1 on ``p`` and ``u``; a silent ``tau1`` that reads ``u``
+    moves p to p1, so two markings enable ``b``, which takes u to v0.  Two
+    silent firings then walk v0 to v2.  Only p1 and v2 are final."""
+    places = (Place("s0", "X", initial=True), Place("p", "X"),
+              Place("p1", "X", final=True), Place("u", "X"), Place("v0", "X"),
+              Place("v1", "X"), Place("v2", "X", final=True))
+    transitions = (Transition("t_a", "a"), Transition("t_b", "b"),
+                   Transition("tau1"), Transition("tau_v0"), Transition("tau_v1"))
+    arcs = (Arc("s0", "t_a"), Arc("t_a", "p"), Arc("t_a", "u"),
+            Arc("u", "tau1"), Arc("p", "tau1"), Arc("tau1", "u"),
+            Arc("tau1", "p1"), Arc("u", "t_b"), Arc("t_b", "v0"),
+            Arc("v0", "tau_v0"), Arc("tau_v0", "v1"),
+            Arc("v1", "tau_v1"), Arc("tau_v1", "v2"))
+    return AcceptingOCPN(object_types=("X",), places=places,
+                         transitions=transitions, arcs=arcs)
+
+
+def _two_branch_log():
+    return make_log([("e1", "a", [ObjectId("x1", "X")]),
+                     ("e2", "b", [ObjectId("x1", "X")])])
+
+
+def test_one_reached_final_search_per_event(monkeypatch):
+    log = _two_branch_log()
+    graph = build_graph(log)
+    net = _two_branch_net()
+    calls = []
+    search = replay._search
+
+    def spy(net, steps, start, entry, cfg, budget):
+        calls.append((len(steps), len(start)))
+        return search(net, steps, start, entry, cfg, budget)
+
+    monkeypatch.setattr(replay, "_search", spy)
+    detail = replay_context_group(net, log, graph, "e2")
+    assert detail.reached_final_by_event == {"e2": True}
+    # both fully replayed markings enable b: one search starts from both
+    assert len(detail.markings) == 2
+    assert calls == [(1, 1), (0, 2)]
+
+
+def test_reached_final_search_has_one_budget_for_all_fired_markings():
+    log = _two_branch_log()
+    graph = build_graph(log)
+    net = _two_branch_net()
+    # after b, each fired marking's silent closure holds three states, and
+    # the two closures share none; four states fit the replay (three) and
+    # either closure alone, but not both
+    cut_cfg = ReplayConfig(max_states=4)
+    cut = replay_context_group(net, log, graph, "e2", cut_cfg)
+    assert cut.reached_final_by_event == {"e2": False}
+    assert cut.outcome.replayed and cut.outcome.truncated
+    report = metrics.check(log, net, cut_cfg)
+    assert report.truncated
+    assert [(d.reached_final, d.truncated) for d in report.per_event] == \
+        [(False, False), (False, True)]
+    whole_cfg = ReplayConfig(max_states=6)
+    whole = replay_context_group(net, log, graph, "e2", whole_cfg)
+    assert whole.reached_final_by_event == {"e2": True}
+    assert not whole.outcome.truncated
+    report = metrics.check(log, net, whole_cfg)
+    assert not report.truncated
+    assert [d.reached_final for d in report.per_event] == [False, True]
 
 
 def _silent_net(tau_arcs):
