@@ -190,6 +190,7 @@ class AcceptingOCPN:
     _inputs_by_type: dict[str, dict[str, tuple[Place, ...]]] = field(init=False, repr=False)
     initial_places: dict[str, Place] = field(init=False, repr=False)
     final_places: frozenset[str] = field(init=False, repr=False)
+    finishing_places: frozenset[str] = field(init=False, repr=False)
     silent_transitions: tuple[Transition, ...] = field(init=False, repr=False)
     visible_transitions: tuple[Transition, ...] = field(init=False, repr=False)
 
@@ -266,6 +267,18 @@ class AcceptingOCPN:
             if ot not in self.initial_places:
                 raise ModelError(f"object type {ot!r} has no initial place")
         self.final_places = frozenset(p.id for p in self.places if p.final)
+        # least fixpoint: p finishes when some silent transition takes an
+        # object from p only to finishing places of its type (or out of the
+        # marking); a token elsewhere stays off the final places for good
+        finishing = set(self.final_places)
+        size = -1
+        while size < len(finishing):
+            size = len(finishing)
+            finishing.update(
+                p.id for t in self.silent_transitions for p, _ in self._preset[t.id]
+                if all(q.id in finishing for q, _ in self._postset[t.id]
+                       if q.otype == p.otype))
+        self.finishing_places = frozenset(finishing)
 
     # --- derived accessors ---
 

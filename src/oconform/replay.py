@@ -87,8 +87,9 @@ class ReplayOutcome:
     ``reached_final`` is diagnostic only: some fully replayed state led to
     an accepting marking after firing the event's own binding.
     ``truncated`` says that ``max_states`` cut a search short: the replay
-    itself, or the one silent search, from every marking the event's own
-    binding fired into, behind a ``reached_final`` that came out False.
+    itself, or the one silent search behind a ``reached_final`` that came
+    out False, from the markings the event's own binding fired into that
+    can still finish, when none of them is final.
     """
 
     enabled: frozenset[str]
@@ -181,11 +182,12 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     still follow silent firings, so the collected markings are closed under
     silent reachability; with an empty sequence the search is the silent
     closure of the start markings, which is how ``reached_final`` is
-    decided, in one search from every marking the own binding fired into.
+    decided, in one search from the fired markings that can still finish.
     ``entry[k]``, where present, is added to every marking a visible
     firing moves to cursor k; the markings that enter the last cursor (the
     start markings, for an empty sequence) are returned as ``entering``.
-    More than ``budget`` states cut the search off, flagged truncated.  Every step's activity must be a visible label of the net.
+    More than ``budget`` states cut the search off, flagged truncated.
+    Every step's activity must be a visible label of the net.
     """
     last = len(steps)
     bindings = [_binding_for_step(net, step) for step in steps]
@@ -405,14 +407,25 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
                                cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
     firings, reaches an accepting marking; and, when it does not, whether
-    the silent search was cut off at ``max_states``.  One search starts
-    from every fired marking, under one budget."""
+    the silent search was cut off at ``max_states``.  A final fired marking
+    answers at once; one with a token outside ``net.finishing_places`` can
+    never become final and is dropped.  One search, under one budget,
+    starts from every fired marking left, if any."""
     binding = _binding_for_step(net, own)
     if binding is None:
         return False, False
+    finishing = net.finishing_places
     # one binding fired from distinct markings gives distinct markings
-    fired = [_fire(net, m, binding) for m in markings
-             if binding_enabled(net, m, binding)]
+    fired = []
+    for m in markings:
+        if binding_enabled(net, m, binding):
+            after = _fire(net, m, binding)
+            if is_final(net, after):
+                return True, False
+            if all(place in finishing for (place, _), _ in after.items()):
+                fired.append(after)
+    if not fired:
+        return False, False
     closure = _search(net, (), fired, {}, cfg, cfg.max_states)
     reached = any(is_final(net, m) for m in closure.markings)
     return reached, closure.truncated and not reached

@@ -4,6 +4,7 @@ violation and returns how many cases it checked."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -227,6 +228,56 @@ def run_resumed_replay_random(seed: int = 18, rounds: int = 60) -> dict[bool, in
             run_resumed_replay_agreement(log, net, cfg)
             run_resumed_replay_agreement(log, flower_model(log), cfg)
     return kinds
+
+
+def run_reached_final_agreement(log, net, cfg) -> Counter:
+    """Every event's reached_final in check equals the unpruned silent
+    closure oracle, wherever neither the event's searches nor the oracle's
+    were cut; returns the oracle's answers counted, None for skipped."""
+    report = check(log, net, cfg)
+    graph = build_graph(log)
+    cap = 1 if cfg.silent_variable_mode == "singleton" else cfg.subset_cap
+    answers: Counter = Counter()
+    for d in report.per_event:
+        detail = replay_context_group(net, log, graph, d.event_id, cfg)
+        event = log.event(d.event_id)
+        want = None if detail.outcome.truncated else oracles.reaches_final_after(
+            net, detail.markings, event.activity, event.omap, cap)
+        answers[want] += 1
+        if want is not None:
+            assert detail.reached_final_by_event[d.event_id] == want, d.event_id
+            assert d.reached_final == want, d.event_id
+    return answers
+
+
+# a random net whose silent transitions keep making tokens can fill the
+# default budget in every event's search, so these configs cap it lower
+REACHED_FINAL_CONFIGS = (ReplayConfig(max_states=2000),
+                         ReplayConfig(max_states=2000,
+                                      explore_silent_when_enabled=True),
+                         ReplayConfig(max_states=3),
+                         ReplayConfig(max_states=2000,
+                                      silent_variable_mode="subsets"))
+
+
+def run_reached_final_random(seed: int = 22, rounds: int = 60) -> Counter:
+    """run_reached_final_agreement on random logs, each against a random
+    net and its own flower net, and on a random run of that net, whose
+    events replay and whose silent firings a final marking may need; under
+    every config of REACHED_FINAL_CONFIGS."""
+    rng = random.Random(seed)
+    answers: Counter = Counter()
+    for _ in range(rounds):
+        log = oracles.random_log(rng)
+        net = oracles.random_net(rng)
+        pairs = [(log, net), (log, flower_model(log))]
+        walk = oracles.random_walk_log(rng, net)
+        if walk is not None:
+            pairs.append((walk, net))
+        for cfg in REACHED_FINAL_CONFIGS:
+            for pair_log, pair_net in pairs:
+                answers += run_reached_final_agreement(pair_log, pair_net, cfg)
+    return answers
 
 
 def plane_reusing_net(net: AcceptingOCPN) -> AcceptingOCPN:

@@ -7,7 +7,7 @@ with the code under test, never its algorithms.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -204,6 +204,66 @@ def brute_force_states(net: AcceptingOCPN, objects,
     return found
 
 
+def reaches_final_after(net: AcceptingOCPN, markings, activity: str,
+                        objects, subset_cap: int,
+                        budget: int = 20_000) -> bool | None:
+    """Whether firing ``activity`` on ``objects`` from one of ``markings``,
+    then silent firings binding at most ``subset_cap`` objects per type,
+    reaches a marking with every token in a final place.
+
+    A plain BFS over the silent closure of every fired marking, with no
+    pruning; None when more than ``budget`` states would be needed.  Each
+    place may hold at most SUBSET_CAP objects of a silent transition's
+    input type.
+    """
+    place_type = {p.id: p.otype for p in net.places}
+    final = {p.id for p in net.places if p.final}
+    transition = next((t for t in net.transitions if t.label == activity), None)
+    if transition is None:
+        return False
+    assign: dict[str, set[str]] = {}
+    for obj in objects:
+        assign.setdefault(obj.otype, set()).add(obj.id)
+    ins = [(a.source, a.variable) for a in net.arcs if a.target == transition.id]
+    outs = [(a.target, a.variable) for a in net.arcs if a.source == transition.id]
+    if set(assign) != {place_type[p] for p, _ in ins + outs}:
+        return False
+    if any(not v and len(assign[place_type[p]]) != 1 for p, v in ins + outs):
+        return False
+    need = Counter((p, o) for p, _ in ins for o in assign[place_type[p]])
+    prod = Counter((p, o) for p, _ in outs for o in assign[place_type[p]])
+
+    def key(counts: Counter) -> tuple:
+        return tuple(sorted((t, n) for t, n in counts.items() if n))
+
+    queue: deque[Counter] = deque()
+    seen: set[tuple] = set()
+    for marking in markings:
+        counts = Counter(dict(marking.items()))
+        if all(counts[t] >= n for t, n in need.items()):
+            fired = counts - need + prod
+            if key(fired) not in seen:
+                seen.add(key(fired))
+                queue.append(fired)
+    silent = [t for t in net.transitions if t.label is None]
+    while queue:
+        counts = queue.popleft()
+        if all(place in final for (place, _), n in counts.items() if n):
+            return True
+        for t in silent:
+            for assignment, t_need, t_prod in _oracle_bindings(
+                    net, counts, place_type, t):
+                if any(len(ids) > subset_cap for ids in assignment.values()):
+                    continue
+                after = counts - t_need + t_prod
+                if key(after) not in seen:
+                    if len(seen) >= budget:
+                        return None
+                    seen.add(key(after))
+                    queue.append(after)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # escaping-edges style conformance for single-object-per-event logs
 
@@ -367,6 +427,36 @@ def random_net(rng) -> AcceptingOCPN:
                                 variable[place.rsplit("_", 2)[1]]))
     return AcceptingOCPN(types, tuple(places), tuple(transitions),
                          tuple(arcs))
+
+
+def random_walk_log(rng, net: AcceptingOCPN, max_events: int = 10) -> EventLog | None:
+    """A log of one random run of ``net``: up to three objects per type
+    start in their initial places, and random enabled bindings (silent
+    ones included, up to two objects per variable type) fire until
+    ``max_events`` visible firings are logged or nothing is enabled.  None
+    when the run logs no event."""
+    place_type = {p.id: p.otype for p in net.places}
+    objects = {ObjectId(f"{p.otype.lower()}{i}", p.otype): p.id
+               for p in net.places if p.initial
+               for i in range(1, rng.randint(1, 3) + 1)}
+    counts = Counter({(place, o.id): 1 for o, place in objects.items()})
+    by_id = {o.id: o for o in objects}
+    events = []
+    for _ in range(4 * max_events):
+        if len(events) == max_events:
+            break
+        options = [(t, assign, need, prod) for t in net.transitions
+                   for assign, need, prod in _oracle_bindings(
+                       net, counts, place_type, t)
+                   if all(len(ids) <= 2 for ids in assign.values())]
+        if not options:
+            break
+        t, assign, need, prod = rng.choice(options)
+        counts = counts - need + prod
+        if t.label is not None:
+            events.append((f"e{len(events) + 1}", t.label,
+                           [by_id[o] for ids in assign.values() for o in ids]))
+    return make_log(events) if events else None
 
 
 def random_marking_items(rng, net: AcceptingOCPN) -> list[tuple[tuple[str, str], int]]:

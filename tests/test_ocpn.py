@@ -182,6 +182,49 @@ def test_net_indexes(ocpn1):
     assert ocpn1.final_places == {"pl10", "pl11"}
 
 
+def test_finishing_places_on_fixture_nets(ocpn1, flower_l1):
+    # t_tau only moves a bag from pl6 to pl8, which is not final
+    assert ocpn1.finishing_places == ocpn1.final_places
+    assert flower_l1.finishing_places == {p.id for p in flower_l1.places}
+
+
+def _silent_fan_net(*tau_arcs):
+    """A visible ``a`` from ``s`` to ``p``, and silent ``tau1``/``tau2``
+    with the given arcs; places p, q and the only final place f are of
+    type X, y of type Y."""
+    places = (Place("s", "X", initial=True), Place("p", "X"), Place("q", "X"),
+              Place("f", "X", final=True), Place("y0", "Y", initial=True),
+              Place("y", "Y"))
+    return AcceptingOCPN(
+        object_types=("X", "Y"), places=places,
+        transitions=(Transition("a", "A"), Transition("tau1"),
+                     Transition("tau2")),
+        arcs=(Arc("s", "a"), Arc("a", "p"), *tau_arcs))
+
+
+def test_finishing_places_need_every_output_of_the_type_finishing():
+    # tau1 puts the object on f and on q; q never finishes, so p does not
+    net = _silent_fan_net(Arc("p", "tau1"), Arc("tau1", "f"), Arc("tau1", "q"))
+    assert net.finishing_places == {"f"}
+    # once q finishes through tau2, p does too, whatever the arc order
+    net = _silent_fan_net(Arc("p", "tau1"), Arc("tau1", "f"), Arc("tau1", "q"),
+                          Arc("q", "tau2"), Arc("tau2", "f"))
+    assert net.finishing_places == {"f", "q", "p"}
+
+
+def test_finishing_places_count_an_object_leaving_the_marking():
+    # tau1 consumes from p and puts no X token back: the object leaves
+    net = _silent_fan_net(Arc("p", "tau1"), Arc("tau1", "y"))
+    assert net.finishing_places == {"f", "p"}
+
+
+def test_finishing_places_exclude_a_silent_self_loop():
+    # tau1 puts a token back on q beside the one on f: q never empties
+    net = _silent_fan_net(Arc("q", "tau1"), Arc("tau1", "q"), Arc("tau1", "f"),
+                          Arc("p", "tau2"), Arc("tau2", "q"))
+    assert net.finishing_places == {"f"}
+
+
 # --- validation ---
 
 def _net(**overrides):

@@ -53,3 +53,16 @@ def test_resumed_replay_matches_from_scratch_on_chained_log(ocpn1, cfg):
     log = invariants.chained_airport_log()
     for net in (ocpn1, invariants.plane_reusing_net(ocpn1), flower_model(log)):
         invariants.run_resumed_replay_agreement(log, net, cfg)
+
+
+def test_reached_final_matches_the_unpruned_oracle_on_random_nets():
+    answers = invariants.run_reached_final_random(rounds=100)
+    assert answers[True] and answers[False]
+
+
+@pytest.mark.parametrize("cfg", invariants.RESUME_CONFIGS)
+def test_reached_final_matches_the_unpruned_oracle_on_chained_log(ocpn1, cfg):
+    log = invariants.chained_airport_log()
+    for net in (ocpn1, invariants.plane_reusing_net(ocpn1)):
+        answers = invariants.run_reached_final_agreement(log, net, cfg)
+        assert answers[None] < sum(answers.values())

@@ -261,11 +261,12 @@ def test_reached_final_within_the_budget_is_not_truncated():
         [(True, False)]
 
 
-def _two_branch_net():
+def _two_branch_net(p_final=False):
     """``a`` puts x1 on ``p`` and ``u``; a silent ``tau1`` that reads ``u``
     moves p to p1, so two markings enable ``b``, which takes u to v0.  Two
-    silent firings then walk v0 to v2.  Only p1 and v2 are final."""
-    places = (Place("s0", "X", initial=True), Place("p", "X"),
+    silent firings then walk v0 to v2.  Only p1 and v2 are final, and p
+    too when ``p_final``; otherwise x1 left on p can never finish."""
+    places = (Place("s0", "X", initial=True), Place("p", "X", final=p_final),
               Place("p1", "X", final=True), Place("u", "X"), Place("v0", "X"),
               Place("v1", "X"), Place("v2", "X", final=True))
     transitions = (Transition("t_a", "a"), Transition("t_b", "b"),
@@ -287,7 +288,7 @@ def _two_branch_log():
 def test_one_reached_final_search_per_event(monkeypatch):
     log = _two_branch_log()
     graph = build_graph(log)
-    net = _two_branch_net()
+    net = _two_branch_net(p_final=True)
     calls = []
     search = replay._search
 
@@ -306,7 +307,7 @@ def test_one_reached_final_search_per_event(monkeypatch):
 def test_reached_final_search_has_one_budget_for_all_fired_markings():
     log = _two_branch_log()
     graph = build_graph(log)
-    net = _two_branch_net()
+    net = _two_branch_net(p_final=True)
     # after b, each fired marking's silent closure holds three states, and
     # the two closures share none; four states fit the replay (three) and
     # either closure alone, but not both
@@ -325,6 +326,26 @@ def test_reached_final_search_has_one_budget_for_all_fired_markings():
     report = metrics.check(log, net, whole_cfg)
     assert not report.truncated
     assert [d.reached_final for d in report.per_event] == [False, True]
+
+
+def test_reached_final_search_skips_fired_markings_that_cannot_finish():
+    log = _two_branch_log()
+    graph = build_graph(log)
+    net = _two_branch_net()
+    # tau1 puts x1 back on u, so neither u nor p ever finishes
+    assert net.finishing_places == {"p1", "v0", "v1", "v2"}
+    assert _two_branch_net(p_final=True).finishing_places == \
+        {"p", "p1", "v0", "v1", "v2"}
+    # x1 left on p after b never finishes, so only the other fired
+    # marking's three-state closure is searched, and it fits four states
+    cfg = ReplayConfig(max_states=4)
+    detail = replay_context_group(net, log, graph, "e2", cfg)
+    assert detail.reached_final_by_event == {"e2": True}
+    assert detail.outcome.replayed and not detail.outcome.truncated
+    report = metrics.check(log, net, cfg)
+    assert not report.truncated
+    assert [(d.reached_final, d.truncated) for d in report.per_event] == \
+        [(False, False), (True, False)]
 
 
 def _silent_net(tau_arcs):
