@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .ocel import Event, EventLog, LogError, ObjectId
 
@@ -101,6 +101,40 @@ class _Trie:
                              for otype in sorted(per_type)))
 
 
+def _positions(low: int, bits: int, start: int = 0) -> list[int]:
+    """The positions set in ``bits``, where bit j stands for position
+    ``low + j``, from ``start`` on, in ascending order."""
+    if start > low:
+        bits >>= start - low
+        low = start
+    digits = bin(bits)[:1:-1]  # least significant first, without "0b"
+    found = []
+    at = digits.find("1")
+    while at >= 0:
+        found.append(low + at)
+        at = digits.find("1", at + 1)
+    return found
+
+
+class _Presets(Mapping):
+    """Each event's preset as a frozenset of event ids, built when read."""
+
+    def __init__(self, graph: "EventObjectGraph") -> None:
+        self._graph = graph
+
+    def __getitem__(self, event_id: str) -> frozenset[str]:
+        graph = self._graph
+        position = graph._index[event_id]
+        return frozenset(graph.order[i] for i in
+                         _positions(graph._low[position], graph._bits[position]))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._graph.order)
+
+    def __len__(self) -> int:
+        return len(self._graph.order)
+
+
 @dataclass
 class EventObjectGraph:
     """Sparse event-object graph over one log, with its context groups.
@@ -108,18 +142,25 @@ class EventObjectGraph:
     Edges link each event to the previous occurrence of every shared
     object; that keeps the edge set linear in object occurrences while
     preserving reachability, and ancestor sets are what the contexts are
-    built from.  ``presets`` maps each event id to its full ancestor set.
-    ``members`` partitions the events by context, groups in the log order
-    of their first event and members in log order, and ``group_of`` maps
-    each event id to its group's number.  A group's ``Context`` is built
-    on first use (``context``).
+    built from.  Each event's preset (its full ancestor set) is stored as
+    an ``int`` over log positions, shifted down by the preset's lowest
+    position: bit j of ``_bits[i]`` stands for position ``_low[i] + j``,
+    so a preset costs its span in bits, not the log's length.
+    ``preset_positions`` and ``preset_count`` read them; ``presets`` maps
+    each event id to its preset as a frozenset of event ids, built on
+    demand.  ``members`` partitions the events by context, groups in the
+    log order of their first event and members in log order, and
+    ``group_of`` maps each event id to its group's number.  A group's
+    ``Context`` is built on first use (``context``).
     """
 
     order: tuple[str, ...]
     direct_predecessors: Mapping[str, frozenset[str]]
-    presets: Mapping[str, frozenset[str]]
     group_of: Mapping[str, int]
     members: tuple[tuple[str, ...], ...]
+    _index: Mapping[str, int] = field(repr=False)
+    _low: list[int] = field(repr=False)
+    _bits: list[int] = field(repr=False)
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
     _built: dict[int, Context] = field(default_factory=dict, repr=False,
@@ -128,6 +169,10 @@ class EventObjectGraph:
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.order
+
+    @property
+    def presets(self) -> Mapping[str, frozenset[str]]:
+        return _Presets(self)
 
     def edges(self) -> Iterator[tuple[str, str]]:
         for eid in self.order:
@@ -141,37 +186,61 @@ class EventObjectGraph:
             ctx = self._built[group] = self._trie.context(self._bags[group])
         return ctx
 
+    def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
+        """Log positions of the event's preset from ``start`` on, ascending."""
+        position = self._position(event_id)
+        return _positions(self._low[position], self._bits[position], start)
+
+    def preset_count(self, event_id: str, below: int | None = None) -> int:
+        """Size of the event's preset, or of its part before log position
+        ``below``."""
+        position = self._position(event_id)
+        bits = self._bits[position]
+        if below is not None:
+            bits &= (1 << max(below - self._low[position], 0)) - 1
+        return bits.bit_count()
+
+    def _position(self, event_id: str) -> int:
+        try:
+            return self._index[event_id]
+        except KeyError:
+            raise LogError(f"unknown event id {event_id!r}") from None
+
 
 def build_graph(log: EventLog) -> EventObjectGraph:
-    """Build the event-object graph; ancestor sets are memoized in log order,
-    and context groups come from a second pass over the log
-    (``_context_groups``)."""
+    """Build the event-object graph; presets are built in log order, each
+    from its direct predecessors' presets, and context groups come from a
+    second pass over the log (``_context_groups``)."""
     slot_of: dict[ObjectId, int] = {}
     slots = [tuple(slot_of.setdefault(o, len(slot_of)) for o in e.omap)
              for e in log.events]
-    last_seen: list[str | None] = [None] * len(slot_of)
+    last_seen: list[int | None] = [None] * len(slot_of)
+    order = tuple(e.id for e in log.events)
     direct: dict[str, frozenset[str]] = {}
-    presets: dict[str, frozenset[str]] = {}
-    for e, own in zip(log.events, slots):
-        preds = frozenset(last_seen[s] for s in own if last_seen[s] is not None)
-        direct[e.id] = preds
-        # every direct predecessor is earlier in the log, so its preset is done
-        ancestors: set[str] = set()
-        for pred in preds:
-            ancestors.add(pred)
-            ancestors |= presets[pred]
-        presets[e.id] = frozenset(ancestors)
+    low: list[int] = []
+    bits: list[int] = []
+    for i, own in enumerate(slots):
+        preds = {last_seen[s] for s in own if last_seen[s] is not None}
+        direct[order[i]] = frozenset(order[p] for p in preds)
+        # every direct predecessor is earlier in the log, so its preset is
+        # done; an empty preset's lowest position is its event's own
+        start = min((low[p] for p in preds), default=i)
+        ancestors = 0
+        for p in preds:
+            ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
+        low.append(start)
+        bits.append(ancestors)
         for s in own:
-            last_seen[s] = e.id
+            last_seen[s] = i
     trie = _Trie()
     group_of, members, bags = _context_groups(
-        log, direct, presets, slots, [o.otype for o in slot_of], trie)
-    return EventObjectGraph(tuple(e.id for e in log.events), direct, presets,
-                            group_of, members, bags, trie)
+        log, direct, low, bits, slots, [o.otype for o in slot_of], trie)
+    return EventObjectGraph(order, direct, group_of, members, log.event_index,
+                            low, bits, bags, trie)
 
 
 def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
-                    presets: Mapping[str, frozenset[str]],
+                    low: list[int], bits: list[int],
                     slots: list[tuple[int, ...]], otypes: list[str], trie: _Trie,
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
                                tuple[tuple[tuple[int, int], ...], ...]]:
@@ -218,6 +287,13 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
     number: dict[tuple[tuple[int, int], ...], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
+    index = log.event_index
+
+    def in_preset(d: str, of: str) -> bool:
+        """Whether event d is in the preset of event ``of``."""
+        shift = index[d] - low[index[of]]
+        return shift >= 0 and bits[index[of]] >> shift & 1 == 1
+
     for e, own in zip(log.events, slots):
         preds = sorted(direct[e.id], key=lambda d: len(after[d][0]), reverse=True)
         if not preds:
@@ -228,7 +304,7 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
         else:
             counts, bag = (m.copy() for m in after[preds[0]])
         for pred in preds[1:]:
-            if pred not in presets[preds[0]]:
+            if not in_preset(pred, preds[0]):
                 for s, k in after[pred][0].items():
                     if counts.get(s, 0) < k:
                         move(counts, bag, s, k)
@@ -252,7 +328,8 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
 
 
 def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:
-    """All events with a path to the given event (its ancestors)."""
+    """All events with a path to the given event (its ancestors), as a
+    frozenset built from the graph's bitset."""
     try:
         return graph.presets[event_id]
     except KeyError:
@@ -316,6 +393,6 @@ def preset_objects(log: EventLog, graph: EventObjectGraph, event_id: str) -> fro
     """All objects touched by the event or any of its ancestors."""
     event = log.event(event_id)
     objects = set(event.omap)
-    for eid in event_preset(graph, event_id):
-        objects |= log.event(eid).omap
+    for i in graph.preset_positions(event_id):
+        objects |= log.events[i].omap
     return frozenset(objects)

@@ -10,17 +10,15 @@ in any of those states are the model's answer to "what may happen next".
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import (Context, EventObjectGraph, event_preset,
-                      events_in_log_order, preset_objects)
+from .context import Context, EventObjectGraph, preset_objects
 from .ocel import EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
-                   binding_enabled, enabled_visible_labels, enumerate_bindings,
-                   initial_marking_for, is_final)
+                   binding_well_formed, consumed, enabled_visible_labels,
+                   enumerate_bindings, initial_marking_for, is_final)
 
 SILENT_VARIABLE_MODES = ("singleton", "subsets")
 
@@ -113,8 +111,8 @@ class GroupReplay:
 def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
                                event_id: str) -> tuple[VisibleBindingStep, ...]:
     """The event's ancestors as visible binding steps, in log order."""
-    return tuple(VisibleBindingStep.for_event(e)
-                 for e in events_in_log_order(log, event_preset(graph, event_id)))
+    return tuple(VisibleBindingStep.for_event(log.events[i])
+                 for i in graph.preset_positions(event_id))
 
 
 def binding_sequence_context(
@@ -146,6 +144,13 @@ def _binding_for_step(net: AcceptingOCPN, step: VisibleBindingStep) -> Binding |
     if transition is None:
         return None
     return Binding(transition.id, step.objects)
+
+
+def _needed(net: AcceptingOCPN, binding: Binding) -> Marking | None:
+    """The tokens a binding consumes, or None when it is malformed; a
+    marking enables the binding exactly when it holds them
+    (``binding_enabled``)."""
+    return consumed(net, binding) if binding_well_formed(net, binding) else None
 
 
 def _silent_successors(net: AcceptingOCPN, marking: Marking,
@@ -191,6 +196,7 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     """
     last = len(steps)
     bindings = [_binding_for_step(net, step) for step in steps]
+    needs = [_needed(net, binding) for binding in bindings]
     markings: set[Marking] = set()
     entering = dict.fromkeys(() if last else start)
     truncated = False
@@ -209,10 +215,10 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
             markings.add(marking)
         advanced = False
         if cursor < last:
-            binding = bindings[cursor]
-            if binding_enabled(net, marking, binding):
+            need = needs[cursor]
+            if need is not None and need <= marking:
                 advanced = True
-                after = _fire(net, marking, binding)
+                after = _fire(net, marking, bindings[cursor])
                 added = entry.get(cursor + 1)
                 if added is not None:
                     after = after + added
@@ -272,12 +278,17 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 
 @dataclass(frozen=True)
 class _Frontier:
-    """Where replay of an event's preset may resume."""
+    """Where replay of an event's preset may resume.
 
-    cursor: int                      # visible steps behind it: the preset's size
-    markings: tuple[Marking, ...]    # raw markings entering that cursor
+    ``position`` is the log position of the event whose frontier this is:
+    its preset is replayed, and a later event that resumes here replays
+    its own preset from that position on.
+    """
+
+    position: int                    # log position the rest of the preset starts at
+    markings: tuple[Marking, ...]    # raw markings entering that point
     objects: frozenset[ObjectId]     # objects that have entered those markings
-    states: int                      # states expanded before that cursor
+    states: int                      # states expanded before that point
 
 
 _START = _Frontier(0, (Marking(),), frozenset(), 0)
@@ -288,14 +299,14 @@ def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
     """The latest direct predecessor d such that d's log-ordered preset,
     followed by d, opens the event's log-ordered preset.
 
-    That holds exactly when d's position in the event's preset equals the
-    size of d's own preset.
+    d's preset lies in the event's preset and before d's log position, so
+    that holds exactly when the event's preset has as many positions below
+    d's position as d's own preset has: a popcount test on the bitsets.
     """
     index = log.event_index
-    positions = sorted(index[eid] for eid in graph.presets[event_id])
     for pred in sorted(graph.direct_predecessors[event_id],
                        key=index.__getitem__, reverse=True):
-        if bisect_left(positions, index[pred]) == len(graph.presets[pred]):
+        if graph.preset_count(event_id, below=index[pred]) == graph.preset_count(pred):
             return pred
     return None
 
@@ -368,15 +379,16 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     memo: FrontierMemo) -> _SingleReplay:
     """Replay one event's preset from the frontier the memo holds for it.
 
-    The result equals ``_replay_single`` on the whole preset, which still
-    runs when the states before the frontier plus the new ones would
-    exceed ``max_states``, so that truncated results stay those of the
-    search from the initial marking.
+    Only the preset's positions from the frontier's log position on are
+    read from the bitset, in log order, and replayed.  The result equals
+    ``_replay_single`` on the whole preset, which still runs when the
+    states before the frontier plus the new ones would exceed
+    ``max_states``, so that truncated results stay those of the search
+    from the initial marking.
     """
     event = log.event(event_id)
-    ordered = events_in_log_order(log, event_preset(graph, event_id))
     base = memo.take(event_id)
-    suffix = ordered[base.cursor:]
+    suffix = [log.events[i] for i in graph.preset_positions(event_id, base.position)]
     known = set(base.objects)
     entry: dict[int, Marking] = {}
     try:
@@ -395,10 +407,10 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
         start = tuple(m + entry[0] for m in start)
     single = _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
     if single.truncated:
-        return _replay_single(net, tuple(VisibleBindingStep.for_event(e) for e in ordered),
+        return _replay_single(net, binding_sequence_of_preset(log, graph, event_id),
                               frozenset(known), cfg)
-    memo.keep(event_id, _Frontier(len(ordered), single.entering, frozenset(known),
-                                  base.states + single.expanded_before_end))
+    memo.keep(event_id, _Frontier(log.event_index[event_id], single.entering,
+                                  frozenset(known), base.states + single.expanded_before_end))
     return single
 
 
@@ -412,13 +424,14 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
     never become final and is dropped.  One search, under one budget,
     starts from every fired marking left, if any."""
     binding = _binding_for_step(net, own)
-    if binding is None:
+    need = None if binding is None else _needed(net, binding)
+    if need is None:
         return False, False
     finishing = net.finishing_places
     # one binding fired from distinct markings gives distinct markings
     fired = []
     for m in markings:
-        if binding_enabled(net, m, binding):
+        if need <= m:
             after = _fire(net, m, binding)
             if is_final(net, after):
                 return True, False

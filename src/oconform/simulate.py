@@ -39,9 +39,17 @@ def simulate_log(net: AcceptingOCPN, instances: int, seed: int,
     one firing, so accepting initial markings still produce events).
     Instances exceeding ``step_cap`` firings (default 10 per transition)
     or getting stuck outside an accepting marking are discarded.
+    ``instances``, ``max_objects`` and ``step_cap`` must be positive and
+    ``stop_prob`` in [0, 1]; otherwise ValueError names the parameter.
     """
     if instances < 1:
         raise ValueError("instances must be positive")
+    if max_objects < 1:
+        raise ValueError("max_objects must be positive")
+    if step_cap is not None and step_cap < 1:
+        raise ValueError("step_cap must be positive")
+    if not 0 <= stop_prob <= 1:
+        raise ValueError("stop_prob must be in [0, 1]")
     used_types = sorted({p.otype for p in net.places})
     if not used_types:
         raise ModelError("net has no places to put objects on")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from oconform.ocel import ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, produced)
-from oconform.replay import (ReplayConfig, lazy_entry_exact,
-                             replay_context_group)
+from oconform.replay import (ReplayConfig, _prefix_predecessor,
+                             lazy_entry_exact, replay_context_group)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -70,6 +71,44 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
             for pid in preset:
                 assert event_preset(graph, pid) <= preset
     return rounds
+
+
+def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
+    """The graph's bitset presets agree with the fixpoint-closure oracle:
+    log-ordered positions (whole, and from a start position on), counts
+    below a position, the prefix predecessor of the sort-and-bisect
+    oracle, and ``presets`` as a Mapping of frozensets.  Each preset is
+    stored shifted down by its lowest position, so its bit length is at
+    most its event's position minus that lowest position.  Besides random
+    logs, this runs on chained airport logs, whose presets span most of
+    the log."""
+    rng = random.Random(seed)
+    logs = [oracles.random_log(rng) for _ in range(rounds)]
+    logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
+             for s, flights, planes in ((19, 12, 2), (20, 9, 3), (21, 6, 1),
+                                        (24, 20, 3))]
+    for log in logs:
+        graph = build_graph(log)
+        anc = oracles.closure_ancestors(log)
+        assert isinstance(graph.presets, Mapping)
+        assert list(graph.presets) == [e.id for e in log.events]
+        assert dict(graph.presets.items()) == anc
+        for i, e in enumerate(log.events):
+            want = sorted(log.event_index[a] for a in anc[e.id])
+            assert graph.preset_positions(e.id) == want
+            assert graph.preset_count(e.id) == len(want)
+            for start in (0, i // 3, i // 2, i):
+                assert graph.preset_positions(e.id, start) == \
+                    [p for p in want if p >= start]
+                assert graph.preset_count(e.id, below=start) == \
+                    sum(p < start for p in want)
+            low = graph._low[i]
+            if want:
+                assert low == want[0]
+            assert graph._bits[i].bit_length() <= i - low
+            assert _prefix_predecessor(log, graph, e.id) == \
+                oracles.prefix_predecessor(log, anc, e.id)
+    return len(logs)
 
 
 def run_canonical_determinism(seed: int = 14, rounds: int = 100) -> int:

@@ -7,6 +7,7 @@ with the code under test, never its algorithms.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -45,6 +46,26 @@ def closure_ancestors(log: EventLog) -> dict[str, frozenset[str]]:
                 members |= extra
                 changed = True
     return {eid: frozenset(members) for eid, members in anc.items()}
+
+
+def prefix_predecessor(log: EventLog, anc: dict[str, frozenset[str]],
+                       eid: str) -> str | None:
+    """The latest direct predecessor d (the last earlier event holding one
+    of the event's objects) whose sorted ancestor positions followed by d
+    open the event's sorted ancestor positions: d's rank among them, found
+    by bisection, equals the size of d's own ancestor set."""
+    index = {e.id: i for i, e in enumerate(log.events)}
+    event = log.events_by_id[eid]
+    direct = set()
+    for obj in event.omap:
+        earlier = [e.id for e in log.events[:index[eid]] if obj in e.omap]
+        if earlier:
+            direct.add(earlier[-1])
+    positions = sorted(index[a] for a in anc[eid])
+    for d in sorted(direct, key=index.__getitem__, reverse=True):
+        if bisect_left(positions, index[d]) == len(anc[d]):
+            return d
+    return None
 
 
 ContextKey = tuple[tuple[str, tuple[tuple[tuple[str, ...], int], ...]], ...]

@@ -165,6 +165,20 @@ def test_simulate_flags(tmp_path, capsys):
     parse_log(out_file.read_text())
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-objects", "0", "max_objects must be positive"),
+    ("--step-cap", "0", "step_cap must be positive"),
+    ("--step-cap", "-1", "step_cap must be positive"),
+    ("--stop-prob", "2", "stop_prob must be in [0, 1]"),
+    ("--stop-prob", "-0.5", "stop_prob must be in [0, 1]"),
+])
+def test_out_of_range_simulate_flags_are_invalid(capsys, flag, value, message):
+    assert main(["simulate", "--model", OCPN1, flag, value]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["check", "--log", "/nonexistent.json",
                  "--model", OCPN1]) == EXIT_IO

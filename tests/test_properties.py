@@ -18,6 +18,10 @@ def test_event_graph_is_a_forward_dag_with_transitive_presets():
     invariants.run_graph_properties(rounds=50)
 
 
+def test_preset_bitsets_match_closure_oracle():
+    invariants.run_preset_bitsets(rounds=50)
+
+
 def test_context_canonical_form_is_deterministic():
     invariants.run_canonical_determinism(rounds=100)
 

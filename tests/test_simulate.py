@@ -109,6 +109,26 @@ def test_instances_must_be_positive(ocpn1):
         simulate_log(ocpn1, instances=0, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_objects": 0}, "max_objects must be positive"),
+    ({"max_objects": -2}, "max_objects must be positive"),
+    ({"step_cap": 0}, "step_cap must be positive"),
+    ({"step_cap": -1}, "step_cap must be positive"),
+    ({"stop_prob": -0.1}, r"stop_prob must be in \[0, 1\]"),
+    ({"stop_prob": 2}, r"stop_prob must be in \[0, 1\]"),
+    ({"stop_prob": float("nan")}, r"stop_prob must be in \[0, 1\]"),
+])
+def test_out_of_range_parameters_are_rejected(ocpn1, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_log(ocpn1, instances=3, seed=0, **kwargs)
+
+
+def test_boundary_parameters_are_accepted(ocpn1):
+    for kwargs in ({"max_objects": 1}, {"step_cap": 1},
+                   {"stop_prob": 0}, {"stop_prob": 1}):
+        simulate_log(ocpn1, instances=3, seed=0, **kwargs)
+
+
 def test_result_is_a_value(ocpn1):
     result = simulate_log(ocpn1, instances=3, seed=9)
     assert isinstance(result, SimulationResult)
