@@ -77,17 +77,20 @@ def check(log: EventLog, net: AcceptingOCPN,
         replayable = bool(en_model)
         overlap = len(en_log & en_model)
         truncated = truncated or detail.outcome.truncated
+        # every member shares the group's sets, so each sum takes them once
+        fitness_sum += Fraction(overlap * len(members), len(en_log))
+        if replayable:
+            num_replayable += len(members)
+            precision_sum += Fraction(overlap * len(members), len(en_model))
         digest = ctx.digest()
+        log_side = tuple(sorted(en_log))
+        model_side = tuple(sorted(en_model))
         for eid in members:
-            fitness_sum += Fraction(overlap, len(en_log))
-            if replayable:
-                num_replayable += 1
-                precision_sum += Fraction(overlap, len(en_model))
             diagnostics[eid] = EventDiagnostic(
                 event_id=eid,
                 context_digest=digest,
-                en_log=tuple(sorted(en_log)),
-                en_model=tuple(sorted(en_model)),
+                en_log=log_side,
+                en_model=model_side,
                 replayable=replayable,
                 reached_final=detail.reached_final_by_event[eid],
                 truncated=detail.outcome.truncated,

@@ -54,12 +54,21 @@ Token = tuple[str, str]  # (place id, object id)
 class Marking:
     """A multiset of (place id, object id) tokens.
 
-    Value semantics: equality and hashing go through a canonical sorted
-    (place, object, count) tuple, so markings can key visited-state sets.
+    Value semantics: two markings are equal when they hold the same tokens
+    with the same counts, so markings can key visited-state sets.
     Instances are never mutated after construction.
+
+    Two values derived from the counts are kept with them.  ``_hash`` is
+    the sum over tokens of ``hash(token) * count``, and ``_places`` maps
+    each occupied place to its number of tokens.  The constructor computes
+    both once; ``+``, ``-`` and the firing rule update them for the tokens
+    they move only, so hashing a marking costs O(1) and reading its
+    occupied places O(places), whatever its number of tokens.  ``key()``,
+    the sorted (place, object, count) tuple, only serves rendering and
+    ordering (``repr``, ``explain``); hashing does not use it.
     """
 
-    __slots__ = ("_counts", "_key", "_by_place")
+    __slots__ = ("_counts", "_hash", "_places", "_key", "_by_place")
 
     def __init__(self, tokens: Iterable[Token] | Mapping[Token, int] = ()):
         counts: dict[Token, int] = {}
@@ -73,15 +82,26 @@ class Marking:
         else:
             for token in tokens:
                 counts[token] = counts.get(token, 0) + 1
+        total = 0
+        places: dict[str, int] = {}
+        for token, n in counts.items():
+            total += hash(token) * n
+            places[token[0]] = places.get(token[0], 0) + n
         self._counts = counts
+        self._hash = total
+        self._places = places
         self._key: tuple[tuple[str, str, int], ...] | None = None
         self._by_place: dict[str, frozenset[str]] | None = None
 
     @classmethod
-    def _of(cls, counts: dict[Token, int]) -> "Marking":
-        """Wrap counts that are all positive already, without copying them."""
+    def _of(cls, counts: dict[Token, int], total: int,
+            places: dict[str, int]) -> "Marking":
+        """Wrap counts that are all positive already, with their ``_hash``
+        and ``_places``, without copying them."""
         marking = cls.__new__(cls)
         marking._counts = counts
+        marking._hash = total
+        marking._places = places
         marking._key = None
         marking._by_place = None
         return marking
@@ -107,7 +127,7 @@ class Marking:
         return self._by_place.get(place_id, frozenset())
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return sum(self._places.values())
 
     def __bool__(self) -> bool:
         return bool(self._counts)
@@ -115,10 +135,10 @@ class Marking:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Marking):
             return NotImplemented
-        return self._counts == other._counts
+        return self._hash == other._hash and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __le__(self, other: "Marking") -> bool:
         return all(other._counts.get(t, 0) >= n for t, n in self._counts.items())
@@ -127,7 +147,10 @@ class Marking:
         merged = dict(self._counts)
         for t, n in other._counts.items():
             merged[t] = merged.get(t, 0) + n
-        return Marking._of(merged)
+        places = dict(self._places)
+        for p, n in other._places.items():
+            places[p] = places.get(p, 0) + n
+        return Marking._of(merged, self._hash + other._hash, places)
 
     def __sub__(self, other: "Marking") -> "Marking":
         reduced = dict(self._counts)
@@ -139,7 +162,15 @@ class Marking:
                 reduced[t] = left
             else:
                 reduced.pop(t, None)
-        return Marking._of(reduced)
+        # every token of other was present, so each place holds enough
+        places = dict(self._places)
+        for p, n in other._places.items():
+            left = places[p] - n
+            if left:
+                places[p] = left
+            else:
+                del places[p]
+        return Marking._of(reduced, self._hash - other._hash, places)
 
     def __repr__(self) -> str:
         parts = []
@@ -358,22 +389,44 @@ def execute_binding(net: AcceptingOCPN, marking: Marking, binding: Binding) -> M
 
 
 def _fire(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
-    """Execute a binding the caller already knows to be enabled in M."""
+    """Execute a binding the caller already knows to be enabled in M.
+
+    The token and place dicts are copied whole (in C); the Python-level
+    work, including the hash and per-place count updates, is O(moved
+    tokens)."""
     by_type = binding.by_type
     counts = dict(marking._counts)
+    places = dict(marking._places)
+    total = marking._hash
     for place, _ in net._preset[binding.transition]:
-        for obj in by_type.get(place.otype, ()):
-            token = (place.id, obj)
+        objects = by_type.get(place.otype)
+        if not objects:
+            continue
+        pid = place.id
+        for obj in objects:
+            token = (pid, obj)
             left = counts[token] - 1
             if left:
                 counts[token] = left
             else:
                 del counts[token]
+            total -= hash(token)
+        left = places[pid] - len(objects)
+        if left:
+            places[pid] = left
+        else:
+            del places[pid]
     for place, _ in net._postset[binding.transition]:
-        for obj in by_type.get(place.otype, ()):
-            token = (place.id, obj)
+        objects = by_type.get(place.otype)
+        if not objects:
+            continue
+        pid = place.id
+        for obj in objects:
+            token = (pid, obj)
             counts[token] = counts.get(token, 0) + 1
-    return Marking._of(counts)
+            total += hash(token)
+        places[pid] = places.get(pid, 0) + len(objects)
+    return Marking._of(counts, total, places)
 
 
 def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[str]:
@@ -381,12 +434,23 @@ def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[st
 
     Existence is decided per object type: some object of the type must sit
     in every input place of that type (one suffices for variable and
-    non-variable types alike).  A type without input places only needs an
-    object of that type somewhere in the marking to bind to.
+    non-variable types alike).  A type with one input place only needs
+    that place to be occupied, which the marking's per-place counts tell
+    without reading its objects.  A type without input places only needs
+    an object of that type somewhere in the marking to bind to.
     """
     return frozenset(t.label for t in net.visible_transitions
-                     if all(_candidate_objects(net, t.id, marking, ot)
+                     if all(_has_candidate(net, t.id, marking, ot)
                             for ot in net.tpl(t.id)))
+
+
+def _has_candidate(net: AcceptingOCPN, tid: str, marking: Marking,
+                   otype: str) -> bool:
+    places = net.input_places_by_type(tid).get(otype)
+    if places and len(places) == 1:
+        # the candidates of a type with one input place are its objects there
+        return places[0].id in marking._places
+    return bool(_candidate_objects(net, tid, marking, otype))
 
 
 def _candidate_objects(net: AcceptingOCPN, tid: str, marking: Marking,
@@ -413,8 +477,10 @@ def initial_marking_for(net: AcceptingOCPN, objects: Iterable[ObjectId]) -> Mark
 
 
 def is_final(net: AcceptingOCPN, marking: Marking) -> bool:
-    """True iff every token sits in a final place (vacuously for no tokens)."""
-    return all(place in net.final_places for (place, _), _ in marking.items())
+    """True iff every token sits in a final place (vacuously for no tokens).
+
+    Reads the marking's occupied places, not its tokens: O(places)."""
+    return net.final_places.issuperset(marking._places)
 
 
 def enumerate_bindings(net: AcceptingOCPN, marking: Marking, tid: str,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .context import Context, EventObjectGraph, preset_objects
-from .ocel import EventLog, ObjectId
+from .ocel import Event, EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
                    binding_well_formed, consumed, enabled_visible_labels,
                    enumerate_bindings, initial_marking_for, is_final)
@@ -139,18 +139,24 @@ def binding_sequence_context(
     return Context.from_prefixes(grouped)
 
 
-def _binding_for_step(net: AcceptingOCPN, step: VisibleBindingStep) -> Binding | None:
+class _Firing(NamedTuple):
+    """A visible step as the net fires it: the binding, None when the
+    activity is no visible label of the net, and the tokens it consumes,
+    None when there is no binding or it is malformed.  A marking enables
+    the binding exactly when it holds ``need`` (``binding_enabled``)."""
+
+    binding: Binding | None
+    need: Marking | None
+
+
+def _firing(net: AcceptingOCPN, step: VisibleBindingStep) -> _Firing:
     transition = net.label_to_transition.get(step.activity)
     if transition is None:
-        return None
-    return Binding(transition.id, step.objects)
-
-
-def _needed(net: AcceptingOCPN, binding: Binding) -> Marking | None:
-    """The tokens a binding consumes, or None when it is malformed; a
-    marking enables the binding exactly when it holds them
-    (``binding_enabled``)."""
-    return consumed(net, binding) if binding_well_formed(net, binding) else None
+        return _Firing(None, None)
+    binding = Binding(transition.id, step.objects)
+    if not binding_well_formed(net, binding):
+        return _Firing(binding, None)
+    return _Firing(binding, consumed(net, binding))
 
 
 def _silent_successors(net: AcceptingOCPN, marking: Marking,
@@ -163,7 +169,8 @@ def _silent_successors(net: AcceptingOCPN, marking: Marking,
 
 @dataclass(frozen=True)
 class _SingleReplay:
-    markings: frozenset[Marking]     # fully replayed: empty when unreplayable
+    markings: tuple[Marking, ...]    # fully replayed, in discovery order;
+                                     # empty when unreplayable
     truncated: bool
     # markings entering the last cursor, before its silent search, and the
     # number of states expanded before that cursor
@@ -171,10 +178,10 @@ class _SingleReplay:
     expanded_before_end: int = 0
 
 
-_UNREPLAYABLE = _SingleReplay(frozenset(), False)
+_UNREPLAYABLE = _SingleReplay((), False)
 
 
-def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
+def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
             start: Sequence[Marking], entry: Mapping[int, Marking],
             cfg: ReplayConfig, budget: int) -> _SingleReplay:
     """Breadth-first replay of a binding sequence from ``start``.
@@ -183,21 +190,21 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
     executed visible steps, and every start marking is at cursor 0.  From
     each state the next visible binding is taken when enabled, otherwise
     every silent firing is followed.  A state at the end of the sequence is
-    fully replayed and its marking is collected.  Fully replayed states
-    still follow silent firings, so the collected markings are closed under
-    silent reachability; with an empty sequence the search is the silent
-    closure of the start markings, which is how ``reached_final`` is
-    decided, in one search from the fired markings that can still finish.
+    fully replayed and its marking is collected, in the order the search
+    reaches it: the queue decides that order, never the marking hashes.
+    Fully replayed states still follow silent firings, so the collected
+    markings are closed under silent reachability; with an empty sequence
+    the search is the silent closure of the start markings, which is how
+    ``reached_final`` is decided, in one search from the fired markings
+    that can still finish.
     ``entry[k]``, where present, is added to every marking a visible
     firing moves to cursor k; the markings that enter the last cursor (the
     start markings, for an empty sequence) are returned as ``entering``.
     More than ``budget`` states cut the search off, flagged truncated.
-    Every step's activity must be a visible label of the net.
+    Every step's binding must exist: its activity is a visible label.
     """
     last = len(steps)
-    bindings = [_binding_for_step(net, step) for step in steps]
-    needs = [_needed(net, binding) for binding in bindings]
-    markings: set[Marking] = set()
+    markings: dict[Marking, None] = {}
     entering = dict.fromkeys(() if last else start)
     truncated = False
     queue: deque[tuple[Marking, int]] = deque((m, 0) for m in start)
@@ -212,13 +219,13 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
         expanded += 1
         if cursor == last:
             at_end += 1
-            markings.add(marking)
+            markings[marking] = None
         advanced = False
         if cursor < last:
-            need = needs[cursor]
+            binding, need = steps[cursor]
             if need is not None and need <= marking:
                 advanced = True
-                after = _fire(net, marking, bindings[cursor])
+                after = _fire(net, marking, binding)
                 added = entry.get(cursor + 1)
                 if added is not None:
                     after = after + added
@@ -237,7 +244,7 @@ def _search(net: AcceptingOCPN, steps: Sequence[VisibleBindingStep],
                 if state not in seen:
                     seen.add(state)
                     queue.append(state)
-    return _SingleReplay(frozenset(markings), truncated, tuple(entering),
+    return _SingleReplay(tuple(markings), truncated, tuple(entering),
                          expanded - at_end)
 
 
@@ -249,11 +256,11 @@ def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
         start = initial_marking_for(net, objects)
     except ModelError:
         return _UNREPLAYABLE
-    for step in steps:
-        if step.activity not in net.label_to_transition:
-            # an unmatched activity can never fire: the sequence is unreplayable
-            return _UNREPLAYABLE
-    return _search(net, steps, (start,), {}, cfg, cfg.max_states)
+    firings = [_firing(net, step) for step in steps]
+    if any(f.binding is None for f in firings):
+        # an unmatched activity can never fire: the sequence is unreplayable
+        return _UNREPLAYABLE
+    return _search(net, firings, (start,), {}, cfg, cfg.max_states)
 
 
 def lazy_entry_exact(net: AcceptingOCPN) -> bool:
@@ -324,12 +331,19 @@ class FrontierMemo:
     and a frontier is dropped when its last user took it.  The frontiers
     depend on the replay config, so one memo serves one config.  Nets on
     which lazy entry is not exact (``lazy`` is False) replay every event
-    from scratch.
+    from scratch.  On the others the memo also builds each event's visible
+    step as the net fires it (``firing``) once: the event fires it after
+    its own preset, and later events' resumed replays pass it as a step.
+    Its uses are counted from ``order`` too, and it is dropped after the
+    last one.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                  order: Iterable[str]) -> None:
         self.lazy = lazy_entry_exact(net)
+        self._net = net
+        self._firings: dict[int, _Firing] = {}
+        self._uses: dict[int, int] = {}
         self._frontiers: dict[str, _Frontier] = {}
         self._base: dict[str, str] = {}
         self._users: dict[str, int] = {}
@@ -351,6 +365,10 @@ class FrontierMemo:
             if base is not None:
                 self._base[eid] = base
                 self._users[base] = self._users.get(base, 0) + 1
+            # the steps _replay_resumed passes, then the event's own firing
+            start = 0 if base is None else log.event_index[base]
+            for i in (*graph.preset_positions(eid, start), log.event_index[eid]):
+                self._uses[i] = self._uses.get(i, 0) + 1
             done.add(eid)
 
     def __len__(self) -> int:
@@ -373,6 +391,18 @@ class FrontierMemo:
         if event_id in self._users:
             self._frontiers[event_id] = frontier
 
+    def firing(self, event: Event) -> _Firing:
+        """The event's binding and needed tokens, built on first use and
+        kept until the last counted one."""
+        firing = self._firings.pop(event.index, None)
+        if firing is None:
+            firing = _firing(self._net, VisibleBindingStep.for_event(event))
+        uses = self._uses.pop(event.index, 1) - 1
+        if uses > 0:
+            self._uses[event.index] = uses
+            self._firings[event.index] = firing
+        return firing
+
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     event_id: str, cfg: ReplayConfig,
@@ -389,6 +419,9 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     event = log.event(event_id)
     base = memo.take(event_id)
     suffix = [log.events[i] for i in graph.preset_positions(event_id, base.position)]
+    # every step is taken from the memo before any early return: its uses
+    # were counted
+    steps = [memo.firing(e) for e in suffix]
     known = set(base.objects)
     entry: dict[int, Marking] = {}
     try:
@@ -399,9 +432,8 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                 entry[k] = initial_marking_for(net, new)
     except ModelError:
         return _UNREPLAYABLE
-    if any(e.activity not in net.label_to_transition for e in suffix):
+    if any(f.binding is None for f in steps):
         return _UNREPLAYABLE
-    steps = [VisibleBindingStep.for_event(e) for e in suffix]
     start = base.markings
     if 0 in entry:
         start = tuple(m + entry[0] for m in start)
@@ -415,16 +447,16 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
 
 
 def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
-                               own: VisibleBindingStep,
+                               own: _Firing,
                                cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
     firings, reaches an accepting marking; and, when it does not, whether
     the silent search was cut off at ``max_states``.  A final fired marking
     answers at once; one with a token outside ``net.finishing_places`` can
     never become final and is dropped.  One search, under one budget,
-    starts from every fired marking left, if any."""
-    binding = _binding_for_step(net, own)
-    need = None if binding is None else _needed(net, binding)
+    starts from every fired marking left, if any, in the order of
+    ``markings``."""
+    binding, need = own
     if need is None:
         return False, False
     finishing = net.finishing_places
@@ -435,7 +467,7 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
             after = _fire(net, m, binding)
             if is_final(net, after):
                 return True, False
-            if all(place in finishing for (place, _), _ in after.items()):
+            if finishing.issuperset(after._places):
                 fired.append(after)
     if not fired:
         return False, False
@@ -463,8 +495,10 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in member_ids:
+        event = log.event(eid)
         if memo is not None and memo.lazy:
             single = _replay_resumed(net, log, graph, eid, cfg, memo)
+            own = memo.firing(event)
         else:
             steps = binding_sequence_of_preset(log, graph, eid)
             objects = preset_objects(log, graph, eid)
@@ -473,11 +507,11 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
             if single is None:
                 single = _replay_single(net, steps, objects, cfg)
                 cache[key] = single
-        own = VisibleBindingStep.for_event(log.event(eid))
+            own = _firing(net, VisibleBindingStep.for_event(event))
         reached_final, cut = _own_binding_reaches_final(net, single.markings,
                                                         own, cfg)
         reached_final_by_event[eid] = reached_final
-        markings |= single.markings
+        markings.update(single.markings)
         truncated = truncated or single.truncated or cut
     enabled = frozenset().union(*(enabled_visible_labels(net, m) for m in markings))
     outcome = ReplayOutcome(enabled, bool(markings),

@@ -15,9 +15,9 @@ from oconform.context import (Context, build_graph, context_of_event,
                               group_by_context)
 from oconform.metrics import check
 from oconform.ocel import ObjectId, make_log
-from oconform.ocpn import (AcceptingOCPN, Arc, Marking, consumed,
+from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
-                           execute_binding, flower_model, produced)
+                           execute_binding, flower_model, is_final, produced)
 from oconform.replay import (ReplayConfig, _prefix_predecessor,
                              lazy_entry_exact, replay_context_group)
 
@@ -52,6 +52,62 @@ def run_enabled_labels_vs_brute_force(seed: int = 12, rounds: int = 300) -> int:
         want = oracles.brute_force_enabled_labels(net, items)
         assert got == want, f"{sorted(got)} != {sorted(want)} on {items}"
     return rounds
+
+
+def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
+    """The marking's hash, per-place counts and finality are those of the
+    same tokens built from scratch, and it enables the oracle's labels."""
+    items = list(marking.items())
+    fresh = Marking(dict(items))
+    assert marking == fresh and fresh == marking, items
+    total = sum(hash(t) * n for t, n in items)
+    assert marking._hash == fresh._hash == total, items
+    assert hash(marking) == hash(fresh)
+    places: Counter = Counter()
+    for (place, _), n in items:
+        places[place] += n
+    assert marking._places == fresh._places == dict(places), items
+    assert is_final(net, marking) == is_final(net, fresh) == all(
+        place in net.final_places for (place, _), _ in items)
+    assert enabled_visible_labels(net, marking) == \
+        oracles.brute_force_enabled_labels(net, items), items
+
+
+def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
+    """Markings that ``_fire``, ``execute_binding``, ``+`` and ``-`` build
+    from another marking, updating its hash and per-place counts for the
+    moved tokens only, equal the same tokens built from scratch.  Each
+    round walks a random net from a random marking for a few firings, so
+    the updates pile up.  Returns the visible (transition, type) pairs
+    checked, counted by their number of input places: ``one`` takes
+    ``enabled_visible_labels``' shortcut, ``several`` and ``none`` do not."""
+    rng = random.Random(seed)
+    shapes: Counter = Counter()
+    for _ in range(rounds):
+        net = oracles.random_net(rng)
+        for t in net.visible_transitions:
+            for ot in net.tpl(t.id):
+                n = len(net.input_places_by_type(t.id).get(ot, ()))
+                shapes["none" if n == 0 else "one" if n == 1 else "several"] += 1
+        marking = Marking(dict(oracles.random_marking_items(rng, net)))
+        _assert_matches_scratch(net, marking)
+        for _ in range(5):
+            fired = []
+            for t in net.transitions:
+                for binding in enumerate_bindings(net, marking, t.id,
+                                                  subset_cap=4):
+                    cons = consumed(net, binding)
+                    prod = produced(net, binding)
+                    after = _fire(net, marking, binding)
+                    for built in (after, execute_binding(net, marking, binding),
+                                  marking - cons, marking + prod,
+                                  marking - cons + prod, after - prod + cons):
+                        _assert_matches_scratch(net, built)
+                    fired.append(after)
+            if not fired:
+                break
+            marking = rng.choice(fired)
+    return shapes
 
 
 def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:

@@ -51,6 +51,15 @@ def test_marking_zero_counts_are_dropped():
     assert (Marking([("p", "a")]) - Marking([("p", "a")])).key() == ()
 
 
+def test_markings_with_equal_hashes_still_compare_their_tokens():
+    a, b = Marking([("p", "a")]), Marking([("p", "b")])
+    # a hash collision, forged: b's tokens under a's hash
+    forged = Marking._of(dict(b.items()), a._hash, {"p": 1})
+    assert hash(forged) == hash(a)
+    assert forged != a and a != forged
+    assert len({a, forged}) == 2
+
+
 # --- firing rule on the running example net ---
 
 def test_load_cargo_binding_fires(ocpn1):

@@ -14,6 +14,11 @@ def test_enabled_labels_match_brute_force():
     invariants.run_enabled_labels_vs_brute_force(rounds=300)
 
 
+def test_incremental_markings_match_markings_built_from_scratch():
+    shapes = invariants.run_marking_incremental(rounds=150)
+    assert shapes["one"] and shapes["several"] and shapes["none"]
+
+
 def test_event_graph_is_a_forward_dag_with_transitive_presets():
     invariants.run_graph_properties(rounds=50)
 

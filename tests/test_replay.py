@@ -5,7 +5,7 @@ import pytest
 import invariants
 import oracles
 from oconform import metrics, replay
-from oconform.context import build_graph, context_of_event
+from oconform.context import build_graph, context_of_event, preset_objects
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
@@ -53,7 +53,6 @@ def test_step_for_event(l1):
 
 def test_sequence_context_matches_event_context(l1, l1_graph):
     # the executed ancestor bindings induce exactly the event's context
-    from oconform.context import preset_objects
     for e in l1.events:
         steps = binding_sequence_of_preset(l1, l1_graph, e.id)
         ctx = binding_sequence_context(
@@ -348,6 +347,72 @@ def test_reached_final_search_skips_fired_markings_that_cannot_finish():
         [(False, False), (True, False)]
 
 
+def test_fully_replayed_markings_come_in_discovery_order(l1, l1_graph, ocpn1):
+    # after Load cargo the silent transition moves one bag at a time from
+    # pl6 to pl8; the search meets b1's move before b2's
+    steps = binding_sequence_of_preset(l1, l1_graph, "e5")
+    objects = preset_objects(l1, l1_graph, "e5")
+    both, moved_b1, moved_b2, moved_both = (
+        Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
+        Marking([("pl5", "p1"), ("pl8", "b1"), ("pl6", "b2")]),
+        Marking([("pl5", "p1"), ("pl6", "b1"), ("pl8", "b2")]),
+        Marking([("pl5", "p1"), ("pl8", "b1"), ("pl8", "b2")]))
+    single = replay._replay_single(ocpn1, steps, objects, DEFAULT_CONFIG)
+    assert single.markings == (both, moved_b1, moved_b2, moved_both)
+    flipped = replay._replay_single(ocpn1, steps, objects,
+                                    ReplayConfig(reverse_successors=True))
+    assert flipped.markings == (both, moved_b2, moved_b1, moved_both)
+
+
+def _fork_net():
+    """Visible ``b`` moves x1 from ``u`` to the final ``f``.  A token on
+    ``c0`` needs two silent firings to reach the final ``c2``, one on
+    ``e0`` a single firing to reach the final ``e1``."""
+    places = (Place("u", "X", initial=True), Place("f", "X", final=True),
+              Place("c0", "X"), Place("c1", "X"), Place("c2", "X", final=True),
+              Place("e0", "X"), Place("e1", "X", final=True))
+    transitions = (Transition("t_b", "b"), Transition("tau_c0"),
+                   Transition("tau_c1"), Transition("tau_e0"))
+    arcs = (Arc("u", "t_b"), Arc("t_b", "f"),
+            Arc("c0", "tau_c0"), Arc("tau_c0", "c1"),
+            Arc("c1", "tau_c1"), Arc("tau_c1", "c2"),
+            Arc("e0", "tau_e0"), Arc("tau_e0", "e1"))
+    return AcceptingOCPN(object_types=("X",), places=places,
+                         transitions=transitions, arcs=arcs)
+
+
+def test_reached_final_budget_cut_follows_the_order_of_the_markings():
+    net = _fork_net()
+    far = Marking([("u", "x1"), ("c0", "x1")])
+    near = Marking([("u", "x1"), ("e0", "x1")])
+    own = replay._firing(net, VisibleBindingStep("b", (("X", frozenset({"x1"})),)))
+    # three states: both fired markings, then the first one's successor
+    cut = ReplayConfig(max_states=3)
+    assert replay._own_binding_reaches_final(net, (far, near), own, cut) == \
+        (False, True)
+    assert replay._own_binding_reaches_final(net, (near, far), own, cut) == \
+        (True, False)
+    whole = ReplayConfig(max_states=4)
+    for markings in ((far, near), (near, far)):
+        assert replay._own_binding_reaches_final(net, markings, own, whole) == \
+            (True, False)
+
+
+def test_each_event_firing_is_built_once_per_check(monkeypatch):
+    log = invariants.chained_airport_log()
+    calls = Counter()
+    for_event = VisibleBindingStep.for_event.__func__
+
+    def spy(cls, event):
+        calls[event.id] += 1
+        return for_event(cls, event)
+
+    monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(spy))
+    report = metrics.check(log, flower_model(log))
+    assert not report.truncated
+    assert calls == Counter(e.id for e in log.events)
+
+
 def _silent_net(tau_arcs):
     places = (Place("x0", "X", initial=True), Place("x1", "X"),
               Place("x2", "X", final=True), Place("y0", "Y", initial=True),
@@ -392,3 +457,5 @@ def test_frontier_memo_is_empty_after_check(monkeypatch):
     assert memo.lazy and all(m is memo for m in memos)
     assert max(sizes) > 0
     assert len(memo) == 0
+    # every event's firing was dropped after its last counted use
+    assert not memo._firings and not memo._uses
