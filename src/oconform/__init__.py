@@ -2,7 +2,7 @@
 
 from .context import (Context, EventObjectGraph, build_graph, context_group,
                       context_of_event, enabled_log_activities, event_preset,
-                      group_by_context, object_prefix, preset_objects)
+                      group_by_context)
 from .metrics import (ConformanceReport, EventDiagnostic, check, fitness,
                       format_summary, precision, report_to_dict, report_to_json)
 from .ocel import (Event, EventLog, LogError, ObjectId, make_log, parse_log,
@@ -13,8 +13,8 @@ from .ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError, Place,
                    initial_marking_for, is_final, parse_model, serialize_model)
 from .replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
                      VisibleBindingStep, binding_sequence_context,
-                     binding_sequence_of_preset, enabled_model_activities,
-                     replay_context_group, states_for_context)
+                     enabled_model_activities, replay_context_group,
+                     states_for_context)
 from .simulate import DeadModelError, SimulationResult, simulate_log
 
 __version__ = "0.1.0"

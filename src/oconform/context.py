@@ -346,12 +346,6 @@ def events_in_log_order(log: EventLog, event_ids: Iterable[str]) -> list[Event]:
     return [log.events[i] for i in positions]
 
 
-def object_prefix(log: EventLog, preset: Iterable[str], obj: ObjectId) -> Prefix:
-    """Activity sequence of the preset's events containing obj, in log order."""
-    return tuple(e.activity for e in events_in_log_order(log, preset)
-                 if obj in e.omap)
-
-
 def context_of_event(log: EventLog, graph: EventObjectGraph, event_id: str) -> Context:
     """The event's context: per type, the multiset of prefixes of every
     object touched by the event or its ancestors.
@@ -388,11 +382,3 @@ def enabled_log_activities(log: EventLog, graph: EventObjectGraph, event_id: str
     return frozenset(log.event(eid).activity
                      for eid in context_group(graph, event_id))
 
-
-def preset_objects(log: EventLog, graph: EventObjectGraph, event_id: str) -> frozenset[ObjectId]:
-    """All objects touched by the event or any of its ancestors."""
-    event = log.event(event_id)
-    objects = set(event.omap)
-    for i in graph.preset_positions(event_id):
-        objects |= log.events[i].omap
-    return frozenset(objects)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import Context, EventObjectGraph, preset_objects
+from .context import Context, EventObjectGraph
 from .ocel import Event, EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
                    binding_well_formed, consumed, enabled_visible_labels,
@@ -106,13 +106,6 @@ class GroupReplay:
     outcome: ReplayOutcome
     markings: frozenset[Marking]
     reached_final_by_event: dict[str, bool]
-
-
-def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
-                               event_id: str) -> tuple[VisibleBindingStep, ...]:
-    """The event's ancestors as visible binding steps, in log order."""
-    return tuple(VisibleBindingStep.for_event(log.events[i])
-                 for i in graph.preset_positions(event_id))
 
 
 def binding_sequence_context(
@@ -248,21 +241,6 @@ def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
                          expanded - at_end)
 
 
-def _replay_single(net: AcceptingOCPN, steps: tuple[VisibleBindingStep, ...],
-                   objects: frozenset[ObjectId], cfg: ReplayConfig) -> _SingleReplay:
-    """Replay of one binding sequence from the initial marking of all its
-    objects, within the ``max_states`` budget."""
-    try:
-        start = initial_marking_for(net, objects)
-    except ModelError:
-        return _UNREPLAYABLE
-    firings = [_firing(net, step) for step in steps]
-    if any(f.binding is None for f in firings):
-        # an unmatched activity can never fire: the sequence is unreplayable
-        return _UNREPLAYABLE
-    return _search(net, firings, (start,), {}, cfg, cfg.max_states)
-
-
 def lazy_entry_exact(net: AcceptingOCPN) -> bool:
     """True iff replay may let objects enter its markings lazily.
 
@@ -283,13 +261,13 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Frontier:
     """Where replay of an event's preset may resume.
 
     ``position`` is the log position of the event whose frontier this is:
     its preset is replayed, and a later event that resumes here replays
-    its own preset from that position on.
+    its own preset from that position on.  Compared by identity.
     """
 
     position: int                    # log position the rest of the preset starts at
@@ -329,13 +307,12 @@ class FrontierMemo:
     the rest of its preset.  ``order`` lists the event ids in the order
     they will be replayed; the users of each frontier are counted from it,
     and a frontier is dropped when its last user took it.  The frontiers
-    depend on the replay config, so one memo serves one config.  Nets on
-    which lazy entry is not exact (``lazy`` is False) replay every event
-    from scratch.  On the others the memo also builds each event's visible
-    step as the net fires it (``firing``) once: the event fires it after
-    its own preset, and later events' resumed replays pass it as a step.
-    Its uses are counted from ``order`` too, and it is dropped after the
-    last one.
+    depend on the replay config, so one memo serves one config.  Events
+    not in ``order``, and all events on nets where lazy entry is not exact
+    (``lazy`` is False), resume from the empty frontier ``_START``.  Each
+    event's visible step as the net fires it (``firing``) is built once,
+    for the event and for later events' replays, and dropped after the
+    last use counted from ``order``.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
@@ -347,13 +324,11 @@ class FrontierMemo:
         self._frontiers: dict[str, _Frontier] = {}
         self._base: dict[str, str] = {}
         self._users: dict[str, int] = {}
-        if not self.lazy:
-            return
         preds: dict[str, str | None] = {}
 
         def pred_of(eid: str) -> str | None:
             if eid not in preds:
-                preds[eid] = _prefix_predecessor(log, graph, eid)
+                preds[eid] = _prefix_predecessor(log, graph, eid) if self.lazy else None
             return preds[eid]
 
         done: set[str] = set()
@@ -387,62 +362,91 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, event_id: str, frontier: _Frontier) -> None:
-        if event_id in self._users:
-            self._frontiers[event_id] = frontier
+    def keep(self, event: Event, single: _SingleReplay, objects: set[ObjectId],
+             base: _Frontier) -> None:
+        if event.id in self._users:  # a later event resumes where its preset ends
+            self._frontiers[event.id] = _Frontier(
+                event.index, single.entering, frozenset(objects),
+                base.states + single.expanded_before_end)
 
     def firing(self, event: Event) -> _Firing:
         """The event's binding and needed tokens, built on first use and
         kept until the last counted one."""
-        firing = self._firings.pop(event.index, None)
-        if firing is None:
-            firing = _firing(self._net, VisibleBindingStep.for_event(event))
-        uses = self._uses.pop(event.index, 1) - 1
-        if uses > 0:
-            self._uses[event.index] = uses
-            self._firings[event.index] = firing
+        firing = self._firings.get(event.index) or _firing(
+            self._net, VisibleBindingStep.for_event(event))
+        self._firings[event.index] = firing
+        self.release((event.index,))
         return firing
 
+    def release(self, positions: Iterable[int]) -> None:
+        """Count one use of the firing at each log position, and drop it
+        after its last counted one."""
+        for i in positions:
+            uses = self._uses.pop(i, 1) - 1
+            if uses > 0:
+                self._uses[i] = uses
+            else:
+                self._firings.pop(i, None)
 
-def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                    event_id: str, cfg: ReplayConfig,
-                    memo: FrontierMemo) -> _SingleReplay:
-    """Replay one event's preset from the frontier the memo holds for it.
 
-    Only the preset's positions from the frontier's log position on are
-    read from the bitset, in log order, and replayed.  The result equals
-    ``_replay_single`` on the whole preset, which still runs when the
-    states before the frontier plus the new ones would exceed
-    ``max_states``, so that truncated results stay those of the search
-    from the initial marking.
-    """
-    event = log.event(event_id)
-    base = memo.take(event_id)
-    suffix = [log.events[i] for i in graph.preset_positions(event_id, base.position)]
-    # every step is taken from the memo before any early return: its uses
-    # were counted
-    steps = [memo.firing(e) for e in suffix]
-    known = set(base.objects)
-    entry: dict[int, Marking] = {}
+def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _Frontier,
+                 entering: Iterable[tuple[int, frozenset[ObjectId]]],
+                 cfg: ReplayConfig) -> _SingleReplay:
+    """``_search`` of the steps from the base frontier, each (cursor, objects)
+    pair of ``entering`` adding initial tokens at its cursor."""
     try:
-        for k, omap in enumerate([e.omap for e in suffix] + [event.omap]):
-            new = omap - known
-            if new:
-                known |= new
-                entry[k] = initial_marking_for(net, new)
+        entry = {k: initial_marking_for(net, objects) for k, objects in entering}
     except ModelError:
         return _UNREPLAYABLE
     if any(f.binding is None for f in steps):
+        # an unmatched activity can never fire: the sequence is unreplayable
         return _UNREPLAYABLE
-    start = base.markings
-    if 0 in entry:
-        start = tuple(m + entry[0] for m in start)
-    single = _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
-    if single.truncated:
-        return _replay_single(net, binding_sequence_of_preset(log, graph, event_id),
-                              frozenset(known), cfg)
-    memo.keep(event_id, _Frontier(log.event_index[event_id], single.entering,
-                                  frozenset(known), base.states + single.expanded_before_end))
+    start = (tuple(m + entry[0] if m else entry[0] for m in base.markings)
+             if 0 in entry else base.markings)
+    return _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
+
+
+def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+                    event_id: str, cfg: ReplayConfig, memo: FrontierMemo,
+                    searched: dict[tuple, _SingleReplay]) -> _SingleReplay:
+    """Replay one event's preset from the frontier the memo holds for it.
+
+    The preset's positions from the frontier's log position on are
+    replayed.  An object enters when a step first binds it, the event's
+    own new objects at the end; all at cursor 0 on nets where lazy entry
+    is not exact.  A twin (same preset, same objects) of an earlier event
+    of the group reads the same frontier, steps and entering objects, so
+    it takes that search from ``searched`` and releases the memo's uses
+    of the steps.  A search whose states, with those before the frontier,
+    exceed ``max_states`` runs again from ``_START``, so truncated results
+    stay those of the search from the initial marking.  An untruncated
+    result becomes the event's own frontier.
+    """
+    event = log.event(event_id)
+    base = memo.take(event_id)
+    positions = tuple(graph.preset_positions(event_id, base.position))
+    known = set(base.objects)
+    entering = []
+    for k, omap in enumerate([*(log.events[i].omap for i in positions), event.omap]):
+        new = omap - known
+        if new:
+            known |= new
+            entering.append((k, new))
+    if entering and not memo.lazy:
+        entering = [(0, frozenset(known))]
+    key = (base, positions, tuple(entering))
+    single = searched.get(key)
+    if single is not None:
+        memo.release(positions)
+    else:
+        steps = [memo.firing(log.events[i]) for i in positions]
+        single = _search_from(net, steps, base, entering, cfg)
+        if single.truncated and base is not _START:
+            single = _replay_resumed(net, log, graph, event_id, cfg,
+                                     FrontierMemo(net, log, graph, ()), {})
+        searched[key] = single
+    if not single.truncated:
+        memo.keep(event, single, known, base)
     return single
 
 
@@ -482,34 +486,23 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
                          memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    With a ``memo`` whose net admits lazy entry, each event resumes from
-    the memo's frontier for it.  Otherwise each event is replayed from the
-    initial marking, and within the group identical (binding sequence,
-    object set) pairs are replayed only once.  Both give the same result.
+    Each event resumes from the ``memo``'s frontier for it.  Without a
+    memo, one over no events resumes nothing: every event is replayed
+    from the initial marking.  Twins (same preset, same objects) share one
+    search.
     """
     if isinstance(events, str):
         events = (events,)
-    member_ids = list(events)
-    cache: dict[tuple, _SingleReplay] = {}
+    if memo is None:
+        memo = FrontierMemo(net, log, graph, ())
+    searched: dict[tuple, _SingleReplay] = {}
     markings: set[Marking] = set()
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
-    for eid in member_ids:
-        event = log.event(eid)
-        if memo is not None and memo.lazy:
-            single = _replay_resumed(net, log, graph, eid, cfg, memo)
-            own = memo.firing(event)
-        else:
-            steps = binding_sequence_of_preset(log, graph, eid)
-            objects = preset_objects(log, graph, eid)
-            key = (steps, objects)
-            single = cache.get(key)
-            if single is None:
-                single = _replay_single(net, steps, objects, cfg)
-                cache[key] = single
-            own = _firing(net, VisibleBindingStep.for_event(event))
-        reached_final, cut = _own_binding_reaches_final(net, single.markings,
-                                                        own, cfg)
+    for eid in events:
+        single = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
+        reached_final, cut = _own_binding_reaches_final(
+            net, single.markings, memo.firing(log.event(eid)), cfg)
         reached_final_by_event[eid] = reached_final
         markings.update(single.markings)
         truncated = truncated or single.truncated or cut

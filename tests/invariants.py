@@ -18,8 +18,9 @@ from oconform.ocel import ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
-from oconform.replay import (ReplayConfig, _prefix_predecessor,
-                             lazy_entry_exact, replay_context_group)
+from oconform.replay import (FrontierMemo, ReplayConfig, _prefix_predecessor,
+                             _replay_resumed, lazy_entry_exact,
+                             replay_context_group)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -291,25 +292,36 @@ RESUME_CONFIGS = (ReplayConfig(),
 
 def run_resumed_replay_agreement(log, net, cfg) -> None:
     """check's per-event diagnostics, which resume replay from earlier
-    events' frontiers, equal a from-scratch replay of each context group."""
+    events' frontiers, and replay_context_group without a memo, which
+    resumes from the empty frontier, both equal the eager reference: every
+    event of a context group replayed from the initial marking of all its
+    objects.  Without a memo each event's fully replayed markings come in
+    the reference's discovery order, with its truncated flag."""
     report = check(log, net, cfg)
     by_id = {d.event_id: d for d in report.per_event}
     graph = build_graph(log)
     truncated = False
     for members in group_by_context(log, graph).values():
+        eager, singles = oracles.eager_group_replay(net, log, graph, members, cfg)
         detail = replay_context_group(net, log, graph, members, cfg)
-        truncated = truncated or detail.outcome.truncated
+        assert detail == eager, members
+        truncated = truncated or eager.outcome.truncated
         for eid in members:
+            single = _replay_resumed(net, log, graph, eid, cfg,
+                                     FrontierMemo(net, log, graph, ()), {})
+            want = singles[eid]
+            assert (single.markings, single.truncated) == \
+                (want.markings, want.truncated), eid
             d = by_id[eid]
-            assert d.en_model == tuple(sorted(detail.outcome.enabled)), eid
-            assert d.replayable == bool(detail.outcome.enabled), eid
-            assert d.reached_final == detail.reached_final_by_event[eid], eid
-            assert d.truncated == detail.outcome.truncated, eid
+            assert d.en_model == tuple(sorted(eager.outcome.enabled)), eid
+            assert d.replayable == bool(eager.outcome.enabled), eid
+            assert d.reached_final == eager.reached_final_by_event[eid], eid
+            assert d.truncated == eager.outcome.truncated, eid
     assert report.truncated == truncated
 
 
 def run_resumed_replay_random(seed: int = 18, rounds: int = 60) -> dict[bool, int]:
-    """Resumed against from-scratch replay on random logs, each against a
+    """Resumed against eager replay on random logs, each against a
     random net and its own flower net (which replays every event), under
     every config of RESUME_CONFIGS; returns the random nets checked by
     whether they admit lazy entry."""

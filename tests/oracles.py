@@ -3,7 +3,9 @@
 Everything in here recomputes results from raw log/net data by a
 different route than the package (full predecessor edge sets, fixpoint
 closures, exhaustive binding search).  Oracles share only value types
-with the code under test, never its algorithms.
+with the code under test, never its algorithms; the one exception is the
+eager replay reference, which runs the package's own search from the
+initial marking, because what it pins is where replay starts.
 """
 from __future__ import annotations
 
@@ -12,8 +14,12 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
 
+from oconform import replay
+from oconform.context import EventObjectGraph
 from oconform.ocel import EventLog, ObjectId, make_log
-from oconform.ocpn import AcceptingOCPN, Arc, Place, Transition
+from oconform.ocpn import (AcceptingOCPN, Arc, ModelError, Place, Transition,
+                           enabled_visible_labels, initial_marking_for)
+from oconform.replay import GroupReplay, ReplayConfig, ReplayOutcome, VisibleBindingStep
 
 SUBSET_CAP = 8
 
@@ -283,6 +289,68 @@ def reaches_final_after(net: AcceptingOCPN, markings, activity: str,
                     seen.add(key(after))
                     queue.append(after)
     return False
+
+
+# ---------------------------------------------------------------------------
+# eager replay: each event's whole preset searched from the initial marking
+# of every object it involves, all at cursor 0.  It runs replay._search, so
+# it checks where resumed replay starts and which objects it adds when,
+# not the search itself.
+
+def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
+                               event_id: str) -> tuple[VisibleBindingStep, ...]:
+    """The event's ancestors as visible binding steps, in log order."""
+    return tuple(VisibleBindingStep.for_event(log.events[i])
+                 for i in graph.preset_positions(event_id))
+
+
+def preset_objects(log: EventLog, graph: EventObjectGraph,
+                   event_id: str) -> frozenset[ObjectId]:
+    """All objects touched by the event or any of its ancestors."""
+    objects = set(log.event(event_id).omap)
+    for i in graph.preset_positions(event_id):
+        objects |= log.events[i].omap
+    return frozenset(objects)
+
+
+def object_prefix(log: EventLog, preset, obj: ObjectId) -> tuple[str, ...]:
+    """Activity sequence of the preset's events containing obj, in log order."""
+    return tuple(e.activity for e in log.events if e.id in preset and obj in e.omap)
+
+
+def eager_replay(net: AcceptingOCPN, steps, objects, cfg: ReplayConfig):
+    """Replay of one binding sequence from the initial marking of all its
+    objects, under the ``max_states`` budget; no markings when an object
+    type or an activity is not in the net."""
+    try:
+        start = initial_marking_for(net, objects)
+    except ModelError:
+        return replay._UNREPLAYABLE
+    firings = [replay._firing(net, step) for step in steps]
+    if any(f.binding is None for f in firings):
+        return replay._UNREPLAYABLE
+    return replay._search(net, firings, (start,), {}, cfg, cfg.max_states)
+
+
+def eager_group_replay(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+                       members, cfg: ReplayConfig):
+    """The group's replay from eager replays of its events, and each
+    event's eager replay by id."""
+    singles = {}
+    reached: dict[str, bool] = {}
+    truncated = False
+    for eid in members:
+        single = eager_replay(net, binding_sequence_of_preset(log, graph, eid),
+                              preset_objects(log, graph, eid), cfg)
+        own = replay._firing(net, VisibleBindingStep.for_event(log.event(eid)))
+        reached[eid], cut = replay._own_binding_reaches_final(
+            net, single.markings, own, cfg)
+        singles[eid] = single
+        truncated = truncated or single.truncated or cut
+    markings = frozenset(m for single in singles.values() for m in single.markings)
+    enabled = frozenset().union(*(enabled_visible_labels(net, m) for m in markings))
+    outcome = ReplayOutcome(enabled, bool(markings), any(reached.values()), truncated)
+    return GroupReplay(outcome, markings, reached), singles
 
 
 # ---------------------------------------------------------------------------

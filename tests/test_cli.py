@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from oconform.ocel import parse_log, serialize_log
 
 L1 = str(files("oconform").joinpath("fixtures/l1_log.json"))
 OCPN1 = str(files("oconform").joinpath("fixtures/ocpn1_model.json"))
+FLOWER_L1 = str(files("oconform").joinpath("fixtures/flower_l1_model.json"))
 RESTRICTED = str(files("oconform").joinpath("fixtures/restricted_model.json"))
 
 
@@ -96,6 +98,34 @@ def test_explain_first_event_has_empty_preset(capsys):
     out = capsys.readouterr().out
     assert "preset: (empty)" in out
     assert "context group: e1, e10" in out
+
+
+# sha256 of explain's stdout for every event of the bundled log, in log
+# order.  Replay changes must keep it byte-identical; only a change meant
+# to alter output re-pins these.
+GOLDEN_EXPLAIN = {
+    ("ocpn1", "default"):
+        "f3e5278233bc683ff15043be52eaf749526612f8b01e56e667b93c4c56afdcec",
+    ("ocpn1", "max_states_3"):
+        "bf152094132b8033ba33e55aa855e293e5702425543b123c2fa566dc93e6fe83",
+    ("flower_l1", "default"):
+        "797c90125370b28b893e6a57f42385985e391f2f04c1e48801fec372400ce405",
+    ("flower_l1", "max_states_3"):
+        "660984a799cfc8f3cceecc233d0f6c39b8614ffced58ff73f98ba0b4c445d431",
+}
+
+
+@pytest.mark.parametrize("model, config", sorted(GOLDEN_EXPLAIN))
+def test_explain_output_is_pinned(capsys, l1, model, config):
+    path = {"ocpn1": OCPN1, "flower_l1": FLOWER_L1}[model]
+    flags = {"default": [], "max_states_3": ["--max-states", "3"]}[config]
+    out = []
+    for e in l1.events:
+        assert main(["explain", "--log", L1, "--model", path,
+                     "--event", e.id, *flags]) == EXIT_OK
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == \
+        GOLDEN_EXPLAIN[(model, config)]
 
 
 def _explain_lines(capsys, log_path, model_path, event_id):

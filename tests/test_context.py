@@ -5,8 +5,7 @@ import pytest
 import oracles
 from oconform.context import (Context, build_graph, context_group,
                               context_of_event, enabled_log_activities,
-                              event_preset, group_by_context, object_prefix,
-                              preset_objects)
+                              event_preset, group_by_context)
 from oconform.ocel import LogError, ObjectId, make_log
 
 E5_CONTEXT = Context.from_prefixes({
@@ -54,18 +53,18 @@ def test_unknown_event_raises(l1_graph):
 
 def test_object_prefix(l1, l1_graph):
     preset = event_preset(l1_graph, "e5")
-    assert object_prefix(l1, preset, ObjectId("b1", "baggage")) == \
+    assert oracles.object_prefix(l1, preset, ObjectId("b1", "baggage")) == \
         ("Check-in", "Load cargo")
-    assert object_prefix(l1, preset, ObjectId("p1", "plane")) == \
+    assert oracles.object_prefix(l1, preset, ObjectId("p1", "plane")) == \
         ("Fuel plane", "Load cargo")
-    assert object_prefix(l1, preset, ObjectId("p2", "plane")) == ()
+    assert oracles.object_prefix(l1, preset, ObjectId("p2", "plane")) == ()
 
 
 def test_preset_objects(l1, l1_graph):
-    assert preset_objects(l1, l1_graph, "e5") == {
+    assert oracles.preset_objects(l1, l1_graph, "e5") == {
         ObjectId("p1", "plane"), ObjectId("b1", "baggage"),
         ObjectId("b2", "baggage")}
-    assert preset_objects(l1, l1_graph, "e1") == {ObjectId("p1", "plane")}
+    assert oracles.preset_objects(l1, l1_graph, "e1") == {ObjectId("p1", "plane")}
 
 
 def test_context_of_first_event_is_all_empty_prefixes(l1, l1_graph):

@@ -5,13 +5,12 @@ import pytest
 import invariants
 import oracles
 from oconform import metrics, replay
-from oconform.context import build_graph, context_of_event, preset_objects
+from oconform.context import build_graph, context_of_event
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
 from oconform.replay import (DEFAULT_CONFIG, EMPTY_OUTCOME, ReplayConfig,
                              VisibleBindingStep, binding_sequence_context,
-                             binding_sequence_of_preset,
                              enabled_model_activities, lazy_entry_exact,
                              replay_context_group, states_for_context)
 
@@ -35,13 +34,13 @@ def test_config_validation():
 
 
 def test_binding_sequence_of_preset(l1, l1_graph):
-    steps = binding_sequence_of_preset(l1, l1_graph, "e5")
+    steps = oracles.binding_sequence_of_preset(l1, l1_graph, "e5")
     assert [s.activity for s in steps] == \
         ["Fuel plane", "Check-in", "Check-in", "Load cargo"]
     assert steps[0].objects == (("plane", frozenset({"p1"})),)
     assert steps[3].objects == (("baggage", frozenset({"b1", "b2"})),
                                 ("plane", frozenset({"p1"})))
-    assert binding_sequence_of_preset(l1, l1_graph, "e1") == ()
+    assert oracles.binding_sequence_of_preset(l1, l1_graph, "e1") == ()
 
 
 def test_step_for_event(l1):
@@ -54,10 +53,10 @@ def test_step_for_event(l1):
 def test_sequence_context_matches_event_context(l1, l1_graph):
     # the executed ancestor bindings induce exactly the event's context
     for e in l1.events:
-        steps = binding_sequence_of_preset(l1, l1_graph, e.id)
+        steps = oracles.binding_sequence_of_preset(l1, l1_graph, e.id)
         ctx = binding_sequence_context(
             [(s.activity, dict(s.objects)) for s in steps],
-            objects=preset_objects(l1, l1_graph, e.id))
+            objects=oracles.preset_objects(l1, l1_graph, e.id))
         assert ctx == context_of_event(l1, l1_graph, e.id)
 
 
@@ -350,17 +349,17 @@ def test_reached_final_search_skips_fired_markings_that_cannot_finish():
 def test_fully_replayed_markings_come_in_discovery_order(l1, l1_graph, ocpn1):
     # after Load cargo the silent transition moves one bag at a time from
     # pl6 to pl8; the search meets b1's move before b2's
-    steps = binding_sequence_of_preset(l1, l1_graph, "e5")
-    objects = preset_objects(l1, l1_graph, "e5")
+    steps = oracles.binding_sequence_of_preset(l1, l1_graph, "e5")
+    objects = oracles.preset_objects(l1, l1_graph, "e5")
     both, moved_b1, moved_b2, moved_both = (
         Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
         Marking([("pl5", "p1"), ("pl8", "b1"), ("pl6", "b2")]),
         Marking([("pl5", "p1"), ("pl6", "b1"), ("pl8", "b2")]),
         Marking([("pl5", "p1"), ("pl8", "b1"), ("pl8", "b2")]))
-    single = replay._replay_single(ocpn1, steps, objects, DEFAULT_CONFIG)
+    single = oracles.eager_replay(ocpn1, steps, objects, DEFAULT_CONFIG)
     assert single.markings == (both, moved_b1, moved_b2, moved_both)
-    flipped = replay._replay_single(ocpn1, steps, objects,
-                                    ReplayConfig(reverse_successors=True))
+    flipped = oracles.eager_replay(ocpn1, steps, objects,
+                                   ReplayConfig(reverse_successors=True))
     assert flipped.markings == (both, moved_b2, moved_b1, moved_both)
 
 
@@ -411,6 +410,28 @@ def test_each_event_firing_is_built_once_per_check(monkeypatch):
     report = metrics.check(log, flower_model(log))
     assert not report.truncated
     assert calls == Counter(e.id for e in log.events)
+
+
+def test_twins_share_one_search_per_check(monkeypatch, ocpn1):
+    # a twin is an event whose preset and objects equal an earlier event's,
+    # e.g. the Pick ups of two bags after one Unload; on the reference net
+    # the finishing places are the final places, so every search is a replay
+    log = invariants.chained_airport_log()
+    graph = build_graph(log)
+    firsts = {(tuple(graph.preset_positions(e.id)),
+               oracles.preset_objects(log, graph, e.id)) for e in log.events}
+    assert 0 < len(firsts) < len(log.events)
+    calls = []
+    search = replay._search
+
+    def spy(net, steps, start, entry, cfg, budget):
+        calls.append(len(steps))
+        return search(net, steps, start, entry, cfg, budget)
+
+    monkeypatch.setattr(replay, "_search", spy)
+    report = metrics.check(log, ocpn1)
+    assert not report.truncated
+    assert len(calls) == len(firsts)
 
 
 def _silent_net(tau_arcs):
