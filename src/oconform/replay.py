@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .context import Context, EventObjectGraph
 from .ocel import Event, EventLog, ObjectId
@@ -67,10 +67,12 @@ class VisibleBindingStep(NamedTuple):
     objects: tuple[tuple[str, frozenset[str]], ...]  # (otype, object ids), sorted
 
     @classmethod
-    def for_event(cls, event) -> "VisibleBindingStep":
+    def for_event(cls, event,
+                  names: Mapping[ObjectId, str] | None = None) -> "VisibleBindingStep":
+        """The event's step, its objects renamed by ``names`` when given."""
         grouped: dict[str, set[str]] = {}
         for o in event.omap:
-            grouped.setdefault(o.otype, set()).add(o.id)
+            grouped.setdefault(o.otype, set()).add(o.id if names is None else names[o])
         return cls(event.activity,
                    tuple(sorted((ot, frozenset(ids)) for ot, ids in grouped.items())))
 
@@ -99,13 +101,30 @@ class ReplayOutcome:
 EMPTY_OUTCOME = ReplayOutcome(frozenset(), False, False, False)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupReplay:
-    """Detailed result of replaying one context group."""
+    """Detailed result of replaying one context group.
+
+    ``markings`` may be given as a function that builds them; it is called
+    on the first read, so a caller that never reads them never pays for
+    them.  Equality compares all three fields.
+    """
 
     outcome: ReplayOutcome
-    markings: frozenset[Marking]
+    _markings: frozenset[Marking] | Callable[[], frozenset[Marking]]
     reached_final_by_event: dict[str, bool]
+
+    @property
+    def markings(self) -> frozenset[Marking]:
+        if callable(self._markings):
+            self._markings = self._markings()
+        return self._markings
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupReplay):
+            return NotImplemented
+        return (self.outcome, self.markings, self.reached_final_by_event) == \
+            (other.outcome, other.markings, other.reached_final_by_event)
 
 
 def binding_sequence_context(
@@ -160,15 +179,20 @@ def _silent_successors(net: AcceptingOCPN, marking: Marking,
             yield _fire(net, marking, binding)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SingleReplay:
+    """One search's result, compared by identity: a replay class's result
+    keys the searches that resume from its frontier."""
+
     markings: tuple[Marking, ...]    # fully replayed, in discovery order;
                                      # empty when unreplayable
     truncated: bool
     # markings entering the last cursor, before its silent search, and the
-    # number of states expanded before that cursor
+    # number of states expanded before that cursor; ``_search_from`` adds
+    # those expanded before its base, so a frontier's count starts at the
+    # initial marking
     entering: tuple[Marking, ...] = ()
-    expanded_before_end: int = 0
+    states: int = 0
 
 
 _UNREPLAYABLE = _SingleReplay((), False)
@@ -267,16 +291,18 @@ class _Frontier:
 
     ``position`` is the log position of the event whose frontier this is:
     its preset is replayed, and a later event that resumes here replays
-    its own preset from that position on.  Compared by identity.
+    its own preset from that position on.  ``names`` gives the objects
+    that have entered their canonical names, and ``cls`` is the event's
+    replay class: its search result in those names, whose ``entering``
+    markings and ``states`` the resumed search starts from.
     """
 
     position: int                    # log position the rest of the preset starts at
-    markings: tuple[Marking, ...]    # raw markings entering that point
-    objects: frozenset[ObjectId]     # objects that have entered those markings
-    states: int                      # states expanded before that point
+    names: dict[ObjectId, str]       # real object to canonical name
+    cls: _SingleReplay
 
 
-_START = _Frontier(0, (Marking(),), frozenset(), 0)
+_START = _Frontier(0, {}, _SingleReplay((), False, (Marking(),)))
 
 
 def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
@@ -297,7 +323,7 @@ def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
 
 
 class FrontierMemo:
-    """Replay frontiers shared by the events of one ``check``.
+    """Replay frontiers and firings shared by the events of one ``check``.
 
     An event's frontier is the raw set of markings that enter the end of
     its preset's binding sequence, before that cursor's silent search: the
@@ -310,17 +336,15 @@ class FrontierMemo:
     depend on the replay config, so one memo serves one config.  Events
     not in ``order``, and all events on nets where lazy entry is not exact
     (``lazy`` is False), resume from the empty frontier ``_START``.  Each
-    event's visible step as the net fires it (``firing``) is built once,
-    for the event and for later events' replays, and dropped after the
-    last use counted from ``order``.
+    distinct visible step as the net fires it (``firing``) is built once
+    and kept while the memo lives.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                  order: Iterable[str]) -> None:
         self.lazy = lazy_entry_exact(net)
         self._net = net
-        self._firings: dict[int, _Firing] = {}
-        self._uses: dict[int, int] = {}
+        self._firings: dict[VisibleBindingStep, _Firing] = {}
         self._frontiers: dict[str, _Frontier] = {}
         self._base: dict[str, str] = {}
         self._users: dict[str, int] = {}
@@ -340,10 +364,6 @@ class FrontierMemo:
             if base is not None:
                 self._base[eid] = base
                 self._users[base] = self._users.get(base, 0) + 1
-            # the steps _replay_resumed passes, then the event's own firing
-            start = 0 if base is None else log.event_index[base]
-            for i in (*graph.preset_positions(eid, start), log.event_index[eid]):
-                self._uses[i] = self._uses.get(i, 0) + 1
             done.add(eid)
 
     def __len__(self) -> int:
@@ -362,38 +382,25 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, event: Event, single: _SingleReplay, objects: set[ObjectId],
-             base: _Frontier) -> None:
+    def keep(self, event: Event, names: dict[ObjectId, str],
+             cls: _SingleReplay) -> None:
         if event.id in self._users:  # a later event resumes where its preset ends
-            self._frontiers[event.id] = _Frontier(
-                event.index, single.entering, frozenset(objects),
-                base.states + single.expanded_before_end)
+            self._frontiers[event.id] = _Frontier(event.index, names, cls)
 
-    def firing(self, event: Event) -> _Firing:
-        """The event's binding and needed tokens, built on first use and
-        kept until the last counted one."""
-        firing = self._firings.get(event.index) or _firing(
-            self._net, VisibleBindingStep.for_event(event))
-        self._firings[event.index] = firing
-        self.release((event.index,))
+    def firing(self, step: VisibleBindingStep) -> _Firing:
+        """The step's binding and needed tokens, built on first use."""
+        firing = self._firings.get(step)
+        if firing is None:
+            firing = self._firings[step] = _firing(self._net, step)
         return firing
 
-    def release(self, positions: Iterable[int]) -> None:
-        """Count one use of the firing at each log position, and drop it
-        after its last counted one."""
-        for i in positions:
-            uses = self._uses.pop(i, 1) - 1
-            if uses > 0:
-                self._uses[i] = uses
-            else:
-                self._firings.pop(i, None)
 
-
-def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _Frontier,
+def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _SingleReplay,
                  entering: Iterable[tuple[int, frozenset[ObjectId]]],
                  cfg: ReplayConfig) -> _SingleReplay:
-    """``_search`` of the steps from the base frontier, each (cursor, objects)
-    pair of ``entering`` adding initial tokens at its cursor."""
+    """``_search`` of the steps from the base's entering markings, each
+    (cursor, objects) pair of ``entering`` adding initial tokens at its
+    cursor, under the budget the base's states leave."""
     try:
         entry = {k: initial_marking_for(net, objects) for k, objects in entering}
     except ModelError:
@@ -401,65 +408,97 @@ def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _Frontier,
     if any(f.binding is None for f in steps):
         # an unmatched activity can never fire: the sequence is unreplayable
         return _UNREPLAYABLE
-    start = (tuple(m + entry[0] if m else entry[0] for m in base.markings)
-             if 0 in entry else base.markings)
-    return _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
+    start = (tuple(m + entry[0] if m else entry[0] for m in base.entering)
+             if 0 in entry else base.entering)
+    single = _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
+    return _SingleReplay(single.markings, single.truncated, single.entering,
+                         base.states + single.states)
+
+
+def _sequence(log: EventLog, positions: Sequence[int], event: Event,
+              names: dict[ObjectId, str], lazy: bool, canonical: bool,
+              ) -> tuple[list[VisibleBindingStep], tuple]:
+    """The steps at the log ``positions`` and the (cursor, objects) pairs
+    of objects entering the markings.
+
+    An object enters where a step first binds it, the event's own new
+    objects at the end; all at cursor 0 when lazy entry is not exact.
+    Every new object is added to ``names``, in order of entry, ties in
+    ``ObjectId`` order, under its number there when ``canonical`` and its
+    own id otherwise; steps and entering objects are in those names.
+    """
+    last = len(positions)
+    steps = []
+    entering = []
+    for k, e in enumerate([*(log.events[i] for i in positions), event]):
+        new = sorted(o for o in e.omap if o not in names)
+        if new:
+            for o in new:
+                names[o] = str(len(names)) if canonical else o.id
+            entering.append((k, frozenset(ObjectId(names[o], o.otype) for o in new)))
+        if k < last:
+            steps.append(VisibleBindingStep.for_event(e, names))
+    if entering and not lazy:
+        entering = [(0, frozenset().union(*(objects for _, objects in entering)))]
+    return steps, tuple(entering)
+
+
+def _scratch(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+             event: Event, cfg: ReplayConfig, memo: FrontierMemo) -> _SingleReplay:
+    """The event's whole preset searched from ``_START`` in real names."""
+    steps, entering = _sequence(log, graph.preset_positions(event.id), event,
+                                {}, memo.lazy, False)
+    return _search_from(net, [memo.firing(s) for s in steps], _START.cls,
+                        entering, cfg)
 
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     event_id: str, cfg: ReplayConfig, memo: FrontierMemo,
-                    searched: dict[tuple, _SingleReplay]) -> _SingleReplay:
-    """Replay one event's preset from the frontier the memo holds for it.
+                    searched: dict[tuple, _SingleReplay],
+                    ) -> tuple[_SingleReplay, dict[ObjectId, str] | None]:
+    """Replay one event's preset from the frontier the memo holds for it,
+    in canonical object names; returns the result and the event's names,
+    None when the result is in real names.
 
-    The preset's positions from the frontier's log position on are
-    replayed.  An object enters when a step first binds it, the event's
-    own new objects at the end; all at cursor 0 on nets where lazy entry
-    is not exact.  A twin (same preset, same objects) of an earlier event
-    of the group reads the same frontier, steps and entering objects, so
-    it takes that search from ``searched`` and releases the memo's uses
-    of the steps.  A search whose states, with those before the frontier,
-    exceed ``max_states`` runs again from ``_START``, so truncated results
-    stay those of the search from the initial marking.  An untruncated
-    result becomes the event's own frontier.
+    The frontier's objects keep their names and the new ones are numbered
+    on (``_sequence``); the token game cannot tell two objects of one type
+    apart, so events whose binding sequences are the same up to renaming
+    objects form one replay class.  Its search is keyed by the frontier's
+    class, the rest of the preset's steps and the entering objects, all in
+    canonical names, and runs once per ``searched``.  The frontier's
+    states belong to its class, so the key fixes the budget, and whether
+    a search is cut is the same for the whole class: a complete search
+    expands every reachable state, in any order.  What a cut search found
+    follows the order of object names, so every member of a cut class is
+    searched again from ``_START`` in its real names, as the search from
+    the initial marking, which expands the same states and is cut too;
+    that result is the event's own and no frontier.  An untruncated
+    result becomes the event's frontier.
     """
     event = log.event(event_id)
     base = memo.take(event_id)
-    positions = tuple(graph.preset_positions(event_id, base.position))
-    known = set(base.objects)
-    entering = []
-    for k, omap in enumerate([*(log.events[i].omap for i in positions), event.omap]):
-        new = omap - known
-        if new:
-            known |= new
-            entering.append((k, new))
-    if entering and not memo.lazy:
-        entering = [(0, frozenset(known))]
-    key = (base, positions, tuple(entering))
+    names = dict(base.names)
+    steps, entering = _sequence(log, graph.preset_positions(event_id, base.position),
+                                event, names, memo.lazy, True)
+    key = (base.cls, tuple(steps), entering)
     single = searched.get(key)
-    if single is not None:
-        memo.release(positions)
-    else:
-        steps = [memo.firing(log.events[i]) for i in positions]
-        single = _search_from(net, steps, base, entering, cfg)
-        if single.truncated and base is not _START:
-            single = _replay_resumed(net, log, graph, event_id, cfg,
-                                     FrontierMemo(net, log, graph, ()), {})
-        searched[key] = single
-    if not single.truncated:
-        memo.keep(event, single, known, base)
-    return single
+    if single is None:
+        single = searched[key] = _search_from(
+            net, [memo.firing(s) for s in steps], base.cls, entering, cfg)
+    if single.truncated:
+        return _scratch(net, log, graph, event, cfg, memo), None
+    memo.keep(event, names, single)
+    return single, names
 
 
-def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
-                               own: _Firing,
-                               cfg: ReplayConfig) -> tuple[bool, bool]:
+def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing,
+                   cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
-    firings, reaches an accepting marking; and, when it does not, whether
-    the silent search was cut off at ``max_states``.  A final fired marking
-    answers at once; one with a token outside ``net.finishing_places`` can
-    never become final and is dropped.  One search, under one budget,
-    starts from every fired marking left, if any, in the order of
-    ``markings``."""
+    firings, reaches an accepting marking; and whether the silent search
+    was cut off at ``max_states``.  A final fired marking answers at once;
+    one with a token outside ``net.finishing_places`` can never become
+    final and is dropped.  One search, under one budget, starts from every
+    fired marking left, if any, in the order of ``markings``."""
     binding, need = own
     if need is None:
         return False, False
@@ -476,8 +515,16 @@ def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
     if not fired:
         return False, False
     closure = _search(net, (), fired, {}, cfg, cfg.max_states)
-    reached = any(is_final(net, m) for m in closure.markings)
-    return reached, closure.truncated and not reached
+    return any(is_final(net, m) for m in closure.markings), closure.truncated
+
+
+def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
+                               own: _Firing,
+                               cfg: ReplayConfig) -> tuple[bool, bool]:
+    """``_reaches_final``, with the cut reported only when no final
+    marking was found."""
+    reached, cut = _reaches_final(net, markings, own, cfg)
+    return reached, cut and not reached
 
 
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
@@ -488,28 +535,60 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
 
     Each event resumes from the ``memo``'s frontier for it.  Without a
     memo, one over no events resumes nothing: every event is replayed
-    from the initial marking.  Twins (same preset, same objects) share one
-    search.
+    from the initial marking.  The members of one replay class share one
+    search, one ``reached_final`` per own step and one reading of the
+    enabled labels, all in canonical names.  A ``reached_final`` search
+    that is cut is decided again from the event's search in real names,
+    since where it cuts follows the names.  ``markings`` renames every
+    member's result back to real names, on first read.
     """
     if isinstance(events, str):
         events = (events,)
     if memo is None:
         memo = FrontierMemo(net, log, graph, ())
     searched: dict[tuple, _SingleReplay] = {}
-    markings: set[Marking] = set()
+    finals: dict[tuple[_SingleReplay, VisibleBindingStep], tuple[bool, bool]] = {}
+    results: dict[_SingleReplay, None] = {}
+    members: list[tuple[tuple[Marking, ...], dict[ObjectId, str] | None]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
-        single = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
-        reached_final, cut = _own_binding_reaches_final(
-            net, single.markings, memo.firing(log.event(eid)), cfg)
-        reached_final_by_event[eid] = reached_final
-        markings.update(single.markings)
-        truncated = truncated or single.truncated or cut
-    enabled = frozenset().union(*(enabled_visible_labels(net, m) for m in markings))
-    outcome = ReplayOutcome(enabled, bool(markings),
+        event = log.event(eid)
+        single, names = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
+        answer = None
+        if names is not None:
+            own = VisibleBindingStep.for_event(event, names)
+            answer = finals.get((single, own))
+            if answer is None:
+                reached, cut = _reaches_final(net, single.markings, memo.firing(own), cfg)
+                if not cut:
+                    answer = finals[single, own] = (reached, False)
+        if answer is None:
+            real = single if names is None else _scratch(net, log, graph, event, cfg, memo)
+            answer = _own_binding_reaches_final(
+                net, real.markings, memo.firing(VisibleBindingStep.for_event(event)), cfg)
+        reached_final_by_event[eid] = answer[0]
+        truncated = truncated or single.truncated or answer[1]
+        results[single] = None
+        members.append((single.markings, names))
+
+    def real_markings() -> frozenset[Marking]:
+        out: set[Marking] = set()
+        for markings, names in members:
+            if names is None:
+                out.update(markings)
+                continue
+            # one numbering covers every type, so a name alone is one object
+            real = {name: o.id for o, name in names.items()}
+            out.update(Marking({(p, real[o]): n for (p, o), n in m.items()})
+                       for m in markings)
+        return frozenset(out)
+
+    enabled = frozenset().union(*(enabled_visible_labels(net, m)
+                                  for single in results for m in single.markings))
+    outcome = ReplayOutcome(enabled, any(single.markings for single in results),
                             any(reached_final_by_event.values()), truncated)
-    return GroupReplay(outcome, frozenset(markings), reached_final_by_event)
+    return GroupReplay(outcome, real_markings, reached_final_by_event)
 
 
 def enabled_model_activities(net: AcceptingOCPN, log: EventLog,

@@ -295,8 +295,11 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
     events' frontiers, and replay_context_group without a memo, which
     resumes from the empty frontier, both equal the eager reference: every
     event of a context group replayed from the initial marking of all its
-    objects.  Without a memo each event's fully replayed markings come in
-    the reference's discovery order, with its truncated flag."""
+    objects.  Without a memo each event's fully replayed markings, in
+    canonical names, come in the discovery order of the reference run on
+    the event's steps and objects renamed the same way; renamed back, they
+    are the reference's markings, in its order where the search was cut.
+    The canonical names are a one-to-one renaming of the event's objects."""
     report = check(log, net, cfg)
     by_id = {d.event_id: d for d in report.per_event}
     graph = build_graph(log)
@@ -307,11 +310,28 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         assert detail == eager, members
         truncated = truncated or eager.outcome.truncated
         for eid in members:
-            single = _replay_resumed(net, log, graph, eid, cfg,
-                                     FrontierMemo(net, log, graph, ()), {})
+            single, names = _replay_resumed(net, log, graph, eid, cfg,
+                                            FrontierMemo(net, log, graph, ()), {})
             want = singles[eid]
+            assert single.truncated == want.truncated, eid
+            if names is None:
+                # a cut search is run in real names
+                assert single.truncated, eid
+                assert single.markings == want.markings, eid
+                continue
+            objects = oracles.preset_objects(log, graph, eid)
+            assert set(names) == objects, eid
+            assert len(set(names.values())) == len(names), eid
+            canonical = oracles.eager_replay(
+                net, oracles.renamed_steps(
+                    oracles.binding_sequence_of_preset(log, graph, eid), names),
+                {ObjectId(names[o], o.otype) for o in objects}, cfg)
             assert (single.markings, single.truncated) == \
-                (want.markings, want.truncated), eid
+                (canonical.markings, canonical.truncated), eid
+            back = {ObjectId(name, o.otype): o.id for o, name in names.items()}
+            real = oracles.renamed_markings(net, single.markings, back)
+            assert len(set(real)) == len(real), eid
+            assert set(real) == set(want.markings), eid
             d = by_id[eid]
             assert d.en_model == tuple(sorted(eager.outcome.enabled)), eid
             assert d.replayable == bool(eager.outcome.enabled), eid
@@ -395,6 +415,24 @@ def plane_reusing_net(net: AcceptingOCPN) -> AcceptingOCPN:
     arcs = tuple(Arc("t_clean", "pl1") if (a.source, a.target) == ("t_clean", "pl10")
                  else a for a in net.arcs)
     return AcceptingOCPN(net.object_types, places, net.transitions, arcs)
+
+
+def disjoint_airport_log(flights: int):
+    """Flights of one shape one after another, each with its own plane and
+    two bags, the second of which skips Unload: the flights differ only in
+    their objects' names."""
+    events = []
+    for f in range(flights):
+        plane = ObjectId(f"p{f}", "plane")
+        bags = [ObjectId(f"b{f}_{k}", "baggage") for k in range(2)]
+        events += ([("Fuel plane", [plane])]
+                   + [("Check-in", [b]) for b in bags]
+                   + [("Load cargo", [plane, *bags]), ("Lift off", [plane]),
+                      ("Unload", [plane, bags[0]])]
+                   + [("Pick up @ dest", [b]) for b in bags]
+                   + [("Clean", [plane])])
+    return make_log([(f"e{i}", activity, omap)
+                     for i, (activity, omap) in enumerate(events, start=1)])
 
 
 def chained_airport_log(seed: int = 19, flights: int = 12, planes: int = 2):

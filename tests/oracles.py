@@ -17,8 +17,8 @@ from itertools import combinations, product
 from oconform import replay
 from oconform.context import EventObjectGraph
 from oconform.ocel import EventLog, ObjectId, make_log
-from oconform.ocpn import (AcceptingOCPN, Arc, ModelError, Place, Transition,
-                           enabled_visible_labels, initial_marking_for)
+from oconform.ocpn import (AcceptingOCPN, Arc, Marking, ModelError, Place,
+                           Transition, enabled_visible_labels, initial_marking_for)
 from oconform.replay import GroupReplay, ReplayConfig, ReplayOutcome, VisibleBindingStep
 
 SUBSET_CAP = 8
@@ -330,6 +330,26 @@ def eager_replay(net: AcceptingOCPN, steps, objects, cfg: ReplayConfig):
     if any(f.binding is None for f in firings):
         return replay._UNREPLAYABLE
     return replay._search(net, firings, (start,), {}, cfg, cfg.max_states)
+
+
+def renamed_steps(steps, names):
+    """Binding steps with every object renamed by ``names`` (ObjectId to id)."""
+    return tuple(VisibleBindingStep(step.activity, tuple(sorted(
+        (otype, frozenset(names[ObjectId(oid, otype)] for oid in ids))
+        for otype, ids in step.objects))) for step in steps)
+
+
+def renamed_markings(net: AcceptingOCPN, markings, names):
+    """Markings with every token's object renamed by ``names`` (ObjectId
+    to id), the object's type read off the token's place."""
+    otype = {p.id: p.otype for p in net.places}
+    out = []
+    for m in markings:
+        counts: Counter = Counter()
+        for (place, oid), n in m.items():
+            counts[place, names[ObjectId(oid, otype[place])]] += n
+        out.append(Marking(counts))
+    return tuple(out)
 
 
 def eager_group_replay(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,

@@ -3,7 +3,9 @@
 import pytest
 
 import invariants
+from oconform.metrics import check
 from oconform.ocpn import flower_model
+from oconform.replay import ReplayConfig
 
 
 def test_marking_conservation():
@@ -62,6 +64,24 @@ def test_resumed_replay_matches_from_scratch_on_chained_log(ocpn1, cfg):
     log = invariants.chained_airport_log()
     for net in (ocpn1, invariants.plane_reusing_net(ocpn1), flower_model(log)):
         invariants.run_resumed_replay_agreement(log, net, cfg)
+
+
+SWEPT_BUDGETS = (1, 2, 4, 6, 8, 10, 21, 34)
+
+
+@pytest.mark.parametrize("log", [invariants.chained_airport_log(),
+                                 invariants.disjoint_airport_log(4)],
+                         ids=["chained", "disjoint"])
+def test_resumed_replay_matches_from_scratch_under_small_budgets(ocpn1, log):
+    # the budgets cut the searches of some replay classes and not others,
+    # so the members of a cut class are replayed in their own names
+    cut = set()
+    for max_states in SWEPT_BUDGETS:
+        cfg = ReplayConfig(max_states=max_states)
+        for net in (ocpn1, invariants.plane_reusing_net(ocpn1), flower_model(log)):
+            invariants.run_resumed_replay_agreement(log, net, cfg)
+            cut.add(check(log, net, cfg).truncated)
+    assert cut == {False, True}
 
 
 def test_reached_final_matches_the_unpruned_oracle_on_random_nets():

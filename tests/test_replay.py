@@ -397,30 +397,23 @@ def test_reached_final_budget_cut_follows_the_order_of_the_markings():
             (True, False)
 
 
-def test_each_event_firing_is_built_once_per_check(monkeypatch):
+def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
     log = invariants.chained_airport_log()
     calls = Counter()
-    for_event = VisibleBindingStep.for_event.__func__
+    firing = replay._firing
 
-    def spy(cls, event):
-        calls[event.id] += 1
-        return for_event(cls, event)
+    def spy(net, step):
+        calls[step] += 1
+        return firing(net, step)
 
-    monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(spy))
+    monkeypatch.setattr(replay, "_firing", spy)
     report = metrics.check(log, flower_model(log))
     assert not report.truncated
-    assert calls == Counter(e.id for e in log.events)
+    assert calls and set(calls.values()) == {1}
 
 
-def test_twins_share_one_search_per_check(monkeypatch, ocpn1):
-    # a twin is an event whose preset and objects equal an earlier event's,
-    # e.g. the Pick ups of two bags after one Unload; on the reference net
-    # the finishing places are the final places, so every search is a replay
-    log = invariants.chained_airport_log()
-    graph = build_graph(log)
-    firsts = {(tuple(graph.preset_positions(e.id)),
-               oracles.preset_objects(log, graph, e.id)) for e in log.events}
-    assert 0 < len(firsts) < len(log.events)
+def _search_calls(monkeypatch) -> list[int]:
+    """Spy on replay._search: the number of steps of each search."""
     calls = []
     search = replay._search
 
@@ -429,9 +422,59 @@ def test_twins_share_one_search_per_check(monkeypatch, ocpn1):
         return search(net, steps, start, entry, cfg, budget)
 
     monkeypatch.setattr(replay, "_search", spy)
+    return calls
+
+
+def _replay_classes(log) -> int:
+    """Events by their preset's binding sequence and their own objects, up
+    to renaming objects: each object is numbered by its first step."""
+    graph = build_graph(log)
+    classes = set()
+    for e in log.events:
+        names: dict[ObjectId, int] = {}
+        sequence = []
+        for event in [*(log.events[i] for i in graph.preset_positions(e.id)), e]:
+            for o in sorted(event.omap - names.keys()):
+                names[o] = len(names)
+            sequence.append((event.activity,
+                             frozenset((o.otype, names[o]) for o in event.omap)))
+        classes.add((tuple(sequence[:-1]), sequence[-1][1]))
+    return len(classes)
+
+
+def test_one_search_per_replay_class_per_check(monkeypatch, ocpn1):
+    # events whose binding sequences are the same up to renaming objects,
+    # e.g. the Pick ups of two bags after one Unload, or the same step of
+    # two flights of one shape, share a search; on the reference net the
+    # finishing places are the final places, so every search is a replay
+    log = invariants.chained_airport_log()
+    graph = build_graph(log)
+    twins = {(tuple(graph.preset_positions(e.id)),
+              oracles.preset_objects(log, graph, e.id)) for e in log.events}
+    assert 0 < len(twins) < len(log.events)
+    calls = _search_calls(monkeypatch)
     report = metrics.check(log, ocpn1)
     assert not report.truncated
-    assert len(calls) == len(firsts)
+    assert len(calls) <= _replay_classes(log)
+    assert len(calls) < len(twins)
+
+
+def test_flights_of_one_shape_share_their_searches(monkeypatch, ocpn1):
+    # flights that differ only in their objects' names run the searches
+    # of one flight, however many there are
+    one = invariants.disjoint_airport_log(1)
+    en_model = [d.en_model for d in metrics.check(one, ocpn1).per_event]
+    calls = _search_calls(monkeypatch)
+    counts = []
+    for flights in (2, 8):
+        log = invariants.disjoint_airport_log(flights)
+        assert _replay_classes(log) == _replay_classes(one)
+        calls.clear()
+        report = metrics.check(log, ocpn1)
+        counts.append(len(calls))
+        assert not report.truncated
+        assert [d.en_model for d in report.per_event] == en_model * flights
+    assert counts[0] == counts[1] > 0
 
 
 def _silent_net(tau_arcs):
@@ -478,5 +521,3 @@ def test_frontier_memo_is_empty_after_check(monkeypatch):
     assert memo.lazy and all(m is memo for m in memos)
     assert max(sizes) > 0
     assert len(memo) == 0
-    # every event's firing was dropped after its last counted use
-    assert not memo._firings and not memo._uses
