@@ -151,7 +151,9 @@ class EventObjectGraph:
     demand.  ``members`` partitions the events by context, groups in the
     log order of their first event and members in log order, and
     ``group_of`` maps each event id to its group's number.  A group's
-    ``Context`` is built on first use (``context``).
+    ``Context`` is built on first use (``context``).  ``objects[s]`` is
+    object number s, in ``ObjectId`` order, and ``_slots[i]`` holds the
+    numbers of the i-th event's objects, ascending.
     """
 
     order: tuple[str, ...]
@@ -163,6 +165,8 @@ class EventObjectGraph:
     _bits: list[int] = field(repr=False)
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
+    objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
+    _slots: list[list[int]] = field(repr=False, compare=False)
     _built: dict[int, Context] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -211,20 +215,23 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph; presets are built in log order, each
     from its direct predecessors' presets, and context groups come from a
     second pass over the log (``_context_groups``)."""
-    slot_of: dict[ObjectId, int] = {}
-    slots = [tuple(slot_of.setdefault(o, len(slot_of)) for o in e.omap)
-             for e in log.events]
-    last_seen: list[int | None] = [None] * len(slot_of)
+    # (id, type) pairs compare and hash in C, and sort in ObjectId order
+    by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
+    number = {key: s for s, key in enumerate(sorted(by_key))}
+    objects = tuple(by_key[key] for key in number)
+    otypes = [o.otype for o in objects]
+    slots = [sorted([number[o.id, o.otype] for o in e.omap]) for e in log.events]
+    last_seen: list[int | None] = [None] * len(objects)
     order = tuple(e.id for e in log.events)
     direct: dict[str, frozenset[str]] = {}
     low: list[int] = []
     bits: list[int] = []
     for i, own in enumerate(slots):
         preds = {last_seen[s] for s in own if last_seen[s] is not None}
-        direct[order[i]] = frozenset(order[p] for p in preds)
+        direct[order[i]] = frozenset([order[p] for p in preds])
         # every direct predecessor is earlier in the log, so its preset is
         # done; an empty preset's lowest position is its event's own
-        start = min((low[p] for p in preds), default=i)
+        start = min([low[p] for p in preds], default=i)
         ancestors = 0
         for p in preds:
             ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
@@ -234,14 +241,14 @@ def build_graph(log: EventLog) -> EventObjectGraph:
             last_seen[s] = i
     trie = _Trie()
     group_of, members, bags = _context_groups(
-        log, direct, low, bits, slots, [o.otype for o in slot_of], trie)
+        log, direct, low, bits, slots, otypes, trie)
     return EventObjectGraph(order, direct, group_of, members, log.event_index,
-                            low, bits, bags, trie)
+                            low, bits, bags, trie, objects, slots)
 
 
 def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
                     low: list[int], bits: list[int],
-                    slots: list[tuple[int, ...]], otypes: list[str], trie: _Trie,
+                    slots: list[list[int]], otypes: list[str], trie: _Trie,
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
                                tuple[tuple[tuple[int, int], ...], ...]]:
     """Every event's context group, in one pass over the log.

@@ -11,7 +11,7 @@ All arithmetic is exact; rounding happens only at rendering time.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Any
@@ -175,5 +175,24 @@ def report_to_dict(report: ConformanceReport, decimals: int = 2) -> dict[str, An
 
 
 def report_to_json(report: ConformanceReport, decimals: int = 2) -> str:
-    return json.dumps(report_to_dict(report, decimals), indent=2,
-                      ensure_ascii=False) + "\n"
+    """``json.dumps(report_to_dict(report, decimals), indent=2,
+    ensure_ascii=False) + "\\n"``, byte for byte, without the pure-Python
+    encoder ``json.dumps`` runs with an indent: the per-event entries are
+    written here, each distinct activity list once, with strings escaped
+    by ``encode_basestring``, the C function that encoder calls, and
+    spliced into the rest of the report, dumped without them."""
+    quote = json.encoder.encode_basestring
+    sides = {side for d in report.per_event for side in (d.en_log, d.en_model)}
+    lists = {side: "[\n        " + ",\n        ".join(map(quote, side)) + "\n      ]"
+             if side else "[]" for side in sides}
+    entry = ('    {{\n      "id": {},\n      "context_digest": {},\n      "en_log": {},\n'
+             '      "en_model": {},\n      "replayable": {},\n      "reached_final": {}\n    }}')
+    entries = ",\n".join(entry.format(
+        quote(d.event_id), quote(d.context_digest), lists[d.en_log],
+        lists[d.en_model], "true" if d.replayable else "false",
+        "true" if d.reached_final else "false") for d in report.per_event)
+    text = json.dumps(report_to_dict(replace(report, per_event=()), decimals),
+                      indent=2, ensure_ascii=False)
+    if entries:  # the keys before "per_event" hold numbers, bools or null
+        text = text.replace('"per_event": []', f'"per_event": [\n{entries}\n  ]', 1)
+    return text + "\n"

@@ -16,9 +16,9 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .context import Context, EventObjectGraph
 from .ocel import Event, EventLog, ObjectId
-from .ocpn import (AcceptingOCPN, Binding, Marking, ModelError, _fire,
-                   binding_well_formed, consumed, enabled_visible_labels,
-                   enumerate_bindings, initial_marking_for, is_final)
+from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
+                   consumed, enabled_visible_labels, enumerate_bindings,
+                   is_final)
 
 SILENT_VARIABLE_MODES = ("singleton", "subsets")
 
@@ -289,20 +289,21 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 class _Frontier:
     """Where replay of an event's preset may resume.
 
-    ``position`` is the log position of the event whose frontier this is:
-    its preset is replayed, and a later event that resumes here replays
-    its own preset from that position on.  ``names`` gives the objects
-    that have entered their canonical names, and ``cls`` is the event's
-    replay class: its search result in those names, whose ``entering``
-    markings and ``states`` the resumed search starts from.
+    A later event that resumes here replays its preset from ``position``,
+    just past the event whose frontier this is, opening with ``steps``:
+    that event's own step.  ``names`` maps the entered objects, by graph
+    number, to canonical names, ints from 0 in order of entry; ``cls`` is
+    the event's replay class: its search result in those names, whose
+    ``entering`` markings and ``states`` resumed searches start from.
     """
 
     position: int                    # log position the rest of the preset starts at
-    names: dict[ObjectId, str]       # real object to canonical name
+    names: dict[int, int]            # object number to canonical name
     cls: _SingleReplay
+    steps: tuple[VisibleBindingStep, ...]
 
 
-_START = _Frontier(0, {}, _SingleReplay((), False, (Marking(),)))
+_START = _Frontier(0, {}, _SingleReplay((), False, (Marking(),)), ())
 
 
 def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
@@ -382,10 +383,10 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, event: Event, names: dict[ObjectId, str],
-             cls: _SingleReplay) -> None:
+    def keep(self, event: Event, names: dict[int, int], cls: _SingleReplay,
+             own: VisibleBindingStep) -> None:
         if event.id in self._users:  # a later event resumes where its preset ends
-            self._frontiers[event.id] = _Frontier(event.index, names, cls)
+            self._frontiers[event.id] = _Frontier(event.index + 1, names, cls, (own,))
 
     def firing(self, step: VisibleBindingStep) -> _Firing:
         """The step's binding and needed tokens, built on first use."""
@@ -396,14 +397,16 @@ class FrontierMemo:
 
 
 def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _SingleReplay,
-                 entering: Iterable[tuple[int, frozenset[ObjectId]]],
+                 entering: Iterable[tuple[int, tuple[tuple[str, object], ...]]],
                  cfg: ReplayConfig) -> _SingleReplay:
     """``_search`` of the steps from the base's entering markings, each
-    (cursor, objects) pair of ``entering`` adding initial tokens at its
-    cursor, under the budget the base's states leave."""
+    (cursor, (type, name) pairs) item of ``entering`` adding initial tokens
+    at its cursor, under the budget the base's states leave."""
+    initial = net.initial_places
     try:
-        entry = {k: initial_marking_for(net, objects) for k, objects in entering}
-    except ModelError:
+        entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
+                 for k, objects in entering}
+    except KeyError:  # an object type without an initial place
         return _UNREPLAYABLE
     if any(f.binding is None for f in steps):
         # an unmatched activity can never fire: the sequence is unreplayable
@@ -415,50 +418,57 @@ def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _SingleRepl
                          base.states + single.states)
 
 
-def _sequence(log: EventLog, positions: Sequence[int], event: Event,
-              names: dict[ObjectId, str], lazy: bool, canonical: bool,
-              ) -> tuple[list[VisibleBindingStep], tuple]:
-    """The steps at the log ``positions`` and the (cursor, objects) pairs
-    of objects entering the markings.
+def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Frontier,
+              lazy: bool, canonical: bool) -> tuple:
+    """The event's names, preset steps, own step and (cursor, (type,
+    name) pairs) of objects entering the markings, resumed from the base.
 
-    An object enters where a step first binds it, the event's own new
-    objects at the end; all at cursor 0 when lazy entry is not exact.
-    Every new object is added to ``names``, in order of entry, ties in
-    ``ObjectId`` order, under its number there when ``canonical`` and its
-    own id otherwise; steps and entering objects are in those names.
+    The preset's steps from the base's position follow the base's.  An
+    object enters where a step first binds it, the event's own new objects
+    at the end; all at cursor 0 when lazy entry is not exact.  New objects
+    join ``names`` by graph number, in order of entry, ties in ``ObjectId``
+    order (the numbers' order), as ints from 0 when ``canonical`` and as
+    their own ids otherwise.
     """
-    last = len(positions)
-    steps = []
+    objects = graph.objects
+    names = dict(base.names)
+    steps = [*base.steps]
     entering = []
-    for k, e in enumerate([*(log.events[i] for i in positions), event]):
-        new = sorted(o for o in e.omap if o not in names)
+    for i in [*graph.preset_positions(event.id, base.position), event.index]:
+        own = graph._slots[i]
+        new = [s for s in own if s not in names]
         if new:
-            for o in new:
-                names[o] = str(len(names)) if canonical else o.id
-            entering.append((k, frozenset(ObjectId(names[o], o.otype) for o in new)))
-        if k < last:
-            steps.append(VisibleBindingStep.for_event(e, names))
+            for s in new:
+                names[s] = len(names) if canonical else objects[s].id
+            entering.append((len(steps), tuple((objects[s].otype, names[s]) for s in new)))
+        by_type: dict[str, list] = {}
+        for s in own:
+            by_type.setdefault(objects[s].otype, []).append(names[s])
+        steps.append(VisibleBindingStep(log.events[i].activity, tuple(sorted(
+            [(otype, frozenset(ids)) for otype, ids in by_type.items()]))))
     if entering and not lazy:
-        entering = [(0, frozenset().union(*(objects for _, objects in entering)))]
-    return steps, tuple(entering)
+        entering = [(0, tuple(pair for _, pairs in entering for pair in pairs))]
+    own = steps.pop()
+    return names, steps, own, tuple(entering)
 
 
 def _scratch(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-             event: Event, cfg: ReplayConfig, memo: FrontierMemo) -> _SingleReplay:
-    """The event's whole preset searched from ``_START`` in real names."""
-    steps, entering = _sequence(log, graph.preset_positions(event.id), event,
-                                {}, memo.lazy, False)
+             event: Event, cfg: ReplayConfig, memo: FrontierMemo) -> tuple:
+    """The event's whole preset searched from ``_START`` in real names,
+    and the event's own step in those names."""
+    _, steps, own, entering = _sequence(log, graph, event, _START, memo.lazy, False)
     return _search_from(net, [memo.firing(s) for s in steps], _START.cls,
-                        entering, cfg)
+                        entering, cfg), own
 
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     event_id: str, cfg: ReplayConfig, memo: FrontierMemo,
                     searched: dict[tuple, _SingleReplay],
-                    ) -> tuple[_SingleReplay, dict[ObjectId, str] | None]:
+                    ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int] | None]:
     """Replay one event's preset from the frontier the memo holds for it,
-    in canonical object names; returns the result and the event's names,
-    None when the result is in real names.
+    in canonical object names; returns the result, the event's own step in
+    the result's names, and the event's names, None when the result is in
+    real names.
 
     The frontier's objects keep their names and the new ones are numbered
     on (``_sequence``); the token game cannot tell two objects of one type
@@ -477,18 +487,16 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     """
     event = log.event(event_id)
     base = memo.take(event_id)
-    names = dict(base.names)
-    steps, entering = _sequence(log, graph.preset_positions(event_id, base.position),
-                                event, names, memo.lazy, True)
+    names, steps, own, entering = _sequence(log, graph, event, base, memo.lazy, True)
     key = (base.cls, tuple(steps), entering)
     single = searched.get(key)
     if single is None:
         single = searched[key] = _search_from(
             net, [memo.firing(s) for s in steps], base.cls, entering, cfg)
     if single.truncated:
-        return _scratch(net, log, graph, event, cfg, memo), None
-    memo.keep(event, names, single)
-    return single, names
+        return (*_scratch(net, log, graph, event, cfg, memo), None)
+    memo.keep(event, names, single, own)
+    return single, own, names
 
 
 def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing,
@@ -518,15 +526,6 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
     return any(is_final(net, m) for m in closure.markings), closure.truncated
 
 
-def _own_binding_reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
-                               own: _Firing,
-                               cfg: ReplayConfig) -> tuple[bool, bool]:
-    """``_reaches_final``, with the cut reported only when no final
-    marking was found."""
-    reached, cut = _reaches_final(net, markings, own, cfg)
-    return reached, cut and not reached
-
-
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                          events: Iterable[str] | str,
                          cfg: ReplayConfig = DEFAULT_CONFIG,
@@ -549,24 +548,23 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     searched: dict[tuple, _SingleReplay] = {}
     finals: dict[tuple[_SingleReplay, VisibleBindingStep], tuple[bool, bool]] = {}
     results: dict[_SingleReplay, None] = {}
-    members: list[tuple[tuple[Marking, ...], dict[ObjectId, str] | None]] = []
+    members: list[tuple[tuple[Marking, ...], dict[int, int] | None]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
-        event = log.event(eid)
-        single, names = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
+        single, own, names = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
         answer = None
         if names is not None:
-            own = VisibleBindingStep.for_event(event, names)
             answer = finals.get((single, own))
             if answer is None:
                 reached, cut = _reaches_final(net, single.markings, memo.firing(own), cfg)
                 if not cut:
                     answer = finals[single, own] = (reached, False)
         if answer is None:
-            real = single if names is None else _scratch(net, log, graph, event, cfg, memo)
-            answer = _own_binding_reaches_final(
-                net, real.markings, memo.firing(VisibleBindingStep.for_event(event)), cfg)
+            real, own = ((single, own) if names is None
+                         else _scratch(net, log, graph, log.event(eid), cfg, memo))
+            reached, cut = _reaches_final(net, real.markings, memo.firing(own), cfg)
+            answer = (reached, cut and not reached)  # a cut only when none is final
         reached_final_by_event[eid] = answer[0]
         truncated = truncated or single.truncated or answer[1]
         results[single] = None
@@ -579,7 +577,7 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
                 out.update(markings)
                 continue
             # one numbering covers every type, so a name alone is one object
-            real = {name: o.id for o, name in names.items()}
+            real = {name: graph.objects[s].id for s, name in names.items()}
             out.update(Marking({(p, real[o]): n for (p, o), n in m.items()})
                        for m in markings)
         return frozenset(out)

@@ -18,9 +18,9 @@ from oconform.ocel import ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
-from oconform.replay import (FrontierMemo, ReplayConfig, _prefix_predecessor,
-                             _replay_resumed, lazy_entry_exact,
-                             replay_context_group)
+from oconform.replay import (FrontierMemo, ReplayConfig, VisibleBindingStep,
+                             _prefix_predecessor, _replay_resumed,
+                             lazy_entry_exact, replay_context_group)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -299,7 +299,8 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
     canonical names, come in the discovery order of the reference run on
     the event's steps and objects renamed the same way; renamed back, they
     are the reference's markings, in its order where the search was cut.
-    The canonical names are a one-to-one renaming of the event's objects."""
+    The canonical names number the event's objects one to one, as the
+    ints from 0, and the event's own step comes renamed with them."""
     report = check(log, net, cfg)
     by_id = {d.event_id: d for d in report.per_event}
     graph = build_graph(log)
@@ -310,25 +311,30 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         assert detail == eager, members
         truncated = truncated or eager.outcome.truncated
         for eid in members:
-            single, names = _replay_resumed(net, log, graph, eid, cfg,
-                                            FrontierMemo(net, log, graph, ()), {})
+            single, own, names = _replay_resumed(net, log, graph, eid, cfg,
+                                                 FrontierMemo(net, log, graph, ()), {})
             want = singles[eid]
+            real_own = VisibleBindingStep.for_event(log.event(eid))
             assert single.truncated == want.truncated, eid
             if names is None:
                 # a cut search is run in real names
                 assert single.truncated, eid
                 assert single.markings == want.markings, eid
+                assert own == real_own, eid
                 continue
             objects = oracles.preset_objects(log, graph, eid)
-            assert set(names) == objects, eid
-            assert len(set(names.values())) == len(names), eid
+            # names maps the graph's object numbers to canonical names
+            named = {graph.objects[s]: name for s, name in names.items()}
+            assert set(named) == objects, eid
+            assert sorted(names.values()) == list(range(len(names))), eid
+            assert (own,) == oracles.renamed_steps((real_own,), named), eid
             canonical = oracles.eager_replay(
                 net, oracles.renamed_steps(
-                    oracles.binding_sequence_of_preset(log, graph, eid), names),
-                {ObjectId(names[o], o.otype) for o in objects}, cfg)
+                    oracles.binding_sequence_of_preset(log, graph, eid), named),
+                {ObjectId(named[o], o.otype) for o in objects}, cfg)
             assert (single.markings, single.truncated) == \
                 (canonical.markings, canonical.truncated), eid
-            back = {ObjectId(name, o.otype): o.id for o, name in names.items()}
+            back = {ObjectId(name, o.otype): o.id for o, name in named.items()}
             real = oracles.renamed_markings(net, single.markings, back)
             assert len(set(real)) == len(real), eid
             assert set(real) == set(want.markings), eid

@@ -363,10 +363,10 @@ def eager_group_replay(net: AcceptingOCPN, log: EventLog, graph: EventObjectGrap
         single = eager_replay(net, binding_sequence_of_preset(log, graph, eid),
                               preset_objects(log, graph, eid), cfg)
         own = replay._firing(net, VisibleBindingStep.for_event(log.event(eid)))
-        reached[eid], cut = replay._own_binding_reaches_final(
-            net, single.markings, own, cfg)
+        reached[eid], cut = replay._reaches_final(net, single.markings, own, cfg)
         singles[eid] = single
-        truncated = truncated or single.truncated or cut
+        # a cut counts only when no final marking was found
+        truncated = truncated or single.truncated or (cut and not reached[eid])
     markings = frozenset(m for single in singles.values() for m in single.markings)
     enabled = frozenset().union(*(enabled_visible_labels(net, m) for m in markings))
     outcome = ReplayOutcome(enabled, bool(markings), any(reached.values()), truncated)

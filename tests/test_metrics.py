@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from oconform.metrics import (check, fitness, format_fraction, format_summary,
                               precision, report_to_dict, report_to_json,
                               round_fraction, skipped_percent)
 from oconform.ocel import LogError, ObjectId, make_log
-from oconform.ocpn import AcceptingOCPN, Place
+from oconform.ocpn import AcceptingOCPN, Place, flower_model
 from oconform.replay import ReplayConfig
 
 SURPLUS_EVENTS = {"e5", "e6", "e14", "e15"}
@@ -235,3 +236,53 @@ def test_reports_on_the_bundled_log_are_pinned(request, l1, net_name, cfg_name):
     text = report_to_json(check(l1, net, GOLDEN_CONFIGS[cfg_name]))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         GOLDEN_REPORTS[net_name, cfg_name]
+
+
+def _assert_renders_as_dumps(report, decimals=2):
+    assert report_to_json(report, decimals) == json.dumps(
+        report_to_dict(report, decimals), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("net_name, cfg_name", list(GOLDEN_REPORTS))
+def test_report_json_equals_json_dumps_on_the_bundled_log(request, l1, net_name,
+                                                          cfg_name):
+    report = check(l1, request.getfixturevalue(net_name), GOLDEN_CONFIGS[cfg_name])
+    for decimals in (0, 2, 7):
+        _assert_renders_as_dumps(report, decimals)
+
+
+def test_report_json_equals_json_dumps_on_random_pairs():
+    rng = random.Random(41)
+    # a low budget bounds the pairs whose silent transitions keep making tokens
+    cfg = ReplayConfig(max_states=300)
+    for _ in range(40):
+        log = oracles.random_log(rng)
+        for net in (oracles.random_net(rng), flower_model(log)):
+            report = check(log, net, cfg)
+            _assert_renders_as_dumps(report, rng.choice((0, 2, 7)))
+
+
+def test_report_json_equals_json_dumps_without_replayable_events():
+    net = AcceptingOCPN(object_types=("case",),
+                        places=(Place("s0", "case", initial=True, final=True),),
+                        transitions=(), arcs=())
+    log = make_log([("e1", "a", [ObjectId("o1", "case")]),
+                    ("e2", "b", [ObjectId("o1", "case")])])
+    report = check(log, net)
+    assert report.precision is None
+    assert all(d.en_model == () for d in report.per_event)
+    for decimals in (0, 7):
+        _assert_renders_as_dumps(report, decimals)
+    _assert_renders_as_dumps(replace(report, per_event=()))
+
+
+def test_report_json_escapes_text_as_json_dumps_does():
+    odd = ['é "quoted"', "back\\slash", "a/b", "tab\tnew\nline\x01\x1f",
+           "\u2028\u00a0\U0001f6eb", "plain"]
+    case = [ObjectId("o1", "case ü"), ObjectId("o2", "case ü")]
+    log = make_log([(f"ev{k} {text}", text, [case[k % 2]])
+                    for k, text in enumerate(odd * 2)])
+    report = check(log, flower_model(log))
+    assert {a for d in report.per_event for a in d.en_model} == set(odd)
+    for decimals in (0, 2, 7):
+        _assert_renders_as_dumps(report, decimals)

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,7 @@ import invariants
 import oracles
 from oconform import metrics, replay
 from oconform.context import build_graph, context_of_event
-from oconform.ocel import LogError, ObjectId, make_log
+from oconform.ocel import LogError, ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
 from oconform.replay import (DEFAULT_CONFIG, EMPTY_OUTCOME, ReplayConfig,
@@ -385,16 +388,17 @@ def test_reached_final_budget_cut_follows_the_order_of_the_markings():
     far = Marking([("u", "x1"), ("c0", "x1")])
     near = Marking([("u", "x1"), ("e0", "x1")])
     own = replay._firing(net, VisibleBindingStep("b", (("X", frozenset({"x1"})),)))
-    # three states: both fired markings, then the first one's successor
+    # three states: both fired markings, then the first one's successor;
+    # a search that finds a final marking may still be cut, and
+    # replay_context_group counts a cut only when no final marking was found
     cut = ReplayConfig(max_states=3)
-    assert replay._own_binding_reaches_final(net, (far, near), own, cut) == \
-        (False, True)
-    assert replay._own_binding_reaches_final(net, (near, far), own, cut) == \
-        (True, False)
+    assert replay._reaches_final(net, (far, near), own, cut) == (False, True)
+    assert replay._reaches_final(net, (near, far), own, cut) == (True, True)
+    # four states find the final marking in either order, before c0's
+    # token reaches c2
     whole = ReplayConfig(max_states=4)
     for markings in ((far, near), (near, far)):
-        assert replay._own_binding_reaches_final(net, markings, own, whole) == \
-            (True, False)
+        assert replay._reaches_final(net, markings, own, whole) == (True, True)
 
 
 def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
@@ -410,6 +414,85 @@ def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
     report = metrics.check(log, flower_model(log))
     assert not report.truncated
     assert calls and set(calls.values()) == {1}
+
+
+def _bench_disjoint_log():
+    """A log as the benchmark's disjoint workloads generate it: interleaved
+    flights with their own planes and one to three bags each."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclass looks its module up
+    spec.loader.exec_module(gen)
+    return parse_log(gen.generate(5, 108).data)
+
+
+def _engine_logs(ocpn1):
+    disjoint = _bench_disjoint_log()
+    chained = invariants.chained_airport_log()
+    return [(disjoint, ocpn1), (chained, ocpn1), (chained, flower_model(chained))]
+
+
+def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
+    # an event's own step is built once, from the graph's numbers, and
+    # the events resuming from its frontier open with it; a step is built
+    # again only in the other names of a later event's rest of the preset
+    def no_for_event(cls, event, names=None):
+        raise AssertionError("check builds steps from the graph's numbers")
+
+    monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(no_for_event))
+    sequence = replay._sequence
+    for log, net in _engine_logs(ocpn1):
+        built = Counter()
+
+        def spy(log, graph, event, base, lazy, canonical):
+            names, steps, own, entering = sequence(log, graph, event, base, lazy,
+                                                   canonical)
+            positions = [*graph.preset_positions(event.id, base.position), event.index]
+            built.update(zip(positions, [*steps[len(base.steps):], own], strict=True))
+            return names, steps, own, entering
+
+        monkeypatch.setattr(replay, "_sequence", spy)
+        report = metrics.check(log, net)
+        assert not report.truncated
+        assert {position for position, _ in built} == set(range(len(log.events)))
+        assert set(built.values()) == {1}
+
+
+def test_replay_neither_hashes_nor_orders_object_ids(monkeypatch, ocpn1):
+    calls = Counter()
+    inside = []
+
+    def spied(name):
+        method = getattr(ObjectId, name)
+
+        def spy(self, *other):
+            if inside:
+                calls[name] += 1
+            return method(self, *other)
+        return spy
+
+    for name in ("__hash__", "__lt__"):
+        monkeypatch.setattr(ObjectId, name, spied(name))
+    replay_group = metrics.replay_context_group
+
+    def in_replay(*args):
+        inside.append(True)
+        try:
+            return replay_group(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(metrics, "replay_context_group", in_replay)
+    inside.append(True)
+    assert sorted({ObjectId("b", "t"), ObjectId("a", "t")})[0].id == "a"
+    inside.pop()
+    assert calls["__hash__"] == 2 and calls["__lt__"] >= 1  # the spies count
+    calls.clear()
+    for log, net in _engine_logs(ocpn1):
+        report = metrics.check(log, net)
+        assert not report.truncated
+        assert calls == Counter()
 
 
 def _search_calls(monkeypatch) -> list[int]:
