@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import Any
 
 from .ocel import EventLog, LogError, ObjectId
@@ -58,119 +58,109 @@ class Marking:
     with the same counts, so markings can key visited-state sets.
     Instances are never mutated after construction.
 
-    Two values derived from the counts are kept with them.  ``_hash`` is
-    the sum over tokens of ``hash(token) * count``, and ``_places`` maps
-    each occupied place to its number of tokens.  The constructor computes
-    both once; ``+``, ``-`` and the firing rule update them for the tokens
-    they move only, so hashing a marking costs O(1) and reading its
-    occupied places O(places), whatever its number of tokens.  ``key()``,
-    the sorted (place, object, count) tuple, only serves rendering and
-    ordering (``repr``, ``explain``); hashing does not use it.
+    The tokens are kept per place: ``_tokens`` maps each occupied place to
+    its ``{object: count}`` dict, and keeps no empty place dict, so its
+    keys are the occupied places.  ``_hash`` is the sum over tokens of
+    ``hash(token) * count``.  ``+``, ``-`` and the firing rule copy the
+    place dicts they write, once each, and share the others with the
+    marking they start from; they update the hash for the tokens they move
+    only.  So hashing a marking costs O(1) and reading its occupied places
+    O(places), whatever its number of tokens.
     """
 
-    __slots__ = ("_counts", "_hash", "_places", "_key", "_by_place")
+    __slots__ = ("_tokens", "_hash")
 
     def __init__(self, tokens: Iterable[Token] | Mapping[Token, int] = ()):
-        counts: dict[Token, int] = {}
         # the exact-type test first: the abstract-class check is slower
         if type(tokens) is dict or isinstance(tokens, Mapping):
-            for token, n in tokens.items():
-                if n < 0:
-                    raise ModelError(f"negative token count for {token}")
-                if n:
-                    counts[token] = counts.get(token, 0) + n
+            counted = tokens.items()
         else:
-            for token in tokens:
-                counts[token] = counts.get(token, 0) + 1
+            counted = ((token, 1) for token in tokens)
+        per_place: dict[str, dict[str, int]] = {}
         total = 0
-        places: dict[str, int] = {}
-        for token, n in counts.items():
-            total += hash(token) * n
-            places[token[0]] = places.get(token[0], 0) + n
-        self._counts = counts
+        for token, n in counted:
+            if n < 0:
+                raise ModelError(f"negative token count for {token}")
+            if n:
+                objects = per_place.setdefault(token[0], {})
+                objects[token[1]] = objects.get(token[1], 0) + n
+                total += hash(token) * n
+        self._tokens = per_place
         self._hash = total
-        self._places = places
-        self._key: tuple[tuple[str, str, int], ...] | None = None
-        self._by_place: dict[str, frozenset[str]] | None = None
 
     @classmethod
-    def _of(cls, counts: dict[Token, int], total: int,
-            places: dict[str, int]) -> "Marking":
-        """Wrap counts that are all positive already, with their ``_hash``
-        and ``_places``, without copying them."""
+    def _of(cls, tokens: dict[str, dict[str, int]], total: int) -> "Marking":
+        """Wrap place dicts that are all non-empty already, with their
+        ``_hash``, without copying them."""
         marking = cls.__new__(cls)
-        marking._counts = counts
+        marking._tokens = tokens
         marking._hash = total
-        marking._places = places
-        marking._key = None
-        marking._by_place = None
         return marking
 
     def key(self) -> tuple[tuple[str, str, int], ...]:
-        if self._key is None:
-            self._key = tuple(sorted(
-                (place, obj, n) for (place, obj), n in self._counts.items()))
-        return self._key
+        return tuple(sorted([(place, obj, n) for place, objects in self._tokens.items()
+                             for obj, n in objects.items()]))
 
     def items(self) -> Iterator[tuple[Token, int]]:
-        return iter(self._counts.items())
+        return iter([((place, obj), n) for place, objects in self._tokens.items()
+                     for obj, n in objects.items()])
 
     def count(self, token: Token) -> int:
-        return self._counts.get(token, 0)
+        return self._tokens.get(token[0], {}).get(token[1], 0)
 
     def objects_at(self, place_id: str) -> frozenset[str]:
-        if self._by_place is None:
-            by_place: dict[str, set[str]] = {}
-            for (place, obj) in self._counts:
-                by_place.setdefault(place, set()).add(obj)
-            self._by_place = {p: frozenset(s) for p, s in by_place.items()}
-        return self._by_place.get(place_id, frozenset())
+        return frozenset(self._tokens.get(place_id, ()))
 
     def __len__(self) -> int:
-        return sum(self._places.values())
+        return sum(sum(objects.values()) for objects in self._tokens.values())
 
     def __bool__(self) -> bool:
-        return bool(self._counts)
+        return bool(self._tokens)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Marking):
             return NotImplemented
-        return self._hash == other._hash and self._counts == other._counts
+        return self._hash == other._hash and self._tokens == other._tokens
 
     def __hash__(self) -> int:
         return self._hash
 
     def __le__(self, other: "Marking") -> bool:
-        return all(other._counts.get(t, 0) >= n for t, n in self._counts.items())
+        # plain loops: replay asks this of every state it expands
+        theirs = other._tokens
+        for place, objects in self._tokens.items():
+            there = theirs.get(place)
+            if there is None:
+                return False
+            for obj, n in objects.items():
+                if there.get(obj, 0) < n:
+                    return False
+        return True
 
     def __add__(self, other: "Marking") -> "Marking":
-        merged = dict(self._counts)
-        for t, n in other._counts.items():
-            merged[t] = merged.get(t, 0) + n
-        places = dict(self._places)
-        for p, n in other._places.items():
-            places[p] = places.get(p, 0) + n
-        return Marking._of(merged, self._hash + other._hash, places)
+        return self._shifted(other, 1)
 
     def __sub__(self, other: "Marking") -> "Marking":
-        reduced = dict(self._counts)
-        for t, n in other._counts.items():
-            left = reduced.get(t, 0) - n
-            if left < 0:
-                raise ModelError(f"cannot remove absent token {t}")
-            if left:
-                reduced[t] = left
+        return self._shifted(other, -1)
+
+    def _shifted(self, other: "Marking", sign: int) -> "Marking":
+        """The marking with other's tokens added (sign 1) or removed (-1)."""
+        tokens = dict(self._tokens)
+        for place, objects in other._tokens.items():
+            here = dict(tokens.get(place, ()))
+            for obj, n in objects.items():
+                left = here.get(obj, 0) + sign * n
+                if left < 0:
+                    raise ModelError(f"cannot remove absent token {(place, obj)}")
+                if left:
+                    here[obj] = left
+                else:
+                    del here[obj]
+            if here:
+                tokens[place] = here
             else:
-                reduced.pop(t, None)
-        # every token of other was present, so each place holds enough
-        places = dict(self._places)
-        for p, n in other._places.items():
-            left = places[p] - n
-            if left:
-                places[p] = left
-            else:
-                del places[p]
-        return Marking._of(reduced, self._hash - other._hash, places)
+                del tokens[place]
+        return Marking._of(tokens, self._hash + sign * other._hash)
 
     def __repr__(self) -> str:
         parts = []
@@ -214,8 +204,8 @@ class AcceptingOCPN:
     places_by_id: dict[str, Place] = field(init=False, repr=False)
     transitions_by_id: dict[str, Transition] = field(init=False, repr=False)
     label_to_transition: dict[str, Transition] = field(init=False, repr=False)
-    _preset: dict[str, tuple[tuple[Place, bool], ...]] = field(init=False, repr=False)
-    _postset: dict[str, tuple[tuple[Place, bool], ...]] = field(init=False, repr=False)
+    _preset: dict[str, tuple[Place, ...]] = field(init=False, repr=False)
+    _postset: dict[str, tuple[Place, ...]] = field(init=False, repr=False)
     _tpl: dict[str, frozenset[str]] = field(init=False, repr=False)
     _variable_types: dict[str, frozenset[str]] = field(init=False, repr=False)
     _inputs_by_type: dict[str, dict[str, tuple[Place, ...]]] = field(init=False, repr=False)
@@ -246,8 +236,8 @@ class AcceptingOCPN:
         self.silent_transitions = tuple(t for t in self.transitions if t.silent)
         self.visible_transitions = tuple(t for t in self.transitions if not t.silent)
 
-        pre: dict[str, list[tuple[Place, bool]]] = {t.id: [] for t in self.transitions}
-        post: dict[str, list[tuple[Place, bool]]] = {t.id: [] for t in self.transitions}
+        pre: dict[str, list[Place]] = {t.id: [] for t in self.transitions}
+        post: dict[str, list[Place]] = {t.id: [] for t in self.transitions}
         seen_arcs = set()
         # variable status must be uniform per (transition, object type)
         var_status: dict[tuple[str, str], bool] = {}
@@ -257,10 +247,10 @@ class AcceptingOCPN:
             seen_arcs.add((a.source, a.target))
             if a.source in self.places_by_id and a.target in self.transitions_by_id:
                 place, tid = self.places_by_id[a.source], a.target
-                pre[tid].append((place, a.variable))
+                pre[tid].append(place)
             elif a.source in self.transitions_by_id and a.target in self.places_by_id:
                 tid, place = a.source, self.places_by_id[a.target]
-                post[tid].append((place, a.variable))
+                post[tid].append(place)
             else:
                 raise ModelError(
                     f"arc {a.source!r} -> {a.target!r} must connect a place and a transition")
@@ -274,8 +264,7 @@ class AcceptingOCPN:
         self._tpl = {}
         self._variable_types = {}
         for t in self.transitions:
-            types = {p.otype for p, _ in self._preset[t.id]}
-            types |= {p.otype for p, _ in self._postset[t.id]}
+            types = {p.otype for p in self._preset[t.id] + self._postset[t.id]}
             self._tpl[t.id] = frozenset(types)
             self._variable_types[t.id] = frozenset(
                 ot for (tid, ot), variable in var_status.items()
@@ -283,7 +272,7 @@ class AcceptingOCPN:
         self._inputs_by_type = {}
         for t in self.transitions:
             grouped: dict[str, list[Place]] = {}
-            for p, _ in self._preset[t.id]:
+            for p in self._preset[t.id]:
                 grouped.setdefault(p.otype, []).append(p)
             self._inputs_by_type[t.id] = {ot: tuple(ps) for ot, ps in grouped.items()}
 
@@ -306,18 +295,18 @@ class AcceptingOCPN:
         while size < len(finishing):
             size = len(finishing)
             finishing.update(
-                p.id for t in self.silent_transitions for p, _ in self._preset[t.id]
-                if all(q.id in finishing for q, _ in self._postset[t.id]
+                p.id for t in self.silent_transitions for p in self._preset[t.id]
+                if all(q.id in finishing for q in self._postset[t.id]
                        if q.otype == p.otype))
         self.finishing_places = frozenset(finishing)
 
     # --- derived accessors ---
 
     def preset(self, tid: str) -> tuple[Place, ...]:
-        return tuple(p for p, _ in self._preset[tid])
+        return self._preset[tid]
 
     def postset(self, tid: str) -> tuple[Place, ...]:
-        return tuple(p for p, _ in self._postset[tid])
+        return self._postset[tid]
 
     def tpl(self, tid: str) -> frozenset[str]:
         """Object types touched by any arc of the transition."""
@@ -339,20 +328,14 @@ class AcceptingOCPN:
 
 def consumed(net: AcceptingOCPN, binding: Binding) -> Marking:
     by_type = binding.by_type
-    tokens = []
-    for place, _ in net._preset[binding.transition]:
-        for obj in by_type.get(place.otype, ()):
-            tokens.append((place.id, obj))
-    return Marking(tokens)
+    return Marking([(place.id, obj) for place in net._preset[binding.transition]
+                    for obj in by_type.get(place.otype, ())])
 
 
 def produced(net: AcceptingOCPN, binding: Binding) -> Marking:
     by_type = binding.by_type
-    tokens = []
-    for place, _ in net._postset[binding.transition]:
-        for obj in by_type.get(place.otype, ()):
-            tokens.append((place.id, obj))
-    return Marking(tokens)
+    return Marking([(place.id, obj) for place in net._postset[binding.transition]
+                    for obj in by_type.get(place.otype, ())])
 
 
 def binding_well_formed(net: AcceptingOCPN, binding: Binding) -> bool:
@@ -391,78 +374,61 @@ def execute_binding(net: AcceptingOCPN, marking: Marking, binding: Binding) -> M
 def _fire(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
     """Execute a binding the caller already knows to be enabled in M.
 
-    The token and place dicts are copied whole (in C); the Python-level
-    work, including the hash and per-place count updates, is O(moved
-    tokens)."""
+    The dict of places is copied whole (in C), and so is each place dict
+    the binding writes, once, on its first write; the other place dicts
+    stay shared with M.  The Python-level work, including the hash
+    update, is O(moved tokens)."""
     by_type = binding.by_type
-    counts = dict(marking._counts)
-    places = dict(marking._places)
+    source = marking._tokens
+    tokens = dict(source)
     total = marking._hash
-    for place, _ in net._preset[binding.transition]:
-        objects = by_type.get(place.otype)
-        if not objects:
-            continue
+    # a well-formed binding binds objects to every type of its places
+    for place in net._preset[binding.transition]:
         pid = place.id
-        for obj in objects:
-            token = (pid, obj)
-            left = counts[token] - 1
+        here = tokens[pid] = dict(tokens[pid])
+        for obj in by_type[place.otype]:
+            left = here[obj] - 1
             if left:
-                counts[token] = left
+                here[obj] = left
             else:
-                del counts[token]
-            total -= hash(token)
-        left = places[pid] - len(objects)
-        if left:
-            places[pid] = left
-        else:
-            del places[pid]
-    for place, _ in net._postset[binding.transition]:
-        objects = by_type.get(place.otype)
-        if not objects:
-            continue
+                del here[obj]
+            total -= hash((pid, obj))
+        if not here:
+            del tokens[pid]
+    for place in net._postset[binding.transition]:
         pid = place.id
-        for obj in objects:
-            token = (pid, obj)
-            counts[token] = counts.get(token, 0) + 1
-            total += hash(token)
-        places[pid] = places.get(pid, 0) + len(objects)
-    return Marking._of(counts, total, places)
+        here = tokens.get(pid)
+        if here is None or here is source.get(pid):
+            here = tokens[pid] = dict(here or ())
+        for obj in by_type[place.otype]:
+            here[obj] = here.get(obj, 0) + 1
+            total += hash((pid, obj))
+    return Marking._of(tokens, total)
 
 
 def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[str]:
-    """Labels of visible transitions with at least one enabled binding in M.
-
-    Existence is decided per object type: some object of the type must sit
-    in every input place of that type (one suffices for variable and
-    non-variable types alike).  A type with one input place only needs
-    that place to be occupied, which the marking's per-place counts tell
-    without reading its objects.  A type without input places only needs
-    an object of that type somewhere in the marking to bind to.
-    """
+    """Labels of visible transitions with at least one enabled binding in M:
+    those whose every object type has a candidate object (one suffices
+    for variable and non-variable types alike)."""
     return frozenset(t.label for t in net.visible_transitions
-                     if all(_has_candidate(net, t.id, marking, ot)
+                     if all(_candidate_objects(net, t.id, marking, ot)
                             for ot in net.tpl(t.id)))
 
 
-def _has_candidate(net: AcceptingOCPN, tid: str, marking: Marking,
-                   otype: str) -> bool:
-    places = net.input_places_by_type(tid).get(otype)
-    if places and len(places) == 1:
-        # the candidates of a type with one input place are its objects there
-        return places[0].id in marking._places
-    return bool(_candidate_objects(net, tid, marking, otype))
-
-
 def _candidate_objects(net: AcceptingOCPN, tid: str, marking: Marking,
-                       otype: str) -> frozenset[str]:
+                       otype: str) -> Collection[str]:
+    """The objects of the type that sit in every input place of that type,
+    or anywhere in M for a type without input places.  A type with one
+    input place gets that place's dict itself: its keys are the objects."""
+    tokens = marking._tokens
     places = net.input_places_by_type(tid).get(otype)
     if places:
-        common = marking.objects_at(places[0].id)
+        common = tokens.get(places[0].id, ())
         for place in places[1:]:
-            common = common & marking.objects_at(place.id)
+            common = tokens.get(place.id, {}).keys() & common
         return common
-    return frozenset(obj for (place, obj), _ in marking.items()
-                     if net.places_by_id[place].otype == otype)
+    return {obj for place, objects in tokens.items()
+            if net.places_by_id[place].otype == otype for obj in objects}
 
 
 def initial_marking_for(net: AcceptingOCPN, objects: Iterable[ObjectId]) -> Marking:
@@ -480,7 +446,7 @@ def is_final(net: AcceptingOCPN, marking: Marking) -> bool:
     """True iff every token sits in a final place (vacuously for no tokens).
 
     Reads the marking's occupied places, not its tokens: O(places)."""
-    return net.final_places.issuperset(marking._places)
+    return net.final_places.issuperset(marking._tokens)
 
 
 def enumerate_bindings(net: AcceptingOCPN, marking: Marking, tid: str,

@@ -67,12 +67,11 @@ class VisibleBindingStep(NamedTuple):
     objects: tuple[tuple[str, frozenset[str]], ...]  # (otype, object ids), sorted
 
     @classmethod
-    def for_event(cls, event,
-                  names: Mapping[ObjectId, str] | None = None) -> "VisibleBindingStep":
-        """The event's step, its objects renamed by ``names`` when given."""
+    def for_event(cls, event) -> "VisibleBindingStep":
+        """The step the event records."""
         grouped: dict[str, set[str]] = {}
         for o in event.omap:
-            grouped.setdefault(o.otype, set()).add(o.id if names is None else names[o])
+            grouped.setdefault(o.otype, set()).add(o.id)
         return cls(event.activity,
                    tuple(sorted((ot, frozenset(ids)) for ot, ids in grouped.items())))
 
@@ -518,7 +517,7 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
             after = _fire(net, m, binding)
             if is_final(net, after):
                 return True, False
-            if finishing.issuperset(after._places):
+            if finishing.issuperset(after._tokens):
                 fired.append(after)
     if not fired:
         return False, False

@@ -3,6 +3,7 @@ acceptance suite.  Each runner raises AssertionError on the first
 violation and returns how many cases it checked."""
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -56,18 +57,20 @@ def run_enabled_labels_vs_brute_force(seed: int = 12, rounds: int = 300) -> int:
 
 
 def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
-    """The marking's hash, per-place counts and finality are those of the
-    same tokens built from scratch, and it enables the oracle's labels."""
+    """The marking's hash, place dicts and finality are those of the same
+    tokens built from scratch, it keeps no empty place dict, and it
+    enables the oracle's labels."""
     items = list(marking.items())
     fresh = Marking(dict(items))
     assert marking == fresh and fresh == marking, items
     total = sum(hash(t) * n for t, n in items)
     assert marking._hash == fresh._hash == total, items
     assert hash(marking) == hash(fresh)
-    places: Counter = Counter()
-    for (place, _), n in items:
-        places[place] += n
-    assert marking._places == fresh._places == dict(places), items
+    places: dict = {}
+    for (place, obj), n in items:
+        places.setdefault(place, {})[obj] = n
+    assert marking._tokens == fresh._tokens == places, items
+    assert all(marking._tokens.values()), items
     assert is_final(net, marking) == is_final(net, fresh) == all(
         place in net.final_places for (place, _), _ in items)
     assert enabled_visible_labels(net, marking) == \
@@ -76,12 +79,13 @@ def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
 
 def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
     """Markings that ``_fire``, ``execute_binding``, ``+`` and ``-`` build
-    from another marking, updating its hash and per-place counts for the
-    moved tokens only, equal the same tokens built from scratch.  Each
-    round walks a random net from a random marking for a few firings, so
-    the updates pile up.  Returns the visible (transition, type) pairs
-    checked, counted by their number of input places: ``one`` takes
-    ``enabled_visible_labels``' shortcut, ``several`` and ``none`` do not."""
+    from another marking, copying only the place dicts they write and
+    updating its hash for the moved tokens only, equal the same tokens
+    built from scratch, and leave the marking they start from as it was.
+    Each round walks a random net from a random marking for a few
+    firings, so the updates pile up.  Returns the visible (transition,
+    type) pairs checked, counted by their number of input places, one
+    branch of ``_candidate_objects`` each: ``one``, ``several``, ``none``."""
     rng = random.Random(seed)
     shapes: Counter = Counter()
     for _ in range(rounds):
@@ -94,6 +98,7 @@ def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
         _assert_matches_scratch(net, marking)
         for _ in range(5):
             fired = []
+            before = copy.deepcopy(marking._tokens)
             for t in net.transitions:
                 for binding in enumerate_bindings(net, marking, t.id,
                                                   subset_cap=4):
@@ -104,6 +109,8 @@ def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
                                   marking - cons, marking + prod,
                                   marking - cons + prod, after - prod + cons):
                         _assert_matches_scratch(net, built)
+                    # no write went into a place dict shared with marking
+                    assert marking._tokens == before, binding
                     fired.append(after)
             if not fired:
                 break

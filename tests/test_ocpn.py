@@ -8,7 +8,7 @@ import oracles
 from oconform.fixtures import fixture_text
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError,
-                           Place, Transition, binding_enabled,
+                           Place, Transition, _fire, binding_enabled,
                            binding_well_formed, consumed, enabled_visible_labels,
                            enumerate_bindings, execute_binding, flower_model,
                            initial_marking_for, is_final, parse_model,
@@ -54,7 +54,7 @@ def test_marking_zero_counts_are_dropped():
 def test_markings_with_equal_hashes_still_compare_their_tokens():
     a, b = Marking([("p", "a")]), Marking([("p", "b")])
     # a hash collision, forged: b's tokens under a's hash
-    forged = Marking._of(dict(b.items()), a._hash, {"p": 1})
+    forged = Marking._of({"p": {"b": 1}}, a._hash)
     assert hash(forged) == hash(a)
     assert forged != a and a != forged
     assert len({a, forged}) == 2
@@ -69,6 +69,24 @@ def test_load_cargo_binding_fires(ocpn1):
     after = execute_binding(ocpn1, LOADED, LOAD_BINDING)
     assert after == Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")])
     assert produced(ocpn1, LOAD_BINDING) == after
+
+
+def test_fire_shares_the_place_dicts_it_does_not_touch(ocpn1):
+    # copy-on-write per place: only the binding's input and output places
+    # get new dicts, and the source marking keeps its tokens
+    marking = LOADED + Marking([("pl1", "p2"), ("pl2", "b3"), ("pl6", "b4")])
+    before = {place: dict(objects) for place, objects in marking._tokens.items()}
+    after = _fire(ocpn1, marking, LOAD_BINDING)
+    touched = {p.id for p in ocpn1.preset("t_load") + ocpn1.postset("t_load")}
+    assert touched == {"pl3", "pl4", "pl5", "pl6"}
+    for place, objects in marking._tokens.items():
+        if place in touched:
+            assert after._tokens.get(place) is not objects
+        else:
+            assert after._tokens[place] is objects
+    assert marking._tokens == before
+    assert after == Marking([("pl1", "p2"), ("pl2", "b3"), ("pl5", "p1"),
+                             ("pl6", "b1"), ("pl6", "b2"), ("pl6", "b4")])
 
 
 def test_binding_not_enabled_without_tokens(ocpn1):

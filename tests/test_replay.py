@@ -437,7 +437,7 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
     # an event's own step is built once, from the graph's numbers, and
     # the events resuming from its frontier open with it; a step is built
     # again only in the other names of a later event's rest of the preset
-    def no_for_event(cls, event, names=None):
+    def no_for_event(cls, event):
         raise AssertionError("check builds steps from the graph's numbers")
 
     monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(no_for_event))
