@@ -171,10 +171,6 @@ class EventObjectGraph:
                                        compare=False)
 
     @property
-    def nodes(self) -> tuple[str, ...]:
-        return self.order
-
-    @property
     def presets(self) -> Mapping[str, frozenset[str]]:
         return _Presets(self)
 
@@ -213,48 +209,57 @@ class EventObjectGraph:
 
 def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph; presets are built in log order, each
-    from its direct predecessors' presets, and context groups come from a
-    second pass over the log (``_context_groups``)."""
+    from its direct predecessors' presets, in a pass that also extends each
+    object's trace in the trie and counts direct successors; context groups
+    come from a second pass over the log (``_context_groups``)."""
     # (id, type) pairs compare and hash in C, and sort in ObjectId order
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
     objects = tuple(by_key[key] for key in number)
-    otypes = [o.otype for o in objects]
     slots = [sorted([number[o.id, o.otype] for o in e.omap]) for e in log.events]
     last_seen: list[int | None] = [None] * len(objects)
     order = tuple(e.id for e in log.events)
     direct: dict[str, frozenset[str]] = {}
+    preds_at: list[set[int]] = []
+    users = [0] * len(slots)
     low: list[int] = []
     bits: list[int] = []
+    trie = _Trie()
+    trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
     for i, own in enumerate(slots):
         preds = {last_seen[s] for s in own if last_seen[s] is not None}
         direct[order[i]] = frozenset([order[p] for p in preds])
+        preds_at.append(preds)
         # every direct predecessor is earlier in the log, so its preset is
         # done; an empty preset's lowest position is its event's own
         start = min([low[p] for p in preds], default=i)
         ancestors = 0
         for p in preds:
             ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
+            users[p] += 1
         low.append(start)
         bits.append(ancestors)
+        activity = log.events[i].activity
         for s in own:
             last_seen[s] = i
-    trie = _Trie()
-    group_of, members, bags = _context_groups(
-        log, direct, low, bits, slots, otypes, trie)
+            trace[s].append(trie.child(trace[s][-1], activity))
+    group_of, members, bags = _context_groups(order, preds_at, users, low, bits,
+                                              slots, trace)
     return EventObjectGraph(order, direct, group_of, members, log.event_index,
                             low, bits, bags, trie, objects, slots)
 
 
-def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
-                    low: list[int], bits: list[int],
-                    slots: list[list[int]], otypes: list[str], trie: _Trie,
+def _context_groups(order: tuple[str, ...], preds_at: list[set[int]], users: list[int],
+                    low: list[int], bits: list[int], slots: list[list[int]],
+                    trace: list[list[int]],
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
                                tuple[tuple[tuple[int, int], ...], ...]]:
     """Every event's context group, in one pass over the log.
 
-    Objects are numbered slots: ``slots[i]`` holds the i-th event's
-    objects and ``otypes[s]`` the type of slot s.  The events of an object
+    Events are log positions: ``preds_at[i]`` holds the i-th event's
+    direct predecessors, ``users[i]`` counts its direct successors and
+    ``slots[i]`` holds its objects' numbers; ``trace[s][k]`` is object s's
+    trie node after its first k occurrences.  The events of an object
     inside a preset form a prefix of the object's trace, because the graph
     chains each object's occurrences.  So a preset is summed up by
     ``counts``: per object, how many of its occurrences the preset holds.
@@ -263,17 +268,11 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
     predecessors' counts taken after each predecessor itself.  The largest
     predecessor's counts are copied, or taken over by its last successor;
     the others are merged in unless they are already in its preset; and
-    counts are freed once their last successor has read them.  Prefixes
-    are trie nodes, and ``bag`` counts the objects at each node alongside
-    ``counts``: the bag is the context, so equal contexts have equal bag
-    items.  Returns each event's group number, each group's events, and
-    each group's bag items.
+    counts are freed once their last successor has read them.  ``bag``
+    counts the objects at each trie node alongside ``counts``: the bag is
+    the context, so equal contexts have equal bag items.  Returns each
+    event's group number, each group's events, and each group's bag items.
     """
-    trace = [[trie.child(-1, otype)] for otype in otypes]  # node after k occurrences
-    for e, own in zip(log.events, slots):
-        for s in own:
-            trace[s].append(trie.child(trace[s][-1], e.activity))
-
     def move(counts: dict[int, int], bag: dict[int, int], s: int, k: int) -> None:
         """Let slot s hold its first k occurrences."""
         if s in counts:
@@ -286,23 +285,12 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
         node = trace[s][k]
         bag[node] = bag.get(node, 0) + 1
 
-    users: dict[str, int] = {}
-    for preds in direct.values():
-        for pred in preds:
-            users[pred] = users.get(pred, 0) + 1
-    after: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     number: dict[tuple[tuple[int, int], ...], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
-    index = log.event_index
-
-    def in_preset(d: str, of: str) -> bool:
-        """Whether event d is in the preset of event ``of``."""
-        shift = index[d] - low[index[of]]
-        return shift >= 0 and bits[index[of]] >> shift & 1 == 1
-
-    for e, own in zip(log.events, slots):
-        preds = sorted(direct[e.id], key=lambda d: len(after[d][0]), reverse=True)
+    for i, own in enumerate(slots):
+        preds = sorted(preds_at[i], key=lambda d: len(after[d][0]), reverse=True)
         if not preds:
             counts: dict[int, int] = {}
             bag: dict[int, int] = {}
@@ -310,27 +298,28 @@ def _context_groups(log: EventLog, direct: Mapping[str, frozenset[str]],
             counts, bag = after[preds[0]]
         else:
             counts, bag = (m.copy() for m in after[preds[0]])
-        for pred in preds[1:]:
-            if not in_preset(pred, preds[0]):
-                for s, k in after[pred][0].items():
+        for d in preds[1:]:
+            shift = d - low[preds[0]]  # d is in the largest one's preset?
+            if shift < 0 or not bits[preds[0]] >> shift & 1:
+                for s, k in after[d][0].items():
                     if counts.get(s, 0) < k:
                         move(counts, bag, s, k)
-        for pred in preds:
-            users[pred] -= 1
-            if not users[pred]:
-                del users[pred], after[pred]
+        for d in preds:
+            users[d] -= 1
+            if not users[d]:
+                del after[d]
         for s in own:
             if s not in counts:
                 move(counts, bag, s, 0)
         group = number.setdefault(tuple(sorted(bag.items())), len(members))
         if group == len(members):
             members.append([])
-        members[group].append(e.id)
-        group_of[e.id] = group
-        if e.id in users:
+        members[group].append(order[i])
+        group_of[order[i]] = group
+        if users[i]:
             for s in own:
                 move(counts, bag, s, counts[s] + 1)
-            after[e.id] = (counts, bag)
+            after[i] = (counts, bag)
     return group_of, tuple(map(tuple, members)), tuple(number)
 
 

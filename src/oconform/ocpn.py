@@ -16,7 +16,7 @@ from itertools import combinations, product
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import Any
 
-from .ocel import EventLog, LogError, ObjectId
+from .ocel import EventLog, LogError, ObjectId, _reject_duplicate_keys
 
 
 class ModelError(ValueError):
@@ -484,12 +484,22 @@ def enumerate_bindings(net: AcceptingOCPN, marking: Marking, tid: str,
 # --- JSON ---
 
 
+def _flag(raw: dict, key: str, owner: str) -> bool:
+    """A JSON boolean; an absent key is false."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ModelError(f"{owner}: {key!r} must be true or false")
+    return value
+
+
 def parse_model(data: bytes | str) -> AcceptingOCPN:
     """Parse a model-JSON document into a validated net."""
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed JSON: {exc}") from exc
+    except LogError as exc:  # a duplicate key
+        raise ModelError(str(exc)) from exc
     except RecursionError as exc:
         raise ModelError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
@@ -512,9 +522,9 @@ def parse_model(data: bytes | str) -> AcceptingOCPN:
             raise ModelError("each place needs a string 'id'")
         if not isinstance(raw.get("object_type"), str):
             raise ModelError(f"place {raw.get('id')!r}: missing 'object_type'")
-        places.append(Place(raw["id"], raw["object_type"],
-                            bool(raw.get("initial", False)),
-                            bool(raw.get("final", False))))
+        owner = f"place {raw['id']!r}"
+        places.append(Place(raw["id"], raw["object_type"], _flag(raw, "initial", owner),
+                            _flag(raw, "final", owner)))
     transitions = []
     for raw in doc["transitions"]:
         if not isinstance(raw, dict) or not isinstance(raw.get("id"), str):
@@ -530,7 +540,8 @@ def parse_model(data: bytes | str) -> AcceptingOCPN:
         source, target = raw.get("source"), raw.get("target")
         if not isinstance(source, str) or not isinstance(target, str):
             raise ModelError("each arc needs string 'source' and 'target'")
-        arcs.append(Arc(source, target, bool(raw.get("variable", False))))
+        arcs.append(Arc(source, target,
+                        _flag(raw, "variable", f"arc {source!r} -> {target!r}")))
     return AcceptingOCPN(tuple(raw_types), tuple(places),
                          tuple(transitions), tuple(arcs))
 

@@ -187,7 +187,7 @@ class _SingleReplay:
                                      # empty when unreplayable
     truncated: bool
     # markings entering the last cursor, before its silent search, and the
-    # number of states expanded before that cursor; ``_search_from`` adds
+    # number of states expanded before that cursor; ``_preset_search`` adds
     # those expanded before its base, so a frontier's count starts at the
     # initial marking
     entering: tuple[Marking, ...] = ()
@@ -395,28 +395,6 @@ class FrontierMemo:
         return firing
 
 
-def _search_from(net: AcceptingOCPN, steps: Sequence[_Firing], base: _SingleReplay,
-                 entering: Iterable[tuple[int, tuple[tuple[str, object], ...]]],
-                 cfg: ReplayConfig) -> _SingleReplay:
-    """``_search`` of the steps from the base's entering markings, each
-    (cursor, (type, name) pairs) item of ``entering`` adding initial tokens
-    at its cursor, under the budget the base's states leave."""
-    initial = net.initial_places
-    try:
-        entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
-                 for k, objects in entering}
-    except KeyError:  # an object type without an initial place
-        return _UNREPLAYABLE
-    if any(f.binding is None for f in steps):
-        # an unmatched activity can never fire: the sequence is unreplayable
-        return _UNREPLAYABLE
-    start = (tuple(m + entry[0] if m else entry[0] for m in base.entering)
-             if 0 in entry else base.entering)
-    single = _search(net, steps, start, entry, cfg, cfg.max_states - base.states)
-    return _SingleReplay(single.markings, single.truncated, single.entering,
-                         base.states + single.states)
-
-
 def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Frontier,
               lazy: bool, canonical: bool) -> tuple:
     """The event's names, preset steps, own step and (cursor, (type,
@@ -427,7 +405,7 @@ def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Front
     at the end; all at cursor 0 when lazy entry is not exact.  New objects
     join ``names`` by graph number, in order of entry, ties in ``ObjectId``
     order (the numbers' order), as ints from 0 when ``canonical`` and as
-    their own ids otherwise.
+    their graph numbers otherwise.
     """
     objects = graph.objects
     names = dict(base.names)
@@ -438,7 +416,7 @@ def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Front
         new = [s for s in own if s not in names]
         if new:
             for s in new:
-                names[s] = len(names) if canonical else objects[s].id
+                names[s] = len(names) if canonical else s
             entering.append((len(steps), tuple((objects[s].otype, names[s]) for s in new)))
         by_type: dict[str, list] = {}
         for s in own:
@@ -451,49 +429,68 @@ def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Front
     return names, steps, own, tuple(entering)
 
 
-def _scratch(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-             event: Event, cfg: ReplayConfig, memo: FrontierMemo) -> tuple:
-    """The event's whole preset searched from ``_START`` in real names,
-    and the event's own step in those names."""
-    _, steps, own, entering = _sequence(log, graph, event, _START, memo.lazy, False)
-    return _search_from(net, [memo.firing(s) for s in steps], _START.cls,
-                        entering, cfg), own
+def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+                   event: Event, base: _Frontier, canonical: bool, cfg: ReplayConfig,
+                   memo: FrontierMemo, searched: dict[tuple, _SingleReplay],
+                   ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
+    """Search the event's preset from the base in the names ``_sequence``
+    gives, once per key in ``searched``: the base's class, the rest of the
+    preset's steps and the entering objects.  The search starts from the
+    base's entering markings, under the budget the base's states leave.
+    Returns the result, the event's own step in its names, and the names."""
+    names, steps, own, entering = _sequence(log, graph, event, base, memo.lazy,
+                                            canonical)
+    key = (base.cls, tuple(steps), entering)
+    single = searched.get(key)
+    if single is None:
+        firings = [memo.firing(s) for s in steps]
+        initial = net.initial_places
+        if any(f.binding is None for f in firings) or not all(
+                otype in initial for _, objects in entering for otype, _ in objects):
+            single = _UNREPLAYABLE  # an activity or an object type the net lacks
+        else:
+            entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
+                     for k, objects in entering}
+            start = (tuple(m + entry[0] if m else entry[0] for m in base.cls.entering)
+                     if 0 in entry else base.cls.entering)
+            found = _search(net, firings, start, entry, cfg,
+                            cfg.max_states - base.cls.states)
+            single = _SingleReplay(found.markings, found.truncated, found.entering,
+                                   base.cls.states + found.states)
+        searched[key] = single
+    return single, own, names
 
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     event_id: str, cfg: ReplayConfig, memo: FrontierMemo,
                     searched: dict[tuple, _SingleReplay],
-                    ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int] | None]:
-    """Replay one event's preset from the frontier the memo holds for it,
-    in canonical object names; returns the result, the event's own step in
-    the result's names, and the event's names, None when the result is in
-    real names.
+                    ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
+    """Replay one event's preset from the frontier the memo holds for it;
+    returns the result, the event's own step in the result's names, and
+    the event's names, from its objects' graph numbers.
 
     The frontier's objects keep their names and the new ones are numbered
     on (``_sequence``); the token game cannot tell two objects of one type
     apart, so events whose binding sequences are the same up to renaming
-    objects form one replay class.  Its search is keyed by the frontier's
-    class, the rest of the preset's steps and the entering objects, all in
-    canonical names, and runs once per ``searched``.  The frontier's
+    objects form one replay class, whose search runs once per
+    ``searched`` in canonical names (``_preset_search``).  The frontier's
     states belong to its class, so the key fixes the budget, and whether
     a search is cut is the same for the whole class: a complete search
     expands every reachable state, in any order.  What a cut search found
     follows the order of object names, so every member of a cut class is
-    searched again from ``_START`` in its real names, as the search from
-    the initial marking, which expands the same states and is cut too;
-    that result is the event's own and no frontier.  An untruncated
-    result becomes the event's frontier.
+    searched again from ``_START`` by graph number, as the search from the
+    initial marking: within one type the numbers sort like the ids, and a
+    search compares names only within one type, so it expands the states
+    the search by id would, in its order, and is cut at the same point.
+    Members with the same preset and new objects share that search, and
+    it is no frontier.  A result is shared by a class exactly when it is
+    not truncated, and then becomes the event's frontier.
     """
     event = log.event(event_id)
-    base = memo.take(event_id)
-    names, steps, own, entering = _sequence(log, graph, event, base, memo.lazy, True)
-    key = (base.cls, tuple(steps), entering)
-    single = searched.get(key)
-    if single is None:
-        single = searched[key] = _search_from(
-            net, [memo.firing(s) for s in steps], base.cls, entering, cfg)
+    single, own, names = _preset_search(net, log, graph, event, memo.take(event_id),
+                                        True, cfg, memo, searched)
     if single.truncated:
-        return (*_scratch(net, log, graph, event, cfg, memo), None)
+        return _preset_search(net, log, graph, event, _START, False, cfg, memo, searched)
     memo.keep(event, names, single, own)
     return single, own, names
 
@@ -534,11 +531,12 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     Each event resumes from the ``memo``'s frontier for it.  Without a
     memo, one over no events resumes nothing: every event is replayed
     from the initial marking.  The members of one replay class share one
-    search, one ``reached_final`` per own step and one reading of the
-    enabled labels, all in canonical names.  A ``reached_final`` search
-    that is cut is decided again from the event's search in real names,
-    since where it cuts follows the names.  ``markings`` renames every
-    member's result back to real names, on first read.
+    search and one reading of the enabled labels, and each result shares
+    one ``reached_final`` search per own step, whichever names it is in.
+    Where a canonical ``reached_final`` search is cut, the event's preset
+    is searched again by graph number and the answer read from that
+    result, since where it cuts follows the names.  ``markings`` renames
+    every member's result back to real names, on first read.
     """
     if isinstance(events, str):
         events = (events,)
@@ -547,34 +545,31 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     searched: dict[tuple, _SingleReplay] = {}
     finals: dict[tuple[_SingleReplay, VisibleBindingStep], tuple[bool, bool]] = {}
     results: dict[_SingleReplay, None] = {}
-    members: list[tuple[tuple[Marking, ...], dict[int, int] | None]] = []
+    members: list[tuple[tuple[Marking, ...], dict[int, int]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
+
+    def final(single: _SingleReplay, own: VisibleBindingStep) -> tuple[bool, bool]:
+        answer = finals.get((single, own))
+        if answer is None:
+            answer = finals[single, own] = _reaches_final(
+                net, single.markings, memo.firing(own), cfg)
+        return answer
+
     for eid in events:
         single, own, names = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
-        answer = None
-        if names is not None:
-            answer = finals.get((single, own))
-            if answer is None:
-                reached, cut = _reaches_final(net, single.markings, memo.firing(own), cfg)
-                if not cut:
-                    answer = finals[single, own] = (reached, False)
-        if answer is None:
-            real, own = ((single, own) if names is None
-                         else _scratch(net, log, graph, log.event(eid), cfg, memo))
-            reached, cut = _reaches_final(net, real.markings, memo.firing(own), cfg)
-            answer = (reached, cut and not reached)  # a cut only when none is final
-        reached_final_by_event[eid] = answer[0]
-        truncated = truncated or single.truncated or answer[1]
+        reached, cut = final(single, own)
+        if cut and not single.truncated:  # where a closure cuts follows the names
+            reached, cut = final(*_preset_search(net, log, graph, log.event(eid), _START,
+                                                 False, cfg, memo, searched)[:2])
+        reached_final_by_event[eid] = reached
+        truncated = truncated or single.truncated or (cut and not reached)
         results[single] = None
         members.append((single.markings, names))
 
     def real_markings() -> frozenset[Marking]:
         out: set[Marking] = set()
         for markings, names in members:
-            if names is None:
-                out.update(markings)
-                continue
             # one numbering covers every type, so a name alone is one object
             real = {name: graph.objects[s].id for s, name in names.items()}
             out.update(Marking({(p, real[o]): n for (p, o), n in m.items()})

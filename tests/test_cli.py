@@ -235,6 +235,24 @@ def test_invalid_model_is_invalid(tmp_path, capsys):
     assert "two initial places" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("place, message", [
+    ('{"id": "p0", "object_type": "t", "initial": "false"}',
+     "place 'p0': 'initial' must be true or false"),
+    ('{"id": "p0", "object_type": "t", "initial": true, "final": null}',
+     "place 'p0': 'final' must be true or false"),
+    ('{"id": "p0", "id": "p1", "object_type": "t", "initial": true}',
+     "duplicate key 'id' in JSON object"),
+])
+def test_model_flags_and_keys_are_validated(tmp_path, capsys, place, message):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(f'{{"object_types": ["t"], "places": [{place}], '
+                   '"transitions": [], "arcs": []}')
+    assert main(["check", "--log", L1, "--model", str(bad)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_non_array_places_are_invalid(tmp_path, capsys):
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps({"object_types": ["t"], "places": None,

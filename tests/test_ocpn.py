@@ -325,6 +325,10 @@ def test_model_round_trip_is_identity_on_fixtures():
      '"arcs": []}', "label must be null or non-empty"),
     ('{"object_types": ["t"], "places": [], "transitions": [], '
      '"arcs": [{"source": "p"}]}', "needs string 'source' and 'target'"),
+    ('{"object_types": ["t"], "places": [{"id": "p0", "id": "p1", "object_type": "t"}], '
+     '"transitions": [], "arcs": []}', "duplicate key 'id'"),
+    ('{"object_types": ["t"], "object_types": ["t"], "places": [], '
+     '"transitions": [], "arcs": []}', "duplicate key 'object_types'"),
 ])
 def test_parse_model_rejects_bad_documents(text, message):
     with pytest.raises(ModelError, match=message):
@@ -343,6 +347,33 @@ def test_parse_model_rejects_non_array_nodes_and_arcs(key, value):
 def test_parse_model_rejects_deeply_nested_json():
     with pytest.raises(ModelError, match="nested too deeply"):
         parse_model("[" * 100_000 + "]" * 100_000)
+
+
+def _flagged(place=None, arc=None) -> str:
+    """A one-place net with a silent self-loop, the place and both arcs
+    given extra keys."""
+    return json.dumps({
+        "object_types": ["t"],
+        "places": [{"id": "p0", "object_type": "t", **(place or {})}],
+        "transitions": [{"id": "tau"}],
+        "arcs": [{"source": "p0", "target": "tau", **(arc or {})},
+                 {"source": "tau", "target": "p0", **(arc or {})}],
+    })
+
+
+@pytest.mark.parametrize("key", ["initial", "final"])
+@pytest.mark.parametrize("value", ["false", "true", [], 0, 1, None, {}])
+def test_parse_model_place_flags_must_be_booleans(key, value):
+    # a string is no flag: "false" must not make a lone place initial
+    with pytest.raises(ModelError, match=f"^place 'p0': '{key}' must be true or false$"):
+        parse_model(_flagged(place={"initial": True, key: value}))
+
+
+@pytest.mark.parametrize("value", ["no", "false", [], 0, 1, None])
+def test_parse_model_arc_variable_must_be_a_boolean(value):
+    with pytest.raises(ModelError,
+                       match="^arc 'p0' -> 'tau': 'variable' must be true or false$"):
+        parse_model(_flagged(place={"initial": True}, arc={"variable": value}))
 
 
 def test_parse_model_defaults():

@@ -494,6 +494,33 @@ def test_replay_neither_hashes_nor_orders_object_ids(monkeypatch, ocpn1):
         assert not report.truncated
         assert calls == Counter()
 
+    class CountedId(str):
+        """An object id that counts being hashed or ordered in replay."""
+
+        def __hash__(self):
+            if inside:
+                calls["id.__hash__"] += 1
+            return str.__hash__(self)
+
+        def __lt__(self, other):
+            if inside:
+                calls["id.__lt__"] += 1
+            return str.__lt__(self, other)
+
+    inside.append(True)
+    assert CountedId("a") < CountedId("b") and hash(CountedId("a")) == hash("a")
+    inside.pop()
+    assert calls == Counter({"id.__hash__": 1, "id.__lt__": 1})  # the spies count
+    calls.clear()
+    # a cut search runs again outside its class, and still by number
+    for log, net in _engine_logs(ocpn1):
+        counted = make_log([(e.id, e.activity,
+                             [ObjectId(CountedId(o.id), o.otype) for o in e.omap])
+                            for e in log.events])
+        report = metrics.check(counted, net, ReplayConfig(max_states=4))
+        assert report.truncated
+        assert calls == Counter()
+
 
 def _search_calls(monkeypatch) -> list[int]:
     """Spy on replay._search: the number of steps of each search."""
@@ -540,6 +567,41 @@ def test_one_search_per_replay_class_per_check(monkeypatch, ocpn1):
     assert not report.truncated
     assert len(calls) <= _replay_classes(log)
     assert len(calls) < len(twins)
+
+
+@pytest.mark.parametrize("log, searches", [(invariants.chained_airport_log(), 117),
+                                           (invariants.disjoint_airport_log(4), 18)],
+                         ids=["chained", "disjoint"])
+def test_twins_in_a_cut_class_share_one_search_by_number(monkeypatch, ocpn1,
+                                                          log, searches):
+    # a cut class's members are searched again by graph number; members
+    # with the same preset and objects run the same search, so it runs
+    # once per group, and no group runs any search twice
+    runs: list[list[tuple]] = []
+    search = replay._search
+
+    def spy(net, steps, start, entry, cfg, budget):
+        runs[-1].append((tuple(steps), tuple(start), tuple(sorted(entry.items())),
+                         budget))
+        return search(net, steps, start, entry, cfg, budget)
+
+    replay_group = metrics.replay_context_group
+
+    def in_group(*args):
+        runs.append([])
+        return replay_group(*args)
+
+    monkeypatch.setattr(replay, "_search", spy)
+    monkeypatch.setattr(metrics, "replay_context_group", in_group)
+    report = metrics.check(log, ocpn1, ReplayConfig(max_states=4))
+    assert report.truncated
+    graph = build_graph(log)
+    cut_twins = Counter((tuple(graph.preset_positions(d.event_id)),
+                         oracles.preset_objects(log, graph, d.event_id))
+                        for d in report.per_event if d.truncated)
+    assert max(cut_twins.values()) > 1
+    assert all(len(set(run)) == len(run) for run in runs)
+    assert sum(map(len, runs)) == searches
 
 
 def test_flights_of_one_shape_share_their_searches(monkeypatch, ocpn1):
