@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .ocel import Event, EventLog, LogError, ObjectId
 
@@ -116,17 +116,18 @@ def _positions(low: int, bits: int, start: int = 0) -> list[int]:
     return found
 
 
-class _Presets(Mapping):
-    """Each event's preset as a frozenset of event ids, built when read."""
+class _EventSets(Mapping):
+    """Per event, a set of events (its preset, say) as a frozenset of event
+    ids, built when read from the log positions ``positions`` gives."""
 
-    def __init__(self, graph: "EventObjectGraph") -> None:
+    def __init__(self, graph: "EventObjectGraph",
+                 positions: Callable[[int], Iterable[int]]) -> None:
         self._graph = graph
+        self._of = positions
 
     def __getitem__(self, event_id: str) -> frozenset[str]:
-        graph = self._graph
-        position = graph._index[event_id]
-        return frozenset(graph.order[i] for i in
-                         _positions(graph._low[position], graph._bits[position]))
+        order = self._graph.order
+        return frozenset(order[i] for i in self._of(self._graph._index[event_id]))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._graph.order)
@@ -142,41 +143,48 @@ class EventObjectGraph:
     Edges link each event to the previous occurrence of every shared
     object; that keeps the edge set linear in object occurrences while
     preserving reachability, and ancestor sets are what the contexts are
-    built from.  Each event's preset (its full ancestor set) is stored as
-    an ``int`` over log positions, shifted down by the preset's lowest
-    position: bit j of ``_bits[i]`` stands for position ``_low[i] + j``,
-    so a preset costs its span in bits, not the log's length.
-    ``preset_positions`` and ``preset_count`` read them; ``presets`` maps
-    each event id to its preset as a frozenset of event ids, built on
-    demand.  ``members`` partitions the events by context, groups in the
-    log order of their first event and members in log order, and
-    ``group_of`` maps each event id to its group's number.  A group's
-    ``Context`` is built on first use (``context``).  ``objects[s]`` is
-    object number s, in ``ObjectId`` order, and ``_slots[i]`` holds the
-    numbers of the i-th event's objects, ascending.
+    built from.  Events are stored as log positions: ``_direct[i]`` holds
+    the i-th event's direct predecessors, and its preset (its full
+    ancestor set) is one ``int`` over log positions, shifted down by the
+    preset's lowest position: bit j of ``_bits[i]`` stands for position
+    ``_low[i] + j``, so a preset costs its span in bits, not the log's
+    length.  ``preset_positions`` and ``preset_count`` read them;
+    ``direct_predecessors`` and ``presets`` map each event id to a
+    frozenset of event ids, built when read.  ``members`` partitions the
+    events by context, groups in the log order of their first event and
+    members in log order, and ``group_of`` maps each event id to its
+    group's number.  A group's ``Context`` is built on first use
+    (``context``).  ``objects[s]`` is object number s, in ``ObjectId``
+    order, ``_types[s]`` its type, and ``_slots[i]`` holds the numbers of
+    the i-th event's objects, ascending.
     """
 
     order: tuple[str, ...]
-    direct_predecessors: Mapping[str, frozenset[str]]
     group_of: Mapping[str, int]
     members: tuple[tuple[str, ...], ...]
     _index: Mapping[str, int] = field(repr=False)
+    _direct: list[set[int]] = field(repr=False)
     _low: list[int] = field(repr=False)
     _bits: list[int] = field(repr=False)
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
+    _types: list[str] = field(repr=False, compare=False)
     _slots: list[list[int]] = field(repr=False, compare=False)
     _built: dict[int, Context] = field(default_factory=dict, repr=False,
                                        compare=False)
 
     @property
+    def direct_predecessors(self) -> Mapping[str, frozenset[str]]:
+        return _EventSets(self, self._direct.__getitem__)
+
+    @property
     def presets(self) -> Mapping[str, frozenset[str]]:
-        return _Presets(self)
+        return _EventSets(self, lambda i: _positions(self._low[i], self._bits[i]))
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        for eid in self.order:
-            for pred in sorted(self.direct_predecessors[eid]):
+        for eid, direct in zip(self.order, self._direct):
+            for pred in sorted([self.order[d] for d in direct]):
                 yield (pred, eid)
 
     def context(self, group: int) -> Context:
@@ -208,28 +216,29 @@ class EventObjectGraph:
 
 
 def build_graph(log: EventLog) -> EventObjectGraph:
-    """Build the event-object graph; presets are built in log order, each
-    from its direct predecessors' presets, in a pass that also extends each
-    object's trace in the trie and counts direct successors; context groups
-    come from a second pass over the log (``_context_groups``)."""
+    """Build the event-object graph.  One pass in log order gives each
+    event its direct predecessors, as log positions, and its preset, from
+    theirs; it also extends each object's trace in the trie and counts
+    direct successors.  Context groups come from a second pass over the
+    log (``_context_groups``).  Event ids are built only when read."""
     # (id, type) pairs compare and hash in C, and sort in ObjectId order
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
     objects = tuple(by_key[key] for key in number)
+    types = [otype for _, otype in number]
     slots = [sorted([number[o.id, o.otype] for o in e.omap]) for e in log.events]
-    last_seen: list[int | None] = [None] * len(objects)
-    order = tuple(e.id for e in log.events)
-    direct: dict[str, frozenset[str]] = {}
-    preds_at: list[set[int]] = []
+    last_seen = [-1] * len(objects)
+    direct: list[set[int]] = []
     users = [0] * len(slots)
     low: list[int] = []
     bits: list[int] = []
     trie = _Trie()
-    trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
+    children, parents = trie._children, trie._parents
+    trace = [[trie.child(-1, otype)] for otype in types]  # node after k occurrences
     for i, own in enumerate(slots):
-        preds = {last_seen[s] for s in own if last_seen[s] is not None}
-        direct[order[i]] = frozenset([order[p] for p in preds])
-        preds_at.append(preds)
+        preds = {last_seen[s] for s in own}
+        preds.discard(-1)
+        direct.append(preds)
         # every direct predecessor is earlier in the log, so its preset is
         # done; an empty preset's lowest position is its event's own
         start = min([low[p] for p in preds], default=i)
@@ -242,22 +251,29 @@ def build_graph(log: EventLog) -> EventObjectGraph:
         activity = log.events[i].activity
         for s in own:
             last_seen[s] = i
-            trace[s].append(trie.child(trace[s][-1], activity))
-    group_of, members, bags = _context_groups(order, preds_at, users, low, bits,
+            nodes = trace[s]
+            step = (nodes[-1], activity)  # the trie's child, inline
+            node = children.get(step)
+            if node is None:
+                node = children[step] = len(parents)
+                parents.append(step)
+            nodes.append(node)
+    order = tuple(e.id for e in log.events)
+    group_of, members, bags = _context_groups(order, direct, users, low, bits,
                                               slots, trace)
-    return EventObjectGraph(order, direct, group_of, members, log.event_index,
-                            low, bits, bags, trie, objects, slots)
+    return EventObjectGraph(order, group_of, members, log.event_index, direct,
+                            low, bits, bags, trie, objects, types, slots)
 
 
-def _context_groups(order: tuple[str, ...], preds_at: list[set[int]], users: list[int],
+def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],
                     low: list[int], bits: list[int], slots: list[list[int]],
                     trace: list[list[int]],
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
                                tuple[tuple[tuple[int, int], ...], ...]]:
     """Every event's context group, in one pass over the log.
 
-    Events are log positions: ``preds_at[i]`` holds the i-th event's
-    direct predecessors, ``users[i]`` counts its direct successors and
+    Events are log positions: ``direct[i]`` holds the i-th event's direct
+    predecessors, ``users[i]`` counts its direct successors and
     ``slots[i]`` holds its objects' numbers; ``trace[s][k]`` is object s's
     trie node after its first k occurrences.  The events of an object
     inside a preset form a prefix of the object's trace, because the graph
@@ -269,28 +285,19 @@ def _context_groups(order: tuple[str, ...], preds_at: list[set[int]], users: lis
     predecessor's counts are copied, or taken over by its last successor;
     the others are merged in unless they are already in its preset; and
     counts are freed once their last successor has read them.  ``bag``
-    counts the objects at each trie node alongside ``counts``: the bag is
-    the context, so equal contexts have equal bag items.  Returns each
-    event's group number, each group's events, and each group's bag items.
+    counts the objects at each trie node alongside ``counts``, and each
+    count moves inline: the bag is the context, so equal contexts have
+    equal bag items.  Returns each event's group number, each group's
+    events, and each group's bag items.
     """
-    def move(counts: dict[int, int], bag: dict[int, int], s: int, k: int) -> None:
-        """Let slot s hold its first k occurrences."""
-        if s in counts:
-            node = trace[s][counts[s]]
-            if bag[node] == 1:
-                del bag[node]
-            else:
-                bag[node] -= 1
-        counts[s] = k
-        node = trace[s][k]
-        bag[node] = bag.get(node, 0) + 1
-
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     number: dict[tuple[tuple[int, int], ...], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
     for i, own in enumerate(slots):
-        preds = sorted(preds_at[i], key=lambda d: len(after[d][0]), reverse=True)
+        preds = [*direct[i]]
+        if len(preds) > 1:
+            preds.sort(key=lambda d: len(after[d][0]), reverse=True)
         if not preds:
             counts: dict[int, int] = {}
             bag: dict[int, int] = {}
@@ -302,15 +309,26 @@ def _context_groups(order: tuple[str, ...], preds_at: list[set[int]], users: lis
             shift = d - low[preds[0]]  # d is in the largest one's preset?
             if shift < 0 or not bits[preds[0]] >> shift & 1:
                 for s, k in after[d][0].items():
-                    if counts.get(s, 0) < k:
-                        move(counts, bag, s, k)
+                    was = counts.get(s)
+                    if was is None or was < k:
+                        if was is not None:
+                            node = trace[s][was]
+                            if bag[node] == 1:
+                                del bag[node]
+                            else:
+                                bag[node] -= 1
+                        counts[s] = k
+                        node = trace[s][k]
+                        bag[node] = bag.get(node, 0) + 1
         for d in preds:
             users[d] -= 1
             if not users[d]:
                 del after[d]
         for s in own:
             if s not in counts:
-                move(counts, bag, s, 0)
+                counts[s] = 0
+                node = trace[s][0]
+                bag[node] = bag.get(node, 0) + 1
         group = number.setdefault(tuple(sorted(bag.items())), len(members))
         if group == len(members):
             members.append([])
@@ -318,7 +336,16 @@ def _context_groups(order: tuple[str, ...], preds_at: list[set[int]], users: lis
         group_of[order[i]] = group
         if users[i]:
             for s in own:
-                move(counts, bag, s, counts[s] + 1)
+                nodes = trace[s]
+                k = counts[s]
+                node = nodes[k]
+                if bag[node] == 1:
+                    del bag[node]
+                else:
+                    bag[node] -= 1
+                counts[s] = k + 1
+                node = nodes[k + 1]
+                bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
     return group_of, tuple(map(tuple, members)), tuple(number)
 

@@ -129,7 +129,8 @@ def round_fraction(value: Fraction, decimals: int = 2) -> Decimal:
         raise ValueError("decimals must be non-negative")
     scaled = abs(value) * 10 ** decimals
     digits = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return Decimal(f"{'-' if value < 0 else ''}{digits}E-{decimals}")
+    # from digit tuples: an int this long may exceed the int-to-str limit
+    return Decimal((value < 0, Decimal(digits).as_tuple().digits, -decimals))
 
 
 def format_fraction(value: Fraction | None, decimals: int = 2) -> str:

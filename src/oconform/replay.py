@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import Context, EventObjectGraph
-from .ocel import Event, EventLog, ObjectId
+from .context import Context, EventObjectGraph, _positions
+from .ocel import EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
                    consumed, enabled_visible_labels, enumerate_bindings,
                    is_final)
@@ -284,41 +284,32 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class _Frontier:
-    """Where replay of an event's preset may resume.
+# Where replay of an event's preset may resume, as a plain tuple
+# (position, names, cls, steps).  A later event that resumes here replays
+# its preset from log position ``position``, just past the event whose
+# frontier this is, opening with ``steps``: that event's own step.
+# ``names`` maps the entered objects, by graph number, to canonical names,
+# ints from 0 in order of entry; ``cls`` is the event's replay class: its
+# search result in those names, whose ``entering`` markings and ``states``
+# resumed searches start from.
+_Frontier = tuple[int, dict[int, int], _SingleReplay, tuple[VisibleBindingStep, ...]]
 
-    A later event that resumes here replays its preset from ``position``,
-    just past the event whose frontier this is, opening with ``steps``:
-    that event's own step.  ``names`` maps the entered objects, by graph
-    number, to canonical names, ints from 0 in order of entry; ``cls`` is
-    the event's replay class: its search result in those names, whose
-    ``entering`` markings and ``states`` resumed searches start from.
-    """
-
-    position: int                    # log position the rest of the preset starts at
-    names: dict[int, int]            # object number to canonical name
-    cls: _SingleReplay
-    steps: tuple[VisibleBindingStep, ...]
+_START: _Frontier = (0, {}, _SingleReplay((), False, (Marking(),)), ())
 
 
-_START = _Frontier(0, {}, _SingleReplay((), False, (Marking(),)), ())
-
-
-def _prefix_predecessor(log: EventLog, graph: EventObjectGraph,
-                        event_id: str) -> str | None:
-    """The latest direct predecessor d such that d's log-ordered preset,
-    followed by d, opens the event's log-ordered preset.
+def _prefix_predecessor(graph: EventObjectGraph, position: int) -> int | None:
+    """The latest direct predecessor d of the event at ``position`` such
+    that d's log-ordered preset, followed by d, opens the event's
+    log-ordered preset.
 
     d's preset lies in the event's preset and before d's log position, so
     that holds exactly when the event's preset has as many positions below
     d's position as d's own preset has: a popcount test on the bitsets.
     """
-    index = log.event_index
-    for pred in sorted(graph.direct_predecessors[event_id],
-                       key=index.__getitem__, reverse=True):
-        if graph.preset_count(event_id, below=index[pred]) == graph.preset_count(pred):
-            return pred
+    low, bits = graph._low[position], graph._bits[position]
+    for d in sorted(graph._direct[position], reverse=True):
+        if (bits & ((1 << d - low) - 1)).bit_count() == graph._bits[d].bit_count():
+            return d
     return None
 
 
@@ -345,33 +336,34 @@ class FrontierMemo:
         self.lazy = lazy_entry_exact(net)
         self._net = net
         self._firings: dict[VisibleBindingStep, _Firing] = {}
-        self._frontiers: dict[str, _Frontier] = {}
-        self._base: dict[str, str] = {}
-        self._users: dict[str, int] = {}
-        preds: dict[str, str | None] = {}
+        self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
+        self._base: dict[int, int] = {}
+        self._users: dict[int, int] = {}
+        preds: dict[int, int | None] = {}
 
-        def pred_of(eid: str) -> str | None:
-            if eid not in preds:
-                preds[eid] = _prefix_predecessor(log, graph, eid) if self.lazy else None
-            return preds[eid]
+        def pred_of(position: int) -> int | None:
+            if position not in preds:
+                preds[position] = _prefix_predecessor(graph, position)
+            return preds[position]
 
-        done: set[str] = set()
-        for eid in order:
+        done: set[int] = set()
+        for position in map(graph._index.__getitem__, order if self.lazy else ()):
             # a prefix predecessor's prefix predecessor opens the preset too
-            base = pred_of(eid)
+            base = pred_of(position)
             while base is not None and base not in done:
                 base = pred_of(base)
             if base is not None:
-                self._base[eid] = base
+                self._base[position] = base
                 self._users[base] = self._users.get(base, 0) + 1
-            done.add(eid)
+            done.add(position)
 
     def __len__(self) -> int:
         return len(self._frontiers)
 
-    def take(self, event_id: str) -> _Frontier:
-        """The frontier the event resumes from; the empty start if none."""
-        base = self._base.pop(event_id, None)
+    def take(self, position: int) -> _Frontier:
+        """The frontier the event at ``position`` resumes from; the empty
+        start if none."""
+        base = self._base.pop(position, None)
         if base is None:
             return _START
         users = self._users.pop(base) - 1
@@ -382,10 +374,10 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, event: Event, names: dict[int, int], cls: _SingleReplay,
+    def keep(self, position: int, names: dict[int, int], cls: _SingleReplay,
              own: VisibleBindingStep) -> None:
-        if event.id in self._users:  # a later event resumes where its preset ends
-            self._frontiers[event.id] = _Frontier(event.index + 1, names, cls, (own,))
+        if position in self._users:  # a later event resumes where its preset ends
+            self._frontiers[position] = (position + 1, names, cls, (own,))
 
     def firing(self, step: VisibleBindingStep) -> _Firing:
         """The step's binding and needed tokens, built on first use."""
@@ -395,10 +387,11 @@ class FrontierMemo:
         return firing
 
 
-def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Frontier,
+def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Frontier,
               lazy: bool, canonical: bool) -> tuple:
-    """The event's names, preset steps, own step and (cursor, (type,
-    name) pairs) of objects entering the markings, resumed from the base.
+    """The names, preset steps, own step and (cursor, (type, name) pairs)
+    of objects entering the markings of the event at log ``position``,
+    resumed from the base.
 
     The preset's steps from the base's position follow the base's.  An
     object enters where a step first binds it, the event's own new objects
@@ -407,20 +400,22 @@ def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Front
     order (the numbers' order), as ints from 0 when ``canonical`` and as
     their graph numbers otherwise.
     """
-    objects = graph.objects
-    names = dict(base.names)
-    steps = [*base.steps]
+    start, names, _, steps = base
+    names = dict(names)
+    steps = [*steps]
+    types = graph._types
     entering = []
-    for i in [*graph.preset_positions(event.id, base.position), event.index]:
-        own = graph._slots[i]
-        new = [s for s in own if s not in names]
+    for i in [*_positions(graph._low[position], graph._bits[position], start), position]:
+        new = []
+        by_type: dict[str, list[int]] = {}
+        for s in graph._slots[i]:
+            name = names.get(s)
+            if name is None:
+                name = names[s] = len(names) if canonical else s
+                new.append((types[s], name))
+            by_type.setdefault(types[s], []).append(name)
         if new:
-            for s in new:
-                names[s] = len(names) if canonical else s
-            entering.append((len(steps), tuple((objects[s].otype, names[s]) for s in new)))
-        by_type: dict[str, list] = {}
-        for s in own:
-            by_type.setdefault(objects[s].otype, []).append(names[s])
+            entering.append((len(steps), tuple(new)))
         steps.append(VisibleBindingStep(log.events[i].activity, tuple(sorted(
             [(otype, frozenset(ids)) for otype, ids in by_type.items()]))))
     if entering and not lazy:
@@ -430,17 +425,19 @@ def _sequence(log: EventLog, graph: EventObjectGraph, event: Event, base: _Front
 
 
 def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                   event: Event, base: _Frontier, canonical: bool, cfg: ReplayConfig,
+                   position: int, base: _Frontier, canonical: bool, cfg: ReplayConfig,
                    memo: FrontierMemo, searched: dict[tuple, _SingleReplay],
                    ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
-    """Search the event's preset from the base in the names ``_sequence``
-    gives, once per key in ``searched``: the base's class, the rest of the
-    preset's steps and the entering objects.  The search starts from the
-    base's entering markings, under the budget the base's states leave.
-    Returns the result, the event's own step in its names, and the names."""
-    names, steps, own, entering = _sequence(log, graph, event, base, memo.lazy,
+    """Search the preset of the event at ``position`` from the base in the
+    names ``_sequence`` gives, once per key in ``searched``: the base's
+    class, the rest of the preset's steps and the entering objects.  The
+    search starts from the base's entering markings, under the budget the
+    base's states leave.  Returns the result, the event's own step in its
+    names, and the names."""
+    names, steps, own, entering = _sequence(log, graph, position, base, memo.lazy,
                                             canonical)
-    key = (base.cls, tuple(steps), entering)
+    cls = base[2]
+    key = (cls, tuple(steps), entering)
     single = searched.get(key)
     if single is None:
         firings = [memo.firing(s) for s in steps]
@@ -451,18 +448,17 @@ def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
         else:
             entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
                      for k, objects in entering}
-            start = (tuple(m + entry[0] if m else entry[0] for m in base.cls.entering)
-                     if 0 in entry else base.cls.entering)
-            found = _search(net, firings, start, entry, cfg,
-                            cfg.max_states - base.cls.states)
+            start = (tuple(m + entry[0] if m else entry[0] for m in cls.entering)
+                     if 0 in entry else cls.entering)
+            found = _search(net, firings, start, entry, cfg, cfg.max_states - cls.states)
             single = _SingleReplay(found.markings, found.truncated, found.entering,
-                                   base.cls.states + found.states)
+                                   cls.states + found.states)
         searched[key] = single
     return single, own, names
 
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                    event_id: str, cfg: ReplayConfig, memo: FrontierMemo,
+                    position: int, cfg: ReplayConfig, memo: FrontierMemo,
                     searched: dict[tuple, _SingleReplay],
                     ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
     """Replay one event's preset from the frontier the memo holds for it;
@@ -486,12 +482,12 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     it is no frontier.  A result is shared by a class exactly when it is
     not truncated, and then becomes the event's frontier.
     """
-    event = log.event(event_id)
-    single, own, names = _preset_search(net, log, graph, event, memo.take(event_id),
+    single, own, names = _preset_search(net, log, graph, position, memo.take(position),
                                         True, cfg, memo, searched)
     if single.truncated:
-        return _preset_search(net, log, graph, event, _START, False, cfg, memo, searched)
-    memo.keep(event, names, single, own)
+        return _preset_search(net, log, graph, position, _START, False, cfg, memo,
+                              searched)
+    memo.keep(position, names, single, own)
     return single, own, names
 
 
@@ -557,10 +553,12 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         return answer
 
     for eid in events:
-        single, own, names = _replay_resumed(net, log, graph, eid, cfg, memo, searched)
+        position = graph._position(eid)
+        single, own, names = _replay_resumed(net, log, graph, position, cfg, memo,
+                                             searched)
         reached, cut = final(single, own)
         if cut and not single.truncated:  # where a closure cuts follows the names
-            reached, cut = final(*_preset_search(net, log, graph, log.event(eid), _START,
+            reached, cut = final(*_preset_search(net, log, graph, position, _START,
                                                  False, cfg, memo, searched)[:2])
         reached_final_by_event[eid] = reached
         truncated = truncated or single.truncated or (cut and not reached)
@@ -568,12 +566,20 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         members.append((single.markings, names))
 
     def real_markings() -> frozenset[Marking]:
+        # one numbering covers every type, so a name alone is one object,
+        # and a place holds one type, so renaming a place dict keeps its keys
+        # apart; each renamed token is hashed once, as ``Marking`` would
         out: set[Marking] = set()
         for markings, names in members:
-            # one numbering covers every type, so a name alone is one object
             real = {name: graph.objects[s].id for s, name in names.items()}
-            out.update(Marking({(p, real[o]): n for (p, o), n in m.items()})
-                       for m in markings)
+            for m in markings:
+                tokens = {}
+                total = 0
+                for place, objects in m._tokens.items():
+                    renamed = tokens[place] = {real[o]: n for o, n in objects.items()}
+                    for o, n in renamed.items():
+                        total += hash((place, o)) * n
+                out.add(Marking._of(tokens, total))
         return frozenset(out)
 
     enabled = frozenset().union(*(enabled_visible_labels(net, m)

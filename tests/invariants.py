@@ -120,21 +120,30 @@ def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
 
 def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
     """Forward edges only, transitive presets, agreement with the
-    fixpoint-closure oracle."""
+    fixpoint-closure oracle, and direct predecessors, as a Mapping and as
+    ``edges()``, equal to the last earlier event holding each shared
+    object.  Besides random logs, this runs on chained airport logs."""
     rng = random.Random(seed)
-    for _ in range(rounds):
-        log = oracles.random_log(rng)
+    logs = [oracles.random_log(rng) for _ in range(rounds)]
+    logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
+             for s, flights, planes in ((19, 12, 2), (21, 6, 1), (24, 20, 3))]
+    for log in logs:
         graph = build_graph(log)
         index = {e.id: e.index for e in log.events}
         for src, dst in graph.edges():
             assert index[src] < index[dst]
+        direct = {e.id: oracles.direct_predecessors(log, e.id) for e in log.events}
+        assert isinstance(graph.direct_predecessors, Mapping)
+        assert dict(graph.direct_predecessors.items()) == direct
+        assert list(graph.edges()) == [(d, e.id) for e in log.events
+                                       for d in sorted(direct[e.id])]
         oracle = oracles.closure_ancestors(log)
         for e in log.events:
             preset = event_preset(graph, e.id)
             assert preset == oracle[e.id]
             for pid in preset:
                 assert event_preset(graph, pid) <= preset
-    return rounds
+    return len(logs)
 
 
 def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
@@ -170,7 +179,8 @@ def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
             if want:
                 assert low == want[0]
             assert graph._bits[i].bit_length() <= i - low
-            assert _prefix_predecessor(log, graph, e.id) == \
+            pred = _prefix_predecessor(graph, i)
+            assert (None if pred is None else log.events[pred].id) == \
                 oracles.prefix_predecessor(log, anc, e.id)
     return len(logs)
 
@@ -320,8 +330,8 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         assert detail == eager, members
         truncated = truncated or eager.outcome.truncated
         for eid in members:
-            single, own, names = _replay_resumed(net, log, graph, eid, cfg,
-                                                 FrontierMemo(net, log, graph, ()), {})
+            single, own, names = _replay_resumed(net, log, graph, log.event_index[eid],
+                                                 cfg, FrontierMemo(net, log, graph, ()), {})
             want = singles[eid]
             real_own = VisibleBindingStep.for_event(log.event(eid))
             assert single.truncated == want.truncated, eid

@@ -54,21 +54,26 @@ def closure_ancestors(log: EventLog) -> dict[str, frozenset[str]]:
     return {eid: frozenset(members) for eid, members in anc.items()}
 
 
-def prefix_predecessor(log: EventLog, anc: dict[str, frozenset[str]],
-                       eid: str) -> str | None:
-    """The latest direct predecessor d (the last earlier event holding one
-    of the event's objects) whose sorted ancestor positions followed by d
-    open the event's sorted ancestor positions: d's rank among them, found
-    by bisection, equals the size of d's own ancestor set."""
+def direct_predecessors(log: EventLog, eid: str) -> frozenset[str]:
+    """For each of the event's objects, the last earlier event holding it."""
     index = {e.id: i for i, e in enumerate(log.events)}
-    event = log.events_by_id[eid]
     direct = set()
-    for obj in event.omap:
+    for obj in log.events_by_id[eid].omap:
         earlier = [e.id for e in log.events[:index[eid]] if obj in e.omap]
         if earlier:
             direct.add(earlier[-1])
+    return frozenset(direct)
+
+
+def prefix_predecessor(log: EventLog, anc: dict[str, frozenset[str]],
+                       eid: str) -> str | None:
+    """The latest direct predecessor d whose sorted ancestor positions
+    followed by d open the event's sorted ancestor positions: d's rank
+    among them, found by bisection, equals the size of d's own ancestor
+    set."""
+    index = {e.id: i for i, e in enumerate(log.events)}
     positions = sorted(index[a] for a in anc[eid])
-    for d in sorted(direct, key=index.__getitem__, reverse=True):
+    for d in sorted(direct_predecessors(log, eid), key=index.__getitem__, reverse=True):
         if bisect_left(positions, index[d]) == len(anc[d]):
             return d
     return None

@@ -171,6 +171,19 @@ def test_rounding_is_exact_at_any_number_of_decimals():
         round_fraction(Fraction(1, 3), -3)
 
 
+def test_rounding_past_the_int_to_str_digit_limit():
+    # 5,000 digits is past CPython's default limit of 4,300 for int -> str
+    assert format_fraction(Fraction(1, 3), 5000) == "0." + "3" * 5000
+    assert format_fraction(Fraction(-2, 3), 5000) == "-0." + "6" * 4999 + "7"
+
+
+def test_rounded_zero_keeps_the_sign():
+    assert str(round_fraction(Fraction(-1, 1000))) == "-0.00"
+    assert round_fraction(Fraction(-1, 1000)).is_signed()
+    assert not round_fraction(Fraction(1, 1000)).is_signed()
+    assert format_fraction(Fraction(-1, 3), 0) == "-0"
+
+
 def test_skipped_percent_rounds_to_integer(l1, restricted):
     report = check(l1, restricted)
     assert skipped_percent(report) == "56%"

@@ -445,11 +445,13 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
     for log, net in _engine_logs(ocpn1):
         built = Counter()
 
-        def spy(log, graph, event, base, lazy, canonical):
-            names, steps, own, entering = sequence(log, graph, event, base, lazy,
+        def spy(log, graph, position, base, lazy, canonical):
+            names, steps, own, entering = sequence(log, graph, position, base, lazy,
                                                    canonical)
-            positions = [*graph.preset_positions(event.id, base.position), event.index]
-            built.update(zip(positions, [*steps[len(base.steps):], own], strict=True))
+            start, _, _, opening = base
+            positions = [*graph.preset_positions(log.events[position].id, start),
+                         position]
+            built.update(zip(positions, [*steps[len(opening):], own], strict=True))
             return names, steps, own, entering
 
         monkeypatch.setattr(replay, "_sequence", spy)
