@@ -87,7 +87,8 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    # encode before opening: a text that cannot be encoded leaves the file as it was
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -18,6 +18,8 @@ from .ocel import Event, EventLog, LogError, ObjectId
 
 Prefix = tuple[str, ...]
 
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class Context:
@@ -52,9 +54,8 @@ class Context:
         return {}
 
     def canonical_json(self) -> str:
-        payload = [[ot, [[list(seq), n] for seq, n in counted]]
-                   for ot, counted in self.entries]
-        return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+        # tuples encode as JSON arrays
+        return _CANONICAL.encode(self.entries)
 
     def digest(self) -> str:
         raw = self.canonical_json().encode("utf-8")

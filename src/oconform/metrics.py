@@ -11,6 +11,7 @@ All arithmetic is exact; rounding happens only at rendering time.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -65,8 +66,9 @@ def check(log: EventLog, net: AcceptingOCPN,
     groups = group_by_context(log, graph)
     memo = FrontierMemo(net, log, graph,
                         (eid for members in groups.values() for eid in members))
-    fitness_sum = Fraction(0)
-    precision_sum = Fraction(0)
+    # per denominator, len(en_log) or len(en_model), the summed numerators
+    fitness_sums: Counter[int] = Counter()
+    precision_sums: Counter[int] = Counter()
     num_replayable = 0
     diagnostics: dict[str, EventDiagnostic] = {}
     truncated = False
@@ -78,10 +80,11 @@ def check(log: EventLog, net: AcceptingOCPN,
         overlap = len(en_log & en_model)
         truncated = truncated or detail.outcome.truncated
         # every member shares the group's sets, so each sum takes them once
-        fitness_sum += Fraction(overlap * len(members), len(en_log))
+        share = overlap * len(members)
+        fitness_sums[len(en_log)] += share
         if replayable:
             num_replayable += len(members)
-            precision_sum += Fraction(overlap * len(members), len(en_model))
+            precision_sums[len(en_model)] += share
         digest = ctx.digest()
         log_side = tuple(sorted(en_log))
         model_side = tuple(sorted(en_model))
@@ -97,8 +100,8 @@ def check(log: EventLog, net: AcceptingOCPN,
             )
     num_events = len(log.events)
     report = ConformanceReport(
-        fitness=fitness_sum / num_events,
-        precision=(precision_sum / num_replayable) if num_replayable else None,
+        fitness=_sum_of(fitness_sums) / num_events,
+        precision=(_sum_of(precision_sums) / num_replayable) if num_replayable else None,
         num_events=num_events,
         num_replayable=num_replayable,
         skipped_fraction=Fraction(num_events - num_replayable, num_events),
@@ -107,6 +110,10 @@ def check(log: EventLog, net: AcceptingOCPN,
         config=cfg,
     )
     return report
+
+
+def _sum_of(sums: Counter[int]) -> Fraction:
+    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
 def fitness(log: EventLog, net: AcceptingOCPN,

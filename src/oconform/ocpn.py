@@ -212,6 +212,7 @@ class AcceptingOCPN:
     initial_places: dict[str, Place] = field(init=False, repr=False)
     final_places: frozenset[str] = field(init=False, repr=False)
     finishing_places: frozenset[str] = field(init=False, repr=False)
+    _self_loops: frozenset[str] = field(init=False, repr=False)
     silent_transitions: tuple[Transition, ...] = field(init=False, repr=False)
     visible_transitions: tuple[Transition, ...] = field(init=False, repr=False)
 
@@ -299,6 +300,9 @@ class AcceptingOCPN:
                 if all(q.id in finishing for q in self._postset[t.id]
                        if q.otype == p.otype))
         self.finishing_places = frozenset(finishing)
+        # a firing of these puts back every token it takes
+        self._self_loops = frozenset(
+            tid for tid, places in pre.items() if set(places) == set(post[tid]))
 
     # --- derived accessors ---
 
@@ -374,10 +378,13 @@ def execute_binding(net: AcceptingOCPN, marking: Marking, binding: Binding) -> M
 def _fire(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
     """Execute a binding the caller already knows to be enabled in M.
 
-    The dict of places is copied whole (in C), and so is each place dict
-    the binding writes, once, on its first write; the other place dicts
-    stay shared with M.  The Python-level work, including the hash
-    update, is O(moved tokens)."""
+    A self-loop (input places equal to output places) returns M itself.
+    Otherwise the dict of places is copied whole (in C), and so is each
+    place dict the binding writes, once, on its first write; the other
+    place dicts stay shared with M.  The Python-level work, including
+    the hash update, is O(moved tokens)."""
+    if binding.transition in net._self_loops:
+        return marking
     by_type = binding.by_type
     source = marking._tokens
     tokens = dict(source)

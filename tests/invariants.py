@@ -81,41 +81,56 @@ def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
     """Markings that ``_fire``, ``execute_binding``, ``+`` and ``-`` build
     from another marking, copying only the place dicts they write and
     updating its hash for the moved tokens only, equal the same tokens
-    built from scratch, and leave the marking they start from as it was.
-    Each round walks a random net from a random marking for a few
-    firings, so the updates pile up.  Returns the visible (transition,
-    type) pairs checked, counted by their number of input places, one
-    branch of ``_candidate_objects`` each: ``one``, ``several``, ``none``."""
+    built from scratch, and leave the marking they start from as it was;
+    ``_fire`` gives ``marking - consumed + produced``, and returns the
+    marking itself for a self-loop, whose input places are its output
+    places.  Each round walks a random net from a random marking for a
+    few firings, so the updates pile up; then a tenth as many rounds
+    walk flower nets of random logs, from their own random stream.
+    Returns the visible (transition, type) pairs checked, counted by
+    their number of input places, one branch of ``_candidate_objects``
+    each: ``one``, ``several``, ``none``; and the self-loop firings, as
+    ``self-loop``."""
     rng = random.Random(seed)
     shapes: Counter = Counter()
     for _ in range(rounds):
-        net = oracles.random_net(rng)
-        for t in net.visible_transitions:
-            for ot in net.tpl(t.id):
-                n = len(net.input_places_by_type(t.id).get(ot, ()))
-                shapes["none" if n == 0 else "one" if n == 1 else "several"] += 1
-        marking = Marking(dict(oracles.random_marking_items(rng, net)))
-        _assert_matches_scratch(net, marking)
-        for _ in range(5):
-            fired = []
-            before = copy.deepcopy(marking._tokens)
-            for t in net.transitions:
-                for binding in enumerate_bindings(net, marking, t.id,
-                                                  subset_cap=4):
-                    cons = consumed(net, binding)
-                    prod = produced(net, binding)
-                    after = _fire(net, marking, binding)
-                    for built in (after, execute_binding(net, marking, binding),
-                                  marking - cons, marking + prod,
-                                  marking - cons + prod, after - prod + cons):
-                        _assert_matches_scratch(net, built)
-                    # no write went into a place dict shared with marking
-                    assert marking._tokens == before, binding
-                    fired.append(after)
-            if not fired:
-                break
-            marking = rng.choice(fired)
+        _walk_incrementally(rng, oracles.random_net(rng), shapes)
+    flowers = random.Random(seed + 1)
+    for _ in range(rounds // 10):
+        _walk_incrementally(flowers, flower_model(oracles.random_log(flowers)), shapes)
     return shapes
+
+
+def _walk_incrementally(rng: random.Random, net: AcceptingOCPN, shapes: Counter) -> None:
+    for t in net.visible_transitions:
+        for ot in net.tpl(t.id):
+            n = len(net.input_places_by_type(t.id).get(ot, ()))
+            shapes["none" if n == 0 else "one" if n == 1 else "several"] += 1
+    marking = Marking(dict(oracles.random_marking_items(rng, net)))
+    _assert_matches_scratch(net, marking)
+    for _ in range(5):
+        fired = []
+        before = copy.deepcopy(marking._tokens)
+        for t in net.transitions:
+            self_loop = {p.id for p in net.preset(t.id)} == {p.id for p in net.postset(t.id)}
+            for binding in enumerate_bindings(net, marking, t.id, subset_cap=4):
+                cons = consumed(net, binding)
+                prod = produced(net, binding)
+                after = _fire(net, marking, binding)
+                assert after == marking - cons + prod, binding
+                if self_loop:
+                    assert after is marking, binding
+                    shapes["self-loop"] += 1
+                for built in (after, execute_binding(net, marking, binding),
+                              marking - cons, marking + prod,
+                              marking - cons + prod, after - prod + cons):
+                    _assert_matches_scratch(net, built)
+                # no write went into a place dict shared with marking
+                assert marking._tokens == before, binding
+                fired.append(after)
+        if not fired:
+            break
+        marking = rng.choice(fired)
 
 
 def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:

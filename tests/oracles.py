@@ -9,6 +9,7 @@ initial marking, because what it pins is where replay starts.
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
@@ -445,6 +446,13 @@ def flower_precision_oracle(log: EventLog) -> Fraction:
         en_log = activities_of[keys[e.id]]
         total += Fraction(len(en_log & en_model), len(en_model))
     return total / counted
+
+
+def payload_canonical_json(ctx) -> str:
+    """A context's canonical JSON as a payload of lists, encoded per call."""
+    payload = [[ot, [[list(seq), n] for seq, n in counted]]
+               for ot, counted in ctx.entries]
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,19 @@ def test_flower_to_file(tmp_path, capsys):
     assert out_file.read_text() == fixture_text("flower_l1_model.json")
 
 
+def test_unencodable_output_leaves_the_file_as_it_was(tmp_path, capsys):
+    # the JSON escape parses to a lone surrogate, which UTF-8 cannot encode
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"object_types": ["case"], "objects": {"o1": "case"},
+                               "events": [{"id": "e1", "activity": "\ud800",
+                                           "omap": ["o1"]}]}))
+    out_file = tmp_path / "model.json"
+    out_file.write_text('{"earlier": "model"}')
+    assert main(["flower", "--log", str(bad), "-o", str(out_file)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out_file.read_text() == '{"earlier": "model"}'
+
+
 def test_simulate_to_file(tmp_path, capsys):
     out_file = tmp_path / "sim.json"
     assert main(["simulate", "--model", OCPN1, "--instances", "25",

@@ -86,6 +86,20 @@ def test_context_of_e5(l1, l1_graph):
     assert len(digest) == 16 and int(digest, 16) >= 0
 
 
+def test_canonical_json_equals_the_payload_list_encoding():
+    rng = random.Random(17)
+    words = ['say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f", "Zürich",
+             "\u2028\U0001f6eb", "a/b", "", "plain"]
+    assert Context.from_prefixes({}).canonical_json() == "[]"
+    assert oracles.payload_canonical_json(Context.from_prefixes({})) == "[]"
+    for _ in range(200):
+        ctx = Context.from_prefixes({
+            rng.choice(words) + ot: [tuple(rng.choices(words, k=rng.randint(0, 3)))
+                                     for _ in range(rng.randint(0, 3))]
+            for ot in rng.sample(["X", "Y", "é"], rng.randint(0, 3))})
+        assert ctx.canonical_json() == oracles.payload_canonical_json(ctx)
+
+
 def test_objects_first_seen_in_the_event_get_empty_prefixes():
     log = make_log([
         ("e1", "a", [ObjectId("x1", "X")]),

@@ -264,6 +264,21 @@ def test_report_json_equals_json_dumps_on_the_bundled_log(request, l1, net_name,
         _assert_renders_as_dumps(report, decimals)
 
 
+def _assert_metrics_decompose_per_event(report):
+    """Fitness and precision are the per-event shares, summed one by one."""
+    fitness_sum = precision_sum = Fraction(0)
+    replayable = 0
+    for d in report.per_event:
+        overlap = len(set(d.en_log) & set(d.en_model))
+        fitness_sum += Fraction(overlap, len(d.en_log))
+        if d.en_model:
+            replayable += 1
+            precision_sum += Fraction(overlap, len(d.en_model))
+    assert report.fitness == fitness_sum / len(report.per_event)
+    assert report.num_replayable == replayable
+    assert report.precision == (precision_sum / replayable if replayable else None)
+
+
 def test_report_json_equals_json_dumps_on_random_pairs():
     rng = random.Random(41)
     # a low budget bounds the pairs whose silent transitions keep making tokens
@@ -273,6 +288,7 @@ def test_report_json_equals_json_dumps_on_random_pairs():
         for net in (oracles.random_net(rng), flower_model(log)):
             report = check(log, net, cfg)
             _assert_renders_as_dumps(report, rng.choice((0, 2, 7)))
+            _assert_metrics_decompose_per_event(report)
 
 
 def test_report_json_equals_json_dumps_without_replayable_events():

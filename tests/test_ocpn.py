@@ -89,6 +89,19 @@ def test_fire_shares_the_place_dicts_it_does_not_touch(ocpn1):
                              ("pl6", "b1"), ("pl6", "b2"), ("pl6", "b4")])
 
 
+def test_self_loop_firing_returns_its_marking(ocpn1, flower_l1):
+    # every flower transition puts back the tokens it takes; the running
+    # example net has no such transition
+    assert flower_l1._self_loops == {t.id for t in flower_l1.transitions}
+    assert not ocpn1._self_loops
+    marking = Marking([("p_plane", "p1"), ("p_baggage", "b1"), ("p_baggage", "b2")])
+    load = flower_l1.label_to_transition["Load cargo"].id
+    binding = Binding.make(load, {"plane": ["p1"], "baggage": ["b1", "b2"]})
+    after = execute_binding(flower_l1, marking, binding)
+    assert after is marking
+    assert after == marking - consumed(flower_l1, binding) + produced(flower_l1, binding)
+
+
 def test_binding_not_enabled_without_tokens(ocpn1):
     liftoff = Binding.make("t_liftoff", {"plane": ["p1"]})
     assert binding_well_formed(ocpn1, liftoff)

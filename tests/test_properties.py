@@ -19,6 +19,7 @@ def test_enabled_labels_match_brute_force():
 def test_incremental_markings_match_markings_built_from_scratch():
     shapes = invariants.run_marking_incremental(rounds=150)
     assert shapes["one"] and shapes["several"] and shapes["none"]
+    assert shapes["self-loop"] > 0
 
 
 def test_event_graph_is_a_forward_dag_with_transitive_presets():
