@@ -96,6 +96,18 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
+def _load_json(data: bytes | str) -> Any:
+    """Decode a JSON document; a malformed one raises LogError."""
+    try:
+        return json.loads(data, object_pairs_hook=_reject_duplicate_keys)
+    except LogError:  # a duplicate key
+        raise
+    except ValueError as exc:  # bad syntax, undecodable bytes, an over-long number
+        raise LogError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise LogError("malformed JSON: nested too deeply") from exc
+
+
 _EVENT_KEYS = ("id", "activity", "omap", "timestamp")
 
 
@@ -104,13 +116,13 @@ def parse_log(data: bytes | str) -> EventLog:
 
     Raises LogError on malformed JSON, unknown objects referenced in an
     omap, duplicate event or object ids, or an empty omap.
+
+    Each event is read once.  Index and position agree, and omap objects
+    are declared with their types, by construction; the other invariants
+    are checked on whole sets, and only a log that fails one of them runs
+    ``validate_log``, whose first violation is the error.
     """
-    try:
-        doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise LogError(f"malformed JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise LogError("malformed JSON: nested too deeply") from exc
+    doc = _load_json(data)
     if not isinstance(doc, dict):
         raise LogError("log document must be a JSON object")
     for key in ("object_types", "objects", "events"):
@@ -142,6 +154,7 @@ def parse_log(data: bytes | str) -> EventLog:
         else:
             raise LogError(f"object {oid!r}: expected a type name or an object")
     by_id = {o.id: o for o in objects}
+    declared_object = by_id.__getitem__
 
     raw_events = doc["events"]
     if not isinstance(raw_events, list):
@@ -160,26 +173,31 @@ def parse_log(data: bytes | str) -> EventLog:
             raise LogError(f"event {eid!r}: missing or empty 'activity'")
         if not isinstance(raw_omap, list):
             raise LogError(f"event {eid!r}: 'omap' must be an array")
-        omap = set()
-        for ref in raw_omap:
-            if not isinstance(ref, str):
-                raise LogError(f"event {eid!r}: omap entries must be object ids")
-            if ref not in by_id:
-                raise LogError(f"event {eid!r}: unknown object {ref!r} in omap")
-            omap.add(by_id[ref])
+        try:
+            omap = frozenset(map(declared_object, raw_omap))
+        except (KeyError, TypeError):  # name the first bad reference
+            for ref in raw_omap:
+                if not isinstance(ref, str):
+                    raise LogError(f"event {eid!r}: omap entries must be object ids") from None
+                if ref not in by_id:
+                    raise LogError(f"event {eid!r}: unknown object {ref!r} in omap") from None
+            raise
         timestamp = raw.get("timestamp")
         if timestamp is not None and not isinstance(timestamp, str):
             raise LogError(f"event {eid!r}: 'timestamp' must be a string")
-        extras = {k: v for k, v in raw.items() if k not in _EVENT_KEYS}
-        if extras:
-            event_extras[eid] = extras
-        events.append(Event(eid, activity, frozenset(omap), index, timestamp))
+        # id, activity and omap are present, so a longer event has extras
+        if len(raw) > 3 + ("timestamp" in raw):
+            event_extras[eid] = {k: v for k, v in raw.items() if k not in _EVENT_KEYS}
+        events.append(Event(eid, activity, omap, index, timestamp))
 
     log = EventLog(object_types, tuple(objects), tuple(events),
                    event_extras, object_extras)
-    violations = validate_log(log)
-    if violations:
-        raise LogError(violations[0])
+    declared = set(object_types)
+    if (len(declared) < len(object_types) or "" in declared or "" in by_id
+            or not {o.otype for o in objects} <= declared
+            or len({e.id for e in events}) < len(events)
+            or not all(e.omap for e in events)):
+        raise LogError(validate_log(log)[0])
     return log
 
 

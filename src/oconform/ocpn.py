@@ -16,7 +16,7 @@ from itertools import combinations, product
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import Any
 
-from .ocel import EventLog, LogError, ObjectId, _reject_duplicate_keys
+from .ocel import EventLog, LogError, ObjectId, _load_json
 
 
 class ModelError(ValueError):
@@ -502,13 +502,9 @@ def _flag(raw: dict, key: str, owner: str) -> bool:
 def parse_model(data: bytes | str) -> AcceptingOCPN:
     """Parse a model-JSON document into a validated net."""
     try:
-        doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed JSON: {exc}") from exc
-    except LogError as exc:  # a duplicate key
+        doc = _load_json(data)
+    except LogError as exc:
         raise ModelError(str(exc)) from exc
-    except RecursionError as exc:
-        raise ModelError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     for key in ("object_types", "places", "transitions", "arcs"):
@@ -583,10 +579,18 @@ def flower_model(log: EventLog) -> AcceptingOCPN:
     types_seen: dict[str, set[str]] = {}
     variable: dict[str, set[str]] = {}
     for e in log.events:
-        per_type = Counter(o.otype for o in e.omap)
-        types_seen.setdefault(e.activity, set()).update(per_type)
-        variable.setdefault(e.activity, set()).update(
-            ot for ot, n in per_type.items() if n >= 2)
+        otypes = [o.otype for o in e.omap]
+        seen = types_seen.get(e.activity)
+        if seen is None:
+            seen = types_seen[e.activity] = set()
+        if len(otypes) == 1:
+            seen.add(otypes[0])
+            continue
+        distinct = set(otypes)
+        seen |= distinct
+        if len(distinct) < len(otypes):  # some type repeats: count them
+            variable.setdefault(e.activity, set()).update(
+                ot for ot, n in Counter(otypes).items() if n >= 2)
     places = tuple(Place(f"p_{ot}", ot, initial=True, final=True)
                    for ot in sorted(log.object_types))
     transitions = []
@@ -595,7 +599,7 @@ def flower_model(log: EventLog) -> AcceptingOCPN:
         tid = f"t{i}"
         transitions.append(Transition(tid, activity))
         for ot in sorted(types_seen[activity]):
-            is_var = ot in variable[activity]
+            is_var = ot in variable.get(activity, ())
             arcs.append(Arc(f"p_{ot}", tid, is_var))
             arcs.append(Arc(tid, f"p_{ot}", is_var))
     return AcceptingOCPN(tuple(sorted(log.object_types)), places,

@@ -17,7 +17,8 @@ from itertools import combinations, product
 
 from oconform import replay
 from oconform.context import EventObjectGraph
-from oconform.ocel import EventLog, ObjectId, make_log
+from oconform.ocel import (Event, EventLog, LogError, ObjectId, make_log,
+                           validate_log)
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, ModelError, Place,
                            Transition, enabled_visible_labels, initial_marking_for)
 from oconform.replay import GroupReplay, ReplayConfig, ReplayOutcome, VisibleBindingStep
@@ -453,6 +454,129 @@ def payload_canonical_json(ctx) -> str:
     payload = [[ot, [[list(seq), n] for seq, n in counted]]
                for ot, counted in ctx.entries]
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# log reading as it was before the one-pass parse: every event's omap built
+# in a loop, a Counter per event in the flower, and ``validate_log`` run on
+# every parsed log.  The error messages must match the package's exactly,
+# so this reference calls the package's ``validate_log`` for them.
+
+def _reference_reject_duplicate_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise LogError(f"duplicate key {key!r} in JSON object")
+        out[key] = value
+    return out
+
+
+_REFERENCE_EVENT_KEYS = ("id", "activity", "omap", "timestamp")
+
+
+def reference_parse_log(data) -> EventLog:
+    try:
+        doc = json.loads(data, object_pairs_hook=_reference_reject_duplicate_keys)
+    except LogError:  # a duplicate key
+        raise
+    except ValueError as exc:  # bad syntax, undecodable bytes, an over-long number
+        raise LogError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise LogError("malformed JSON: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise LogError("log document must be a JSON object")
+    for key in ("object_types", "objects", "events"):
+        if key not in doc:
+            raise LogError(f"log document missing {key!r}")
+
+    raw_types = doc["object_types"]
+    if not isinstance(raw_types, list) or not all(isinstance(t, str) for t in raw_types):
+        raise LogError("'object_types' must be an array of strings")
+    object_types = tuple(raw_types)
+
+    raw_objects = doc["objects"]
+    if not isinstance(raw_objects, dict):
+        raise LogError("'objects' must be an object mapping ids to types")
+    objects = []
+    object_extras = {}
+    for oid, value in raw_objects.items():
+        if isinstance(value, str):
+            objects.append(ObjectId(oid, value))
+        elif isinstance(value, dict):
+            otype = value.get("type")
+            if not isinstance(otype, str):
+                raise LogError(f"object {oid!r}: missing or non-string 'type'")
+            objects.append(ObjectId(oid, otype))
+            extras = {k: v for k, v in value.items() if k != "type"}
+            if extras:
+                object_extras[oid] = extras
+        else:
+            raise LogError(f"object {oid!r}: expected a type name or an object")
+    by_id = {o.id: o for o in objects}
+
+    raw_events = doc["events"]
+    if not isinstance(raw_events, list):
+        raise LogError("'events' must be an array")
+    events = []
+    event_extras = {}
+    for index, raw in enumerate(raw_events):
+        if not isinstance(raw, dict):
+            raise LogError(f"event at position {index} is not a JSON object")
+        eid = raw.get("id")
+        activity = raw.get("activity")
+        raw_omap = raw.get("omap")
+        if not isinstance(eid, str) or not eid:
+            raise LogError(f"event at position {index}: missing or empty 'id'")
+        if not isinstance(activity, str) or not activity:
+            raise LogError(f"event {eid!r}: missing or empty 'activity'")
+        if not isinstance(raw_omap, list):
+            raise LogError(f"event {eid!r}: 'omap' must be an array")
+        omap = set()
+        for ref in raw_omap:
+            if not isinstance(ref, str):
+                raise LogError(f"event {eid!r}: omap entries must be object ids")
+            if ref not in by_id:
+                raise LogError(f"event {eid!r}: unknown object {ref!r} in omap")
+            omap.add(by_id[ref])
+        timestamp = raw.get("timestamp")
+        if timestamp is not None and not isinstance(timestamp, str):
+            raise LogError(f"event {eid!r}: 'timestamp' must be a string")
+        extras = {k: v for k, v in raw.items() if k not in _REFERENCE_EVENT_KEYS}
+        if extras:
+            event_extras[eid] = extras
+        events.append(Event(eid, activity, frozenset(omap), index, timestamp))
+
+    log = EventLog(object_types, tuple(objects), tuple(events),
+                   event_extras, object_extras)
+    violations = validate_log(log)
+    if violations:
+        raise LogError(violations[0])
+    return log
+
+
+def reference_flower_model(log: EventLog) -> AcceptingOCPN:
+    if not log.events:
+        raise LogError("cannot build a flower model from an empty log")
+    types_seen: dict[str, set[str]] = {}
+    variable: dict[str, set[str]] = {}
+    for e in log.events:
+        per_type = Counter(o.otype for o in e.omap)
+        types_seen.setdefault(e.activity, set()).update(per_type)
+        variable.setdefault(e.activity, set()).update(
+            ot for ot, n in per_type.items() if n >= 2)
+    places = tuple(Place(f"p_{ot}", ot, initial=True, final=True)
+                   for ot in sorted(log.object_types))
+    transitions = []
+    arcs = []
+    for i, activity in enumerate(sorted(types_seen), start=1):
+        tid = f"t{i}"
+        transitions.append(Transition(tid, activity))
+        for ot in sorted(types_seen[activity]):
+            is_var = ot in variable[activity]
+            arcs.append(Arc(f"p_{ot}", tid, is_var))
+            arcs.append(Arc(tid, f"p_{ot}", is_var))
+    return AcceptingOCPN(tuple(sorted(log.object_types)), places,
+                         tuple(transitions), tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,27 @@ def test_malformed_log_is_invalid(tmp_path, capsys):
     assert "error: malformed JSON" in capsys.readouterr().err
 
 
+_NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="no limit on int digits in this Python")
+
+
+@pytest.mark.parametrize("flag", ["--log", "--model"])
+@pytest.mark.parametrize("data", [
+    b"\xc3(",
+    pytest.param(b'{"object_types": [], "n": ' + b"7" * 5000 + b"}", marks=_NO_DIGIT_LIMIT),
+])
+def test_undecodable_or_overlong_input_is_malformed(tmp_path, capsys, flag, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    paths = {"--log": L1, "--model": OCPN1, flag: str(bad)}
+    assert main(["check", "--log", paths["--log"],
+                 "--model", paths["--model"]]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_invalid_model_is_invalid(tmp_path, capsys):
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps({

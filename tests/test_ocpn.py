@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -362,6 +363,27 @@ def test_parse_model_rejects_deeply_nested_json():
         parse_model("[" * 100_000 + "]" * 100_000)
 
 
+@pytest.mark.parametrize("data", [b'\xc3(', b'{"object_types": \xff}'])
+def test_parse_model_rejects_undecodable_bytes(data):
+    with pytest.raises(ModelError, match="^malformed JSON: "):
+        parse_model(data)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int digits in this Python")
+def test_parse_model_rejects_numbers_past_the_digit_limit():
+    text = ('{"object_types": [], "places": [], "transitions": [], "arcs": [], '
+            f'"n": {"7" * 5000}}}')
+    with pytest.raises(ModelError, match="^malformed JSON: "):
+        parse_model(text)
+
+
+def test_parse_model_duplicate_key_is_not_called_malformed():
+    with pytest.raises(ModelError) as info:
+        parse_model('{"object_types": [], "object_types": []}')
+    assert str(info.value) == "duplicate key 'object_types' in JSON object"
+
+
 def _flagged(place=None, arc=None) -> str:
     """A one-place net with a silent self-loop, the place and both arcs
     given extra keys."""
@@ -437,3 +459,14 @@ def test_flower_covers_type_union_per_activity():
 def test_flower_rejects_empty_log():
     with pytest.raises(LogError, match="empty log"):
         flower_model(make_log([]))
+
+
+def test_flower_matches_reference_on_random_logs(l1):
+    rng = random.Random(1605)
+    logs = [l1] + [oracles.random_log(rng) for _ in range(200)]
+    repeated = 0
+    for log in logs:
+        assert serialize_model(flower_model(log)) == \
+            serialize_model(oracles.reference_flower_model(log))
+        repeated += any(len(e.otypes()) < len(e.omap) for e in log.events)
+    assert repeated > 50  # events with two objects of one type: variable arcs
