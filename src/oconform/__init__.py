@@ -12,9 +12,8 @@ from .ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError, Place,
                    enumerate_bindings, execute_binding, flower_model,
                    initial_marking_for, is_final, parse_model, serialize_model)
 from .replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
-                     VisibleBindingStep, binding_sequence_context,
-                     enabled_model_activities, replay_context_group,
-                     states_for_context)
+                     VisibleBindingStep, enabled_model_activities,
+                     replay_context_group, states_for_context)
 from .simulate import DeadModelError, SimulationResult, simulate_log
 
 __version__ = "0.1.0"

@@ -108,6 +108,8 @@ def _positions(low: int, bits: int, start: int = 0) -> list[int]:
     if start > low:
         bits >>= start - low
         low = start
+    if not bits:
+        return []
     digits = bin(bits)[:1:-1]  # least significant first, without "0b"
     found = []
     at = digits.find("1")
@@ -220,8 +222,10 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph.  One pass in log order gives each
     event its direct predecessors, as log positions, and its preset, from
     theirs; it also extends each object's trace in the trie and counts
-    direct successors.  Context groups come from a second pass over the
-    log (``_context_groups``).  Event ids are built only when read."""
+    direct successors.  An event with one object has at most one direct
+    predecessor, and takes its preset from it with no set or shift loop.
+    Context groups come from a second pass over the log
+    (``_context_groups``).  Event ids are built only when read."""
     # (id, type) pairs compare and hash in C, and sort in ObjectId order
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
@@ -237,18 +241,33 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     children, parents = trie._children, trie._parents
     trace = [[trie.child(-1, otype)] for otype in types]  # node after k occurrences
     for i, own in enumerate(slots):
-        preds = {last_seen[s] for s in own}
-        preds.discard(-1)
-        direct.append(preds)
-        # every direct predecessor is earlier in the log, so its preset is
-        # done; an empty preset's lowest position is its event's own
-        start = min([low[p] for p in preds], default=i)
-        ancestors = 0
-        for p in preds:
-            ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
-            users[p] += 1
-        low.append(start)
-        bits.append(ancestors)
+        if len(own) == 1:
+            # one object, so at most one direct predecessor: its preset and
+            # its own bit, at its lowest position
+            p = last_seen[own[0]]
+            if p < 0:
+                direct.append(set())
+                low.append(i)
+                bits.append(0)
+            else:
+                direct.append({p})
+                users[p] += 1
+                start = low[p]
+                low.append(start)
+                bits.append(bits[p] | 1 << (p - start))
+        else:
+            preds = {last_seen[s] for s in own}
+            preds.discard(-1)
+            direct.append(preds)
+            # every direct predecessor is earlier in the log, so its preset
+            # is done; an empty preset's lowest position is its event's own
+            start = min([low[p] for p in preds], default=i)
+            ancestors = 0
+            for p in preds:
+                ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
+                users[p] += 1
+            low.append(start)
+            bits.append(ancestors)
         activity = log.events[i].activity
         for s in own:
             last_seen[s] = i
@@ -285,56 +304,67 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
     predecessors' counts taken after each predecessor itself.  The largest
     predecessor's counts are copied, or taken over by its last successor;
     the others are merged in unless they are already in its preset; and
-    counts are freed once their last successor has read them.  ``bag``
-    counts the objects at each trie node alongside ``counts``, and each
-    count moves inline: the bag is the context, so equal contexts have
-    equal bag items.  Returns each event's group number, each group's
-    events, and each group's bag items.
+    counts are freed once their last successor has read them.  A sole
+    predecessor needs no sort and no merge.  ``bag`` counts the objects at
+    each trie node alongside ``counts``, and each count moves inline: the
+    bag is the context, so equal contexts have equal bag items.  Groups
+    are keyed by the frozenset of the bag's items, which hashes in C with
+    no sort per event.  Returns each event's group number, each group's
+    events, and each group's bag items, sorted once per group.
     """
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    number: dict[tuple[tuple[int, int], ...], int] = {}
+    number: dict[frozenset[tuple[int, int]], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
     for i, own in enumerate(slots):
-        preds = [*direct[i]]
-        if len(preds) > 1:
-            preds.sort(key=lambda d: len(after[d][0]), reverse=True)
-        if not preds:
+        preds = direct[i]
+        if len(preds) == 1:
+            (d,) = preds
+            users[d] -= 1
+            if users[d]:
+                counts, bag = after[d]
+                counts, bag = counts.copy(), bag.copy()
+            else:
+                counts, bag = after.pop(d)
+        elif not preds:
             counts: dict[int, int] = {}
             bag: dict[int, int] = {}
-        elif users[preds[0]] == 1:
-            counts, bag = after[preds[0]]
         else:
-            counts, bag = (m.copy() for m in after[preds[0]])
-        for d in preds[1:]:
-            shift = d - low[preds[0]]  # d is in the largest one's preset?
-            if shift < 0 or not bits[preds[0]] >> shift & 1:
-                for s, k in after[d][0].items():
-                    was = counts.get(s)
-                    if was is None or was < k:
-                        if was is not None:
-                            node = trace[s][was]
-                            if bag[node] == 1:
-                                del bag[node]
-                            else:
-                                bag[node] -= 1
-                        counts[s] = k
-                        node = trace[s][k]
-                        bag[node] = bag.get(node, 0) + 1
-        for d in preds:
-            users[d] -= 1
-            if not users[d]:
-                del after[d]
+            preds = sorted(preds, key=lambda d: len(after[d][0]), reverse=True)
+            if users[preds[0]] == 1:
+                counts, bag = after[preds[0]]
+            else:
+                counts, bag = (m.copy() for m in after[preds[0]])
+            for d in preds[1:]:
+                shift = d - low[preds[0]]  # d is in the largest one's preset?
+                if shift < 0 or not bits[preds[0]] >> shift & 1:
+                    for s, k in after[d][0].items():
+                        was = counts.get(s)
+                        if was is None or was < k:
+                            if was is not None:
+                                node = trace[s][was]
+                                if bag[node] == 1:
+                                    del bag[node]
+                                else:
+                                    bag[node] -= 1
+                            counts[s] = k
+                            node = trace[s][k]
+                            bag[node] = bag.get(node, 0) + 1
+            for d in preds:
+                users[d] -= 1
+                if not users[d]:
+                    del after[d]
         for s in own:
             if s not in counts:
                 counts[s] = 0
                 node = trace[s][0]
                 bag[node] = bag.get(node, 0) + 1
-        group = number.setdefault(tuple(sorted(bag.items())), len(members))
+        group = number.setdefault(frozenset(bag.items()), len(members))
         if group == len(members):
             members.append([])
-        members[group].append(order[i])
-        group_of[order[i]] = group
+        eid = order[i]
+        members[group].append(eid)
+        group_of[eid] = group
         if users[i]:
             for s in own:
                 nodes = trace[s]
@@ -348,7 +378,8 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 node = nodes[k + 1]
                 bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
-    return group_of, tuple(map(tuple, members)), tuple(number)
+    return (group_of, tuple(map(tuple, members)),
+            tuple(tuple(sorted(key)) for key in number))
 
 
 def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:

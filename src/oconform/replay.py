@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import Context, EventObjectGraph, _positions
-from .ocel import EventLog, ObjectId
+from .context import EventObjectGraph, _positions
+from .ocel import EventLog
 from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
                    consumed, enabled_visible_labels, enumerate_bindings,
                    is_final)
@@ -124,30 +124,6 @@ class GroupReplay:
             return NotImplemented
         return (self.outcome, self.markings, self.reached_final_by_event) == \
             (other.outcome, other.markings, other.reached_final_by_event)
-
-
-def binding_sequence_context(
-        sequence: Iterable[tuple[str | None, Mapping[str, Iterable[str]]]],
-        objects: Iterable[ObjectId] = (),
-) -> Context:
-    """Context of an executed binding sequence.
-
-    Each element is (label, objects-by-type); silent firings (label None)
-    contribute nothing to any prefix.  ``objects`` widens the universe to
-    objects that took part in no firing, e.g. those only placed in the
-    initial marking; they contribute empty sequences.
-    """
-    prefixes: dict[ObjectId, list[str]] = {o: [] for o in objects}
-    for label, by_type in sequence:
-        for otype, ids in by_type.items():
-            for oid in ids:
-                seq = prefixes.setdefault(ObjectId(oid, otype), [])
-                if label is not None:
-                    seq.append(label)
-    grouped: dict[str, list[tuple[str, ...]]] = {}
-    for o, acts in prefixes.items():
-        grouped.setdefault(o.otype, []).append(tuple(acts))
-    return Context.from_prefixes(grouped)
 
 
 class _Firing(NamedTuple):
@@ -284,17 +260,36 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
     return True
 
 
-# Where replay of an event's preset may resume, as a plain tuple
-# (position, names, cls, steps).  A later event that resumes here replays
-# its preset from log position ``position``, just past the event whose
-# frontier this is, opening with ``steps``: that event's own step.
-# ``names`` maps the entered objects, by graph number, to canonical names,
-# ints from 0 in order of entry; ``cls`` is the event's replay class: its
-# search result in those names, whose ``entering`` markings and ``states``
-# resumed searches start from.
-_Frontier = tuple[int, dict[int, int], _SingleReplay, tuple[VisibleBindingStep, ...]]
+# Replay names objects by ints and keys its searches by compact steps: a
+# visible step as ``(activity, *names)``, the names ascending.  A compact
+# step and the type of each of its names give the ``VisibleBindingStep``
+# (``_expanded``).
+_Step = tuple
 
-_START: _Frontier = (0, {}, _SingleReplay((), False, (Marking(),)), ())
+# Where replay of an event's preset may resume, as a plain tuple
+# (position, names, types, cls, own, firing).  A later event that resumes
+# here replays its preset from log position ``position``, just past the
+# event whose frontier this is, opening with ``own``: that event's own
+# step, compact.  ``firing`` is that step as the net fires it, or None if
+# it was never built.  ``names`` maps the entered objects, by graph number, to canonical
+# names, ints from 0 in order of entry, and ``types[name]`` is the type of
+# the object so named, so ``len(types)`` names the next new object.
+# ``cls`` is the event's replay class: its search result in those names,
+# whose ``entering`` markings and ``states`` resumed searches start from.
+_Frontier = tuple[int, dict[int, int], tuple[str, ...], _SingleReplay, _Step | None,
+                  _Firing | None]
+
+_START: _Frontier = (0, {}, (), _SingleReplay((), False, (Marking(),)), None, None)
+
+
+def _expanded(step: _Step, types: Sequence[str]) -> VisibleBindingStep:
+    """The visible step a compact step stands for, each name's object type
+    read from ``types``."""
+    by_type: dict[str, list[int]] = {}
+    for name in step[1:]:
+        by_type.setdefault(types[name], []).append(name)
+    return VisibleBindingStep(step[0], tuple(sorted(
+        [(otype, frozenset(ids)) for otype, ids in by_type.items()])))
 
 
 def _prefix_predecessor(graph: EventObjectGraph, position: int) -> int | None:
@@ -305,9 +300,13 @@ def _prefix_predecessor(graph: EventObjectGraph, position: int) -> int | None:
     d's preset lies in the event's preset and before d's log position, so
     that holds exactly when the event's preset has as many positions below
     d's position as d's own preset has: a popcount test on the bitsets.
+    A sole direct predecessor passes it: the event's preset is d's and d.
     """
+    direct = graph._direct[position]
+    if len(direct) == 1:
+        return next(iter(direct))
     low, bits = graph._low[position], graph._bits[position]
-    for d in sorted(graph._direct[position], reverse=True):
+    for d in sorted(direct, reverse=True):
         if (bits & ((1 << d - low) - 1)).bit_count() == graph._bits[d].bit_count():
             return d
     return None
@@ -335,7 +334,7 @@ class FrontierMemo:
                  order: Iterable[str]) -> None:
         self.lazy = lazy_entry_exact(net)
         self._net = net
-        self._firings: dict[VisibleBindingStep, _Firing] = {}
+        self._firings: dict[tuple, _Firing] = {}
         self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
         self._base: dict[int, int] = {}
         self._users: dict[int, int] = {}
@@ -374,78 +373,99 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, position: int, names: dict[int, int], cls: _SingleReplay,
-             own: VisibleBindingStep) -> None:
+    def keep(self, position: int, names: dict[int, int], types: tuple[str, ...],
+             cls: _SingleReplay, own: _Step, firing: _Firing | None) -> None:
         if position in self._users:  # a later event resumes where its preset ends
-            self._frontiers[position] = (position + 1, names, cls, (own,))
+            self._frontiers[position] = (position + 1, names, types, cls, own, firing)
 
-    def firing(self, step: VisibleBindingStep) -> _Firing:
-        """The step's binding and needed tokens, built on first use."""
-        firing = self._firings.get(step)
+    def firing(self, step: _Step, types: Sequence[str]) -> _Firing:
+        """The binding and needed tokens of a compact step, each name's
+        type read from ``types``; they and the step's ``VisibleBindingStep``
+        are built on first use.  The step and its names' types are the
+        key: they give the ``VisibleBindingStep``, and it gives them."""
+        key = (step, *map(types.__getitem__, step[1:]))
+        firing = self._firings.get(key)
         if firing is None:
-            firing = self._firings[step] = _firing(self._net, step)
+            firing = self._firings[key] = _firing(self._net, _expanded(step, types))
         return firing
 
 
 def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Frontier,
               lazy: bool, canonical: bool) -> tuple:
-    """The names, preset steps, own step and (cursor, (type, name) pairs)
-    of objects entering the markings of the event at log ``position``,
-    resumed from the base.
+    """The names, the types of the names, the compact preset steps, the
+    compact own step and the (cursor, (type, name) pairs) of objects
+    entering the markings of the event at log ``position``, resumed from
+    the base.
 
-    The preset's steps from the base's position follow the base's.  An
-    object enters where a step first binds it, the event's own new objects
-    at the end; all at cursor 0 when lazy entry is not exact.  New objects
-    join ``names`` by graph number, in order of entry, ties in ``ObjectId``
-    order (the numbers' order), as ints from 0 when ``canonical`` and as
-    their graph numbers otherwise.
+    The preset's steps from the base's position follow the base's own
+    step.  An object enters where a step first binds it, the event's own
+    new objects at the end; all at cursor 0 when lazy entry is not exact.
+    New objects join ``names`` by graph number, in order of entry, ties in
+    ``ObjectId`` order (the numbers' order).  When ``canonical`` they are
+    named by the ints from ``len(types)`` on, and their types extend the
+    base's ``types``; otherwise by their graph numbers, and the types are
+    the graph's.  The base's names are copied on the first new object, and
+    shared when there is none: no one writes to names once returned.
     """
-    start, names, _, steps = base
-    names = dict(names)
-    steps = [*steps]
-    types = graph._types
+    start, names, types, _, opening, _ = base
+    steps = [] if opening is None else [opening]
+    kinds, slots, events = graph._types, graph._slots, log.events
     entering = []
+    added: list[str] = []
+    first = len(types)
     for i in [*_positions(graph._low[position], graph._bits[position], start), position]:
         new = []
-        by_type: dict[str, list[int]] = {}
-        for s in graph._slots[i]:
+        bound = []
+        for s in slots[i]:
             name = names.get(s)
             if name is None:
-                name = names[s] = len(names) if canonical else s
-                new.append((types[s], name))
-            by_type.setdefault(types[s], []).append(name)
+                if not added:
+                    names = dict(names)
+                name = names[s] = first + len(added) if canonical else s
+                otype = kinds[s]
+                added.append(otype)
+                new.append((otype, name))
+            bound.append(name)
         if new:
             entering.append((len(steps), tuple(new)))
-        steps.append(VisibleBindingStep(log.events[i].activity, tuple(sorted(
-            [(otype, frozenset(ids)) for otype, ids in by_type.items()]))))
+        bound.sort()
+        steps.append((events[i].activity, *bound))
     if entering and not lazy:
         entering = [(0, tuple(pair for _, pairs in entering for pair in pairs))]
+    if not canonical:
+        types = kinds
+    elif added:
+        types = (*types, *added)
     own = steps.pop()
-    return names, steps, own, tuple(entering)
+    return names, types, steps, own, tuple(entering)
 
 
 def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                    position: int, base: _Frontier, canonical: bool, cfg: ReplayConfig,
                    memo: FrontierMemo, searched: dict[tuple, _SingleReplay],
-                   ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
+                   ) -> tuple[_SingleReplay, _Step, Sequence[str], dict[int, int]]:
     """Search the preset of the event at ``position`` from the base in the
     names ``_sequence`` gives, once per key in ``searched``: the base's
-    class, the rest of the preset's steps and the entering objects.  The
-    search starts from the base's entering markings, under the budget the
-    base's states leave.  Returns the result, the event's own step in its
-    names, and the names."""
-    names, steps, own, entering = _sequence(log, graph, position, base, memo.lazy,
-                                            canonical)
-    cls = base[2]
+    class, the rest of the preset's compact steps and the entering
+    objects.  The key fixes the type of every name.  Only a search builds
+    the firings of its steps, and it takes the base's own step's firing
+    from the base when the base holds it.  The search starts from the
+    base's entering markings, under the budget the base's states leave.
+    Returns the result, the event's compact own step, the types of the
+    names and the names."""
+    names, types, steps, own, entering = _sequence(log, graph, position, base, memo.lazy,
+                                                   canonical)
+    cls = base[3]
     key = (cls, tuple(steps), entering)
     single = searched.get(key)
     if single is None:
-        firings = [memo.firing(s) for s in steps]
-        initial = net.initial_places
-        if any(f.binding is None for f in firings) or not all(
+        labels, initial = net.label_to_transition, net.initial_places
+        if any(step[0] not in labels for step in steps) or not all(
                 otype in initial for _, objects in entering for otype, _ in objects):
             single = _UNREPLAYABLE  # an activity or an object type the net lacks
         else:
+            firings = [] if base[5] is None else [base[5]]
+            firings += [memo.firing(step, types) for step in steps[len(firings):]]
             entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
                      for k, objects in entering}
             start = (tuple(m + entry[0] if m else entry[0] for m in cls.entering)
@@ -454,16 +474,17 @@ def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
             single = _SingleReplay(found.markings, found.truncated, found.entering,
                                    cls.states + found.states)
         searched[key] = single
-    return single, own, names
+    return single, own, types, names
 
 
 def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                     position: int, cfg: ReplayConfig, memo: FrontierMemo,
                     searched: dict[tuple, _SingleReplay],
-                    ) -> tuple[_SingleReplay, VisibleBindingStep, dict[int, int]]:
+                    ) -> tuple[_SingleReplay, _Step, Sequence[str], dict[int, int]]:
     """Replay one event's preset from the frontier the memo holds for it;
-    returns the result, the event's own step in the result's names, and
-    the event's names, from its objects' graph numbers.
+    returns the result, the event's compact own step in the result's
+    names, the types of those names, and the event's names, from its
+    objects' graph numbers.
 
     The frontier's objects keep their names and the new ones are numbered
     on (``_sequence``); the token game cannot tell two objects of one type
@@ -480,15 +501,16 @@ def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     the search by id would, in its order, and is cut at the same point.
     Members with the same preset and new objects share that search, and
     it is no frontier.  A result is shared by a class exactly when it is
-    not truncated, and then becomes the event's frontier.
+    not truncated, and then ``replay_context_group`` keeps it as the
+    event's frontier.
     """
-    single, own, names = _preset_search(net, log, graph, position, memo.take(position),
-                                        True, cfg, memo, searched)
+    single, own, types, names = _preset_search(net, log, graph, position,
+                                               memo.take(position), True, cfg, memo,
+                                               searched)
     if single.truncated:
         return _preset_search(net, log, graph, position, _START, False, cfg, memo,
                               searched)
-    memo.keep(position, names, single, own)
-    return single, own, names
+    return single, own, types, names
 
 
 def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing,
@@ -531,35 +553,47 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     one ``reached_final`` search per own step, whichever names it is in.
     Where a canonical ``reached_final`` search is cut, the event's preset
     is searched again by graph number and the answer read from that
-    result, since where it cuts follows the names.  ``markings`` renames
-    every member's result back to real names, on first read.
+    result, since where it cuts follows the names.  An own step's firing
+    is built only for a ``reached_final`` search, and the event's frontier
+    keeps it.  ``markings`` renames every member's result back to real
+    names, on first read.
     """
     if isinstance(events, str):
         events = (events,)
     if memo is None:
         memo = FrontierMemo(net, log, graph, ())
     searched: dict[tuple, _SingleReplay] = {}
-    finals: dict[tuple[_SingleReplay, VisibleBindingStep], tuple[bool, bool]] = {}
+    finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool, _Firing | None]] = {}
     results: dict[_SingleReplay, None] = {}
     members: list[tuple[tuple[Marking, ...], dict[int, int]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
 
-    def final(single: _SingleReplay, own: VisibleBindingStep) -> tuple[bool, bool]:
+    def final(single: _SingleReplay, own: _Step, types: Sequence[str],
+              ) -> tuple[bool, bool, _Firing | None]:
+        # a result other than the shared unreplayable one, which has no
+        # markings, comes from one key, and a key fixes the type of every
+        # name, so the result and the compact step fix the firing
         answer = finals.get((single, own))
         if answer is None:
-            answer = finals[single, own] = _reaches_final(
-                net, single.markings, memo.firing(own), cfg)
+            answer = (False, False, None)
+            if single.markings:
+                firing = memo.firing(own, types)
+                reached, cut = _reaches_final(net, single.markings, firing, cfg)
+                answer = (reached, cut, firing)
+            finals[single, own] = answer
         return answer
 
     for eid in events:
         position = graph._position(eid)
-        single, own, names = _replay_resumed(net, log, graph, position, cfg, memo,
-                                             searched)
-        reached, cut = final(single, own)
-        if cut and not single.truncated:  # where a closure cuts follows the names
-            reached, cut = final(*_preset_search(net, log, graph, position, _START,
-                                                 False, cfg, memo, searched)[:2])
+        single, own, types, names = _replay_resumed(net, log, graph, position, cfg,
+                                                    memo, searched)
+        reached, cut, firing = final(single, own, types)
+        if not single.truncated:
+            memo.keep(position, names, types, single, own, firing)
+            if cut:  # where a closure cuts follows the names
+                reached, cut, _ = final(*_preset_search(
+                    net, log, graph, position, _START, False, cfg, memo, searched)[:3])
         reached_final_by_event[eid] = reached
         truncated = truncated or single.truncated or (cut and not reached)
         results[single] = None

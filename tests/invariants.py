@@ -4,6 +4,7 @@ violation and returns how many cases it checked."""
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -20,7 +21,7 @@ from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
 from oconform.replay import (FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _prefix_predecessor, _replay_resumed,
+                             _expanded, _prefix_predecessor, _replay_resumed,
                              lazy_entry_exact, replay_context_group)
 
 
@@ -158,6 +159,32 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
             assert preset == oracle[e.id]
             for pid in preset:
                 assert event_preset(graph, pid) <= preset
+    return len(logs)
+
+
+GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_low", "_bits",
+                   "_bags", "_types", "_slots")
+
+
+def run_graph_reference_agreement(seed: int = 26, rounds: int = 100) -> int:
+    """The graph's internals, and its trie's nodes, pickle to the same
+    bytes as those of the graph built the way it was before events with
+    one object or one direct predecessor took their own paths
+    (``oracles.reference_build_graph``).  Besides random logs, this runs
+    on chained airport logs and on a disjoint one, where most events hold
+    one object."""
+    rng = random.Random(seed)
+    logs = [oracles.random_log(rng) for _ in range(rounds)]
+    logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
+             for s, flights, planes in ((19, 12, 2), (21, 6, 1), (24, 20, 3))]
+    logs.append(disjoint_airport_log(30))
+    for log in logs:
+        graph, reference = build_graph(log), oracles.reference_build_graph(log)
+        for name in GRAPH_INTERNALS:
+            assert pickle.dumps(getattr(graph, name)) == \
+                pickle.dumps(getattr(reference, name)), name
+        assert pickle.dumps(graph._trie._parents) == \
+            pickle.dumps(reference._trie._parents)
     return len(logs)
 
 
@@ -334,7 +361,9 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
     object named by its graph number, and renamed back its markings are
     the reference's in the reference's order.  The names number the
     event's objects one to one, canonical names as the ints from 0, and
-    the event's own step comes renamed with them."""
+    the event's own step comes renamed with them: compact, as its activity
+    and its objects' names ascending, and, expanded by the types the
+    result gives its names, equal to the event's step renamed."""
     report = check(log, net, cfg)
     by_id = {d.event_id: d for d in report.per_event}
     graph = build_graph(log)
@@ -345,16 +374,21 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         assert detail == eager, members
         truncated = truncated or eager.outcome.truncated
         for eid in members:
-            single, own, names = _replay_resumed(net, log, graph, log.event_index[eid],
-                                                 cfg, FrontierMemo(net, log, graph, ()), {})
+            single, own, types, names = _replay_resumed(
+                net, log, graph, log.event_index[eid], cfg,
+                FrontierMemo(net, log, graph, ()), {})
             want = singles[eid]
-            real_own = VisibleBindingStep.for_event(log.event(eid))
+            event = log.event(eid)
+            real_own = VisibleBindingStep.for_event(event)
             assert single.truncated == want.truncated, eid
             objects = oracles.preset_objects(log, graph, eid)
             # names maps the graph's object numbers to the result's names
             named = {graph.objects[s]: name for s, name in names.items()}
             assert set(named) == objects, eid
-            assert (own,) == oracles.renamed_steps((real_own,), named), eid
+            assert all(types[name] == o.otype for o, name in named.items()), eid
+            assert own == (event.activity, *sorted(named[o] for o in event.omap)), eid
+            assert (_expanded(own, types),) == \
+                oracles.renamed_steps((real_own,), named), eid
             back = {ObjectId(name, o.otype): o.id for o, name in named.items()}
             real = oracles.renamed_markings(net, single.markings, back)
             if single.truncated:
@@ -364,6 +398,7 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
                 assert real == want.markings, eid
             else:
                 assert sorted(names.values()) == list(range(len(names))), eid
+                assert len(types) == len(names), eid
                 canonical = oracles.eager_replay(
                     net, oracles.renamed_steps(
                         oracles.binding_sequence_of_preset(log, graph, eid), named),

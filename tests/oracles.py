@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from oconform import replay
-from oconform.context import EventObjectGraph
+from oconform.context import Context, EventObjectGraph, _Trie
 from oconform.ocel import (Event, EventLog, LogError, ObjectId, make_log,
                            validate_log)
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, ModelError, Place,
@@ -107,6 +107,116 @@ def naive_groups(log: EventLog) -> dict[ContextKey, list[str]]:
     for e in log.events:
         groups.setdefault(naive_context_key(log, anc, e.id), []).append(e.id)
     return groups
+
+
+# ---------------------------------------------------------------------------
+# the event-object graph as built before events with one object or one
+# direct predecessor took their own paths: a set and a shift loop for
+# every event's preset, a sort of the direct predecessors and a sorted
+# tuple as every event's group key.  The package's graph must hold equal
+# internals.
+
+def reference_build_graph(log: EventLog) -> EventObjectGraph:
+    by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
+    number = {key: s for s, key in enumerate(sorted(by_key))}
+    objects = tuple(by_key[key] for key in number)
+    types = [otype for _, otype in number]
+    slots = [sorted([number[o.id, o.otype] for o in e.omap]) for e in log.events]
+    last_seen = [-1] * len(objects)
+    direct: list[set[int]] = []
+    users = [0] * len(slots)
+    low: list[int] = []
+    bits: list[int] = []
+    trie = _Trie()
+    children, parents = trie._children, trie._parents
+    trace = [[trie.child(-1, otype)] for otype in types]
+    for i, own in enumerate(slots):
+        preds = {last_seen[s] for s in own}
+        preds.discard(-1)
+        direct.append(preds)
+        start = min([low[p] for p in preds], default=i)
+        ancestors = 0
+        for p in preds:
+            ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
+            users[p] += 1
+        low.append(start)
+        bits.append(ancestors)
+        activity = log.events[i].activity
+        for s in own:
+            last_seen[s] = i
+            nodes = trace[s]
+            step = (nodes[-1], activity)
+            node = children.get(step)
+            if node is None:
+                node = children[step] = len(parents)
+                parents.append(step)
+            nodes.append(node)
+    order = tuple(e.id for e in log.events)
+    group_of, members, bags = _reference_context_groups(order, direct, users, low, bits,
+                                                        slots, trace)
+    return EventObjectGraph(order, group_of, members, log.event_index, direct,
+                            low, bits, bags, trie, objects, types, slots)
+
+
+def _reference_context_groups(order, direct, users, low, bits, slots, trace):
+    after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    number: dict[tuple[tuple[int, int], ...], int] = {}
+    members: list[list[str]] = []
+    group_of: dict[str, int] = {}
+    for i, own in enumerate(slots):
+        preds = [*direct[i]]
+        if len(preds) > 1:
+            preds.sort(key=lambda d: len(after[d][0]), reverse=True)
+        if not preds:
+            counts: dict[int, int] = {}
+            bag: dict[int, int] = {}
+        elif users[preds[0]] == 1:
+            counts, bag = after[preds[0]]
+        else:
+            counts, bag = (m.copy() for m in after[preds[0]])
+        for d in preds[1:]:
+            shift = d - low[preds[0]]
+            if shift < 0 or not bits[preds[0]] >> shift & 1:
+                for s, k in after[d][0].items():
+                    was = counts.get(s)
+                    if was is None or was < k:
+                        if was is not None:
+                            node = trace[s][was]
+                            if bag[node] == 1:
+                                del bag[node]
+                            else:
+                                bag[node] -= 1
+                        counts[s] = k
+                        node = trace[s][k]
+                        bag[node] = bag.get(node, 0) + 1
+        for d in preds:
+            users[d] -= 1
+            if not users[d]:
+                del after[d]
+        for s in own:
+            if s not in counts:
+                counts[s] = 0
+                node = trace[s][0]
+                bag[node] = bag.get(node, 0) + 1
+        group = number.setdefault(tuple(sorted(bag.items())), len(members))
+        if group == len(members):
+            members.append([])
+        members[group].append(order[i])
+        group_of[order[i]] = group
+        if users[i]:
+            for s in own:
+                nodes = trace[s]
+                k = counts[s]
+                node = nodes[k]
+                if bag[node] == 1:
+                    del bag[node]
+                else:
+                    bag[node] -= 1
+                counts[s] = k + 1
+                node = nodes[k + 1]
+                bag[node] = bag.get(node, 0) + 1
+            after[i] = (counts, bag)
+    return group_of, tuple(map(tuple, members)), tuple(number)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +419,28 @@ def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
     """The event's ancestors as visible binding steps, in log order."""
     return tuple(VisibleBindingStep.for_event(log.events[i])
                  for i in graph.preset_positions(event_id))
+
+
+def binding_sequence_context(sequence, objects=()) -> Context:
+    """Context of an executed binding sequence, the paper's model-side
+    context.
+
+    Each element is (label, objects-by-type); silent firings (label None)
+    contribute nothing to any prefix.  ``objects`` widens the universe to
+    objects that took part in no firing, e.g. those only placed in the
+    initial marking; they contribute empty sequences.
+    """
+    prefixes: dict[ObjectId, list[str]] = {o: [] for o in objects}
+    for label, by_type in sequence:
+        for otype, ids in by_type.items():
+            for oid in ids:
+                seq = prefixes.setdefault(ObjectId(oid, otype), [])
+                if label is not None:
+                    seq.append(label)
+    grouped: dict[str, list[tuple[str, ...]]] = {}
+    for o, acts in prefixes.items():
+        grouped.setdefault(o.otype, []).append(tuple(acts))
+    return Context.from_prefixes(grouped)
 
 
 def preset_objects(log: EventLog, graph: EventObjectGraph,

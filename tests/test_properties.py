@@ -26,6 +26,10 @@ def test_event_graph_is_a_forward_dag_with_transitive_presets():
     invariants.run_graph_properties(rounds=50)
 
 
+def test_graph_internals_match_the_reference_build():
+    assert invariants.run_graph_reference_agreement(rounds=100) == 104
+
+
 def test_preset_bitsets_match_closure_oracle():
     invariants.run_preset_bitsets(rounds=50)
 

@@ -13,9 +13,9 @@ from oconform.ocel import LogError, ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
 from oconform.replay import (DEFAULT_CONFIG, EMPTY_OUTCOME, ReplayConfig,
-                             VisibleBindingStep, binding_sequence_context,
-                             enabled_model_activities, lazy_entry_exact,
-                             replay_context_group, states_for_context)
+                             VisibleBindingStep, enabled_model_activities,
+                             lazy_entry_exact, replay_context_group,
+                             states_for_context)
 
 E5_STATES = frozenset({
     Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
@@ -57,14 +57,14 @@ def test_sequence_context_matches_event_context(l1, l1_graph):
     # the executed ancestor bindings induce exactly the event's context
     for e in l1.events:
         steps = oracles.binding_sequence_of_preset(l1, l1_graph, e.id)
-        ctx = binding_sequence_context(
+        ctx = oracles.binding_sequence_context(
             [(s.activity, dict(s.objects)) for s in steps],
             objects=oracles.preset_objects(l1, l1_graph, e.id))
         assert ctx == context_of_event(l1, l1_graph, e.id)
 
 
 def test_sequence_context_ignores_silent_steps():
-    ctx = binding_sequence_context(
+    ctx = oracles.binding_sequence_context(
         [("a", {"X": ["x1"]}), (None, {"X": ["x1"]}), ("b", {"X": ["x1"]})])
     assert ctx.multiset("X") == {("a", "b"): 1}
 
@@ -416,15 +416,20 @@ def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
-def _bench_disjoint_log():
+def _bench_disjoint_log(events=108):
     """A log as the benchmark's disjoint workloads generate it: interleaved
-    flights with their own planes and one to three bags each."""
+    flights with their own planes and one to three bags each.  The bench
+    module is only read: no bytecode is written next to it."""
     path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen  # its dataclass looks its module up
-    spec.loader.exec_module(gen)
-    return parse_log(gen.generate(5, 108).data)
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return parse_log(gen.generate(5, events).data)
 
 
 def _engine_logs(ocpn1):
@@ -434,9 +439,10 @@ def _engine_logs(ocpn1):
 
 
 def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
-    # an event's own step is built once, from the graph's numbers, and
-    # the events resuming from its frontier open with it; a step is built
-    # again only in the other names of a later event's rest of the preset
+    # an event's own compact step is built once, from the graph's numbers,
+    # and the events resuming from its frontier open with it; a step is
+    # built again only in the other names of a later event's rest of the
+    # preset
     def no_for_event(cls, event):
         raise AssertionError("check builds steps from the graph's numbers")
 
@@ -446,19 +452,52 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
         built = Counter()
 
         def spy(log, graph, position, base, lazy, canonical):
-            names, steps, own, entering = sequence(log, graph, position, base, lazy,
-                                                   canonical)
-            start, _, _, opening = base
+            names, types, steps, own, entering = sequence(log, graph, position, base,
+                                                          lazy, canonical)
+            start, _, _, _, opening, _ = base
             positions = [*graph.preset_positions(log.events[position].id, start),
                          position]
-            built.update(zip(positions, [*steps[len(opening):], own], strict=True))
-            return names, steps, own, entering
+            built.update(zip(positions, [*steps[opening is not None:], own],
+                             strict=True))
+            return names, types, steps, own, entering
 
         monkeypatch.setattr(replay, "_sequence", spy)
         report = metrics.check(log, net)
         assert not report.truncated
         assert {position for position, _ in built} == set(range(len(log.events)))
         assert set(built.values()) == {1}
+
+
+def test_steps_are_expanded_per_searched_class_not_per_event(monkeypatch, ocpn1):
+    # nearly every flight repeats a replay class already searched; a
+    # VisibleBindingStep is built only for a class's search or for a
+    # missing reached_final answer, and never for an event whose class
+    # and answer are known
+    log = _bench_disjoint_log(1512)
+    counts = Counter()
+    new, search, reaches_final = (VisibleBindingStep.__new__, replay._search,
+                                  replay._reaches_final)
+
+    def counted_new(cls, *args):
+        counts["built"] += 1
+        return new(cls, *args)
+
+    def counted_search(net, steps, *args):
+        counts["searched steps"] += len(steps)
+        return search(net, steps, *args)
+
+    def counted_final(*args):
+        counts["final searches"] += 1
+        return reaches_final(*args)
+
+    monkeypatch.setattr(VisibleBindingStep, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(replay, "_search", counted_search)
+    monkeypatch.setattr(replay, "_reaches_final", counted_final)
+    report = metrics.check(log, ocpn1)
+    assert not report.truncated and report.fitness == 1
+    assert counts["built"] <= counts["searched steps"] + counts["final searches"]
+    # the bound is the classes', not the events'
+    assert counts["searched steps"] + counts["final searches"] < len(log.events) // 10
 
 
 def test_replay_neither_hashes_nor_orders_object_ids(monkeypatch, ocpn1):
