@@ -6,8 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .context import (build_graph, context_group, context_of_event,
-                      enabled_log_activities, event_preset, events_in_log_order)
+from .context import (build_graph, context_of_event, enabled_log_activities,
+                      event_preset)
 from .metrics import check, format_summary, report_to_json
 from .ocel import LogError, parse_log, serialize_log
 from .ocpn import ModelError, flower_model, parse_model, serialize_model
@@ -111,9 +111,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     graph = build_graph(log)
     preset = event_preset(graph, event.id)
     ctx = context_of_event(log, graph, event.id)
-    group = context_group(graph, event.id)
+    group = graph.members[graph.group_of[event.id]]
     detail = replay_context_group(net, log, graph, group, cfg)
-    ordered_preset = [e.id for e in events_in_log_order(log, preset)]
+    ordered_preset = sorted(preset, key=log.event_index.__getitem__)
 
     print(f"event: {event.id}")
     print(f"activity: {event.activity}")

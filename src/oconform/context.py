@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .ocel import Event, EventLog, LogError, ObjectId
+from .ocel import EventLog, LogError, ObjectId
 
 Prefix = tuple[str, ...]
 
@@ -156,7 +156,7 @@ class EventObjectGraph:
     frozenset of event ids, built when read.  ``members`` partitions the
     events by context, groups in the log order of their first event and
     members in log order, and ``group_of`` maps each event id to its
-    group's number.  A group's ``Context`` is built on first use
+    group's number.  A group's ``Context`` is built when read
     (``context``).  ``objects[s]`` is object number s, in ``ObjectId``
     order, ``_types[s]`` its type, and ``_slots[i]`` holds the numbers of
     the i-th event's objects, ascending.
@@ -174,8 +174,6 @@ class EventObjectGraph:
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
     _types: list[str] = field(repr=False, compare=False)
     _slots: list[list[int]] = field(repr=False, compare=False)
-    _built: dict[int, Context] = field(default_factory=dict, repr=False,
-                                       compare=False)
 
     @property
     def direct_predecessors(self) -> Mapping[str, frozenset[str]]:
@@ -192,10 +190,7 @@ class EventObjectGraph:
 
     def context(self, group: int) -> Context:
         """The context shared by the events of one group."""
-        ctx = self._built.get(group)
-        if ctx is None:
-            ctx = self._built[group] = self._trie.context(self._bags[group])
-        return ctx
+        return self._trie.context(self._bags[group])
 
     def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
         """Log positions of the event's preset from ``start`` on, ascending."""
@@ -391,16 +386,6 @@ def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:
         raise LogError(f"unknown event id {event_id!r}") from None
 
 
-def events_in_log_order(log: EventLog, event_ids: Iterable[str]) -> list[Event]:
-    """The log's events among the given ids (a preset, say), in log order.
-
-    Ids the log does not contain are ignored.
-    """
-    index = log.event_index
-    positions = sorted(index[eid] for eid in set(event_ids) if eid in index)
-    return [log.events[i] for i in positions]
-
-
 def context_of_event(log: EventLog, graph: EventObjectGraph, event_id: str) -> Context:
     """The event's context: per type, the multiset of prefixes of every
     object touched by the event or its ancestors.
@@ -409,11 +394,6 @@ def context_of_event(log: EventLog, graph: EventObjectGraph, event_id: str) -> C
     sequence.  ``graph`` must be built from ``log``.
     """
     return graph.context(_group(graph, event_id))
-
-
-def context_group(graph: EventObjectGraph, event_id: str) -> tuple[str, ...]:
-    """The events sharing the given event's context, in log order."""
-    return graph.members[_group(graph, event_id)]
 
 
 def _group(graph: EventObjectGraph, event_id: str) -> int:
@@ -435,5 +415,5 @@ def enabled_log_activities(log: EventLog, graph: EventObjectGraph, event_id: str
     Never empty: the event itself always qualifies.
     """
     return frozenset(log.event(eid).activity
-                     for eid in context_group(graph, event_id))
+                     for eid in graph.members[_group(graph, event_id)])
 

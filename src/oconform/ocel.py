@@ -68,10 +68,6 @@ class EventLog:
         return {o.id: o for o in self.objects}
 
     @cached_property
-    def events_by_id(self) -> dict[str, Event]:
-        return {e.id: e for e in self.events}
-
-    @cached_property
     def event_index(self) -> dict[str, int]:
         """Position of each event in the log's total order, by event id."""
         return {e.id: position for position, e in enumerate(self.events)}
@@ -82,7 +78,7 @@ class EventLog:
 
     def event(self, event_id: str) -> Event:
         try:
-            return self.events_by_id[event_id]
+            return self.events[self.event_index[event_id]]
         except KeyError:
             raise LogError(f"unknown event id {event_id!r}") from None
 

@@ -239,6 +239,7 @@ class AcceptingOCPN:
 
         pre: dict[str, list[Place]] = {t.id: [] for t in self.transitions}
         post: dict[str, list[Place]] = {t.id: [] for t in self.transitions}
+        variable: dict[str, set[str]] = {t.id: set() for t in self.transitions}
         seen_arcs = set()
         # variable status must be uniform per (transition, object type)
         var_status: dict[tuple[str, str], bool] = {}
@@ -259,23 +260,20 @@ class AcceptingOCPN:
             if var_status.setdefault(key, a.variable) != a.variable:
                 raise ModelError(
                     f"transition {tid!r}: mixed variable status for type {place.otype!r}")
+            if a.variable:
+                variable[tid].add(place.otype)
 
-        self._preset = {tid: tuple(entries) for tid, entries in pre.items()}
-        self._postset = {tid: tuple(entries) for tid, entries in post.items()}
-        self._tpl = {}
-        self._variable_types = {}
-        for t in self.transitions:
-            types = {p.otype for p in self._preset[t.id] + self._postset[t.id]}
-            self._tpl[t.id] = frozenset(types)
-            self._variable_types[t.id] = frozenset(
-                ot for (tid, ot), variable in var_status.items()
-                if tid == t.id and variable)
-        self._inputs_by_type = {}
-        for t in self.transitions:
+        self._preset, self._postset, self._tpl = {}, {}, {}
+        self._variable_types, self._inputs_by_type = {}, {}
+        for tid, inputs in pre.items():
+            self._preset[tid] = tuple(inputs)
+            self._postset[tid] = tuple(post[tid])
+            self._tpl[tid] = frozenset(p.otype for p in inputs + post[tid])
+            self._variable_types[tid] = frozenset(variable[tid])
             grouped: dict[str, list[Place]] = {}
-            for p in self._preset[t.id]:
+            for p in inputs:
                 grouped.setdefault(p.otype, []).append(p)
-            self._inputs_by_type[t.id] = {ot: tuple(ps) for ot, ps in grouped.items()}
+            self._inputs_by_type[tid] = {ot: tuple(ps) for ot, ps in grouped.items()}
 
         used_types = {p.otype for p in self.places}
         self.initial_places = {}

@@ -48,13 +48,15 @@ class ReplayConfig:
     reverse_successors: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be positive")
+        for name in ("max_states", "subset_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
         if self.silent_variable_mode not in SILENT_VARIABLE_MODES:
             raise ValueError(
                 f"silent_variable_mode must be one of {SILENT_VARIABLE_MODES}")
-        if self.subset_cap < 1:
-            raise ValueError("subset_cap must be positive")
 
 
 DEFAULT_CONFIG = ReplayConfig()
@@ -95,9 +97,6 @@ class ReplayOutcome:
     replayed: bool
     reached_final: bool
     truncated: bool
-
-
-EMPTY_OUTCOME = ReplayOutcome(frozenset(), False, False, False)
 
 
 @dataclass(eq=False)
@@ -601,19 +600,12 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
 
     def real_markings() -> frozenset[Marking]:
         # one numbering covers every type, so a name alone is one object,
-        # and a place holds one type, so renaming a place dict keeps its keys
-        # apart; each renamed token is hashed once, as ``Marking`` would
+        # and a place holds one type, so renaming keeps its tokens apart
         out: set[Marking] = set()
         for markings, names in members:
             real = {name: graph.objects[s].id for s, name in names.items()}
-            for m in markings:
-                tokens = {}
-                total = 0
-                for place, objects in m._tokens.items():
-                    renamed = tokens[place] = {real[o]: n for o, n in objects.items()}
-                    for o, n in renamed.items():
-                        total += hash((place, o)) * n
-                out.add(Marking._of(tokens, total))
+            out.update(Marking({(place, real[o]): n for (place, o), n in m.items()})
+                       for m in markings)
         return frozenset(out)
 
     enabled = frozenset().union(*(enabled_visible_labels(net, m)
@@ -621,22 +613,3 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     outcome = ReplayOutcome(enabled, any(single.markings for single in results),
                             any(reached_final_by_event.values()), truncated)
     return GroupReplay(outcome, real_markings, reached_final_by_event)
-
-
-def enabled_model_activities(net: AcceptingOCPN, log: EventLog,
-                             graph: EventObjectGraph, events: Iterable[str] | str,
-                             cfg: ReplayConfig = DEFAULT_CONFIG) -> ReplayOutcome:
-    """Visible labels the net can fire next, given the context of the events.
-
-    ``events`` is one event id or a whole context group; outcomes are
-    unioned over the group.
-    """
-    return replay_context_group(net, log, graph, events, cfg).outcome
-
-
-def states_for_context(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                       events: Iterable[str] | str,
-                       cfg: ReplayConfig = DEFAULT_CONFIG) -> frozenset[Marking]:
-    """All deduplicated fully-replayed markings for a context group,
-    closed under silent reachability."""
-    return replay_context_group(net, log, graph, events, cfg).markings

@@ -4,19 +4,22 @@ violation and returns how many cases it checked."""
 from __future__ import annotations
 
 import copy
+import importlib.util
 import pickle
 import random
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 from oconform.context import (Context, build_graph, context_of_event,
                               enabled_log_activities, event_preset,
                               group_by_context)
 from oconform.metrics import check
-from oconform.ocel import ObjectId, make_log
+from oconform.ocel import ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
@@ -532,3 +535,19 @@ def chained_airport_log(seed: int = 19, flights: int = 12, planes: int = 2):
         activity, omap = stream.pop(0)
         events.append((f"e{len(events) + 1}", activity, omap))
     return make_log(events)
+
+
+def bench_log(seed: int, events: int, **options):
+    """A log as ``bench/gen.py`` generates it for the benchmark's
+    workloads, ``options`` passed on to ``gen.generate``.  The bench
+    module is only read: no bytecode is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclass looks its module up
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return parse_log(gen.generate(seed, events, **options).data)

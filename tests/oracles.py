@@ -60,7 +60,7 @@ def direct_predecessors(log: EventLog, eid: str) -> frozenset[str]:
     """For each of the event's objects, the last earlier event holding it."""
     index = {e.id: i for i, e in enumerate(log.events)}
     direct = set()
-    for obj in log.events_by_id[eid].omap:
+    for obj in log.event(eid).omap:
         earlier = [e.id for e in log.events[:index[eid]] if obj in e.omap]
         if earlier:
             direct.add(earlier[-1])
@@ -87,10 +87,10 @@ ContextKey = tuple[tuple[str, tuple[tuple[tuple[str, ...], int], ...]], ...]
 def naive_context_key(log: EventLog, anc: dict[str, frozenset[str]],
                       eid: str) -> ContextKey:
     """Per-type prefix multisets, computed by rescanning the whole log."""
-    event = log.events_by_id[eid]
+    event = log.event(eid)
     universe = set(event.omap)
     for pid in anc[eid]:
-        universe |= log.events_by_id[pid].omap
+        universe |= log.event(pid).omap
     per_type: dict[str, list[tuple[str, ...]]] = {}
     for obj in universe:
         prefix = tuple(ev.activity for ev in log.events
@@ -570,7 +570,7 @@ def flower_precision_oracle(log: EventLog) -> Fraction:
     for e in log.events:
         universe = set(e.omap)
         for pid in anc[e.id]:
-            universe |= log.events_by_id[pid].omap
+            universe |= log.event(pid).omap
         present = {o.otype for o in universe}
         en_model = {a for a, req in required.items() if req <= present}
         if not en_model:

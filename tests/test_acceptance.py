@@ -18,7 +18,7 @@ from oconform.context import Context, build_graph, context_of_event, \
 from oconform.metrics import check, format_fraction, format_summary
 from oconform.ocel import ObjectId
 from oconform.ocpn import Marking
-from oconform.replay import states_for_context
+from oconform.replay import replay_context_group
 from oconform.simulate import simulate_log
 
 
@@ -82,7 +82,7 @@ def test_acceptance_3_context_fixture(announce, l1, l1_graph):
 
 def test_acceptance_4_state_fixture(announce, l1, l1_graph, ocpn1):
     with announce(4, "states reached for the context of e5"):
-        states = states_for_context(ocpn1, l1, l1_graph, "e5")
+        states = replay_context_group(ocpn1, l1, l1_graph, "e5").markings
         assert states == {
             Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
             Marking([("pl5", "p1"), ("pl8", "b1"), ("pl6", "b2")]),

@@ -1,12 +1,17 @@
 import random
+from importlib.resources import files
 
 import pytest
 
+import invariants
 import oracles
-from oconform.context import (Context, build_graph, context_group,
-                              context_of_event, enabled_log_activities,
-                              event_preset, group_by_context)
+from oconform.cli import EXIT_OK, main
+from oconform.context import (Context, _Trie, build_graph, context_of_event,
+                              enabled_log_activities, event_preset,
+                              group_by_context)
+from oconform.metrics import check
 from oconform.ocel import LogError, ObjectId, make_log
+from oconform.ocpn import flower_model
 
 E5_CONTEXT = Context.from_prefixes({
     "plane": [("Fuel plane", "Load cargo")],
@@ -124,12 +129,12 @@ def test_bundled_log_has_six_context_groups(l1, l1_graph):
 
 
 def test_context_group_is_a_lookup_shared_by_its_members(l1, l1_graph):
-    assert context_group(l1_graph, "e5") == ("e5", "e14")
-    assert context_group(l1_graph, "e14") == ("e5", "e14")
-    assert context_of_event(l1, l1_graph, "e5") is \
+    assert l1_graph.members[l1_graph.group_of["e5"]] == ("e5", "e14")
+    assert l1_graph.members[l1_graph.group_of["e14"]] == ("e5", "e14")
+    assert context_of_event(l1, l1_graph, "e5") == \
         context_of_event(l1, l1_graph, "e14")
     with pytest.raises(LogError, match="unknown event id"):
-        context_group(l1_graph, "e99")
+        enabled_log_activities(l1, l1_graph, "e99")
     with pytest.raises(LogError, match="unknown event id"):
         context_of_event(l1, l1_graph, "e99")
 
@@ -139,6 +144,43 @@ def test_enabled_log_activities(l1, l1_graph):
     assert enabled_log_activities(l1, l1_graph, "e9") == \
         {"Clean", "Pick up @ dest"}
     assert enabled_log_activities(l1, l1_graph, "e1") == {"Fuel plane"}
+
+
+def _count_contexts(monkeypatch) -> list[int]:
+    calls = [0]
+    build = _Trie.context
+
+    def counted(self, bag):
+        calls[0] += 1
+        return build(self, bag)
+
+    monkeypatch.setattr(_Trie, "context", counted)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["fixture", "chained"])
+def test_check_builds_each_group_context_once(monkeypatch, l1, ocpn1, which):
+    # nothing keeps a built Context, so a second read of a group would
+    # build it again: check reads each group's once, in group_by_context
+    if which == "fixture":
+        log, net = l1, ocpn1
+    else:  # as the chained-flower workload generates it
+        log = invariants.bench_log(5, 486, shared_planes=3)
+        net = flower_model(log)
+    groups = len(build_graph(log).members)
+    calls = _count_contexts(monkeypatch)
+    check(log, net)
+    assert calls[0] == groups
+
+
+def test_explain_builds_one_context(monkeypatch, capsys):
+    calls = _count_contexts(monkeypatch)
+    fixtures = files("oconform").joinpath("fixtures")
+    assert main(["explain", "--log", str(fixtures / "l1_log.json"),
+                 "--model", str(fixtures / "ocpn1_model.json"),
+                 "--event", "e5"]) == EXIT_OK
+    assert "context group: e5, e14\n" in capsys.readouterr().out
+    assert calls[0] == 1
 
 
 def test_from_prefixes_drops_types_without_objects():

@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -9,13 +6,12 @@ import invariants
 import oracles
 from oconform import metrics, replay
 from oconform.context import build_graph, context_of_event
-from oconform.ocel import LogError, ObjectId, make_log, parse_log
+from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
-from oconform.replay import (DEFAULT_CONFIG, EMPTY_OUTCOME, ReplayConfig,
-                             VisibleBindingStep, enabled_model_activities,
-                             lazy_entry_exact, replay_context_group,
-                             states_for_context)
+from oconform.replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
+                             VisibleBindingStep, lazy_entry_exact,
+                             replay_context_group)
 
 E5_STATES = frozenset({
     Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
@@ -33,7 +29,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="subset_cap"):
         ReplayConfig(subset_cap=0)
     assert DEFAULT_CONFIG.max_states == 100_000
-    assert EMPTY_OUTCOME.enabled == frozenset() and not EMPTY_OUTCOME.replayed
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_states", 2.5), ("max_states", True), ("max_states", "10"),
+    ("subset_cap", 2.5), ("subset_cap", 3.0), ("subset_cap", True)])
+def test_config_budgets_must_be_integers(name, value):
+    # a float cap would reach the report as 2.5 and fail later in
+    # enumerate_bindings' range(); a bool would render as true
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ReplayConfig(**{name: value}, silent_variable_mode="subsets")
 
 
 def test_binding_sequence_of_preset(l1, l1_graph):
@@ -70,7 +75,7 @@ def test_sequence_context_ignores_silent_steps():
 
 
 def test_states_for_e5(l1, l1_graph, ocpn1):
-    states = states_for_context(ocpn1, l1, l1_graph, "e5")
+    states = replay_context_group(ocpn1, l1, l1_graph, "e5").markings
     assert states == E5_STATES
 
 
@@ -82,13 +87,14 @@ def test_states_for_e5_match_exhaustive_search(l1, l1_graph, ocpn1):
     objects = [ObjectId("p1", "plane"), ObjectId("b1", "baggage"),
                ObjectId("b2", "baggage")]
     oracle = oracles.brute_force_states(ocpn1, objects, targets)
-    engine = {m.key() for m in states_for_context(ocpn1, l1, l1_graph, "e5")}
+    states = replay_context_group(ocpn1, l1, l1_graph, "e5").markings
+    engine = {m.key() for m in states}
     assert engine == oracle
 
 
 def test_group_union_covers_both_plane_batches(l1, l1_graph, ocpn1):
     # e5 and e14 share a context; the union replays both object families
-    states = states_for_context(ocpn1, l1, l1_graph, ("e5", "e14"))
+    states = replay_context_group(ocpn1, l1, l1_graph, ("e5", "e14")).markings
     assert len(states) == 8
     assert E5_STATES <= states
     objects = {obj for m in states for (_, obj), _ in m.items()}
@@ -107,13 +113,13 @@ def test_enabled_activities_per_group(l1, l1_graph, ocpn1):
         "e7": {"Clean", "Pick up @ dest"},
     }
     for eid, labels in expected.items():
-        outcome = enabled_model_activities(ocpn1, l1, l1_graph, eid)
+        outcome = replay_context_group(ocpn1, l1, l1_graph, eid).outcome
         assert outcome.enabled == labels, eid
         assert outcome.replayed and not outcome.truncated
 
 
 def test_unload_group_states(l1, l1_graph, ocpn1):
-    states = states_for_context(ocpn1, l1, l1_graph, "e6")
+    states = replay_context_group(ocpn1, l1, l1_graph, "e6").markings
     assert len(states) == 4
     assert all(m.objects_at("pl7") == {"p1"} for m in states)
     bags = sorted(sorted(m.objects_at("pl8")) for m in states)
@@ -134,8 +140,8 @@ def test_unknown_event_raises(l1, l1_graph, ocpn1):
 
 
 def test_truncation_flag(l1, l1_graph, ocpn1):
-    outcome = enabled_model_activities(ocpn1, l1, l1_graph, "e7",
-                                       ReplayConfig(max_states=1))
+    outcome = replay_context_group(ocpn1, l1, l1_graph, "e7",
+                                   ReplayConfig(max_states=1)).outcome
     assert outcome.truncated
     assert not outcome.replayed
     assert outcome.enabled == frozenset()
@@ -145,10 +151,10 @@ def test_silent_variable_modes_agree_here(l1, l1_graph, ocpn1):
     # the bundled net's silent transition is not variable, so guessing
     # single objects or subsets must not change anything
     for eid in ("e5", "e6", "e7"):
-        single = enabled_model_activities(ocpn1, l1, l1_graph, eid)
-        subsets = enabled_model_activities(
+        single = replay_context_group(ocpn1, l1, l1_graph, eid).outcome
+        subsets = replay_context_group(
             ocpn1, l1, l1_graph, eid,
-            ReplayConfig(silent_variable_mode="subsets"))
+            ReplayConfig(silent_variable_mode="subsets")).outcome
         assert single == subsets
 
 
@@ -161,11 +167,11 @@ def test_missing_activity_in_preset_blocks_replay():
     graph = build_graph(log)
     net = oracles.chain_net(("a", "b"))
     # e3's history contains X, which no transition carries: unreplayable
-    blocked = enabled_model_activities(net, log, graph, "e3")
+    blocked = replay_context_group(net, log, graph, "e3").outcome
     assert not blocked.replayed and not blocked.truncated
     assert blocked.enabled == frozenset()
     # e2 itself replays fine; only its own activity is unknown
-    own = enabled_model_activities(net, log, graph, "e2")
+    own = replay_context_group(net, log, graph, "e2").outcome
     assert own.replayed and own.enabled == {"b"}
     assert not own.reached_final
 
@@ -173,8 +179,8 @@ def test_missing_activity_in_preset_blocks_replay():
 def test_missing_object_type_blocks_replay():
     log = make_log([("e1", "a", [ObjectId("q1", "other")])])
     net = oracles.chain_net(("a", "b"))
-    outcome = enabled_model_activities(net, log, build_graph(log), "e1")
-    assert outcome == EMPTY_OUTCOME
+    outcome = replay_context_group(net, log, build_graph(log), "e1").outcome
+    assert outcome == ReplayOutcome(frozenset(), False, False, False)
 
 
 def test_reached_final_when_own_firing_completes_the_chain():
@@ -206,8 +212,8 @@ def test_variable_silent_subsets_mode_runs():
     ])
     graph = build_graph(log)
     for mode in ("singleton", "subsets"):
-        outcome = enabled_model_activities(
-            net, log, graph, "e1", ReplayConfig(silent_variable_mode=mode))
+        outcome = replay_context_group(
+            net, log, graph, "e1", ReplayConfig(silent_variable_mode=mode)).outcome
         assert outcome.replayed
         assert outcome.enabled == {"finish"}
 
@@ -418,18 +424,8 @@ def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
 
 def _bench_disjoint_log(events=108):
     """A log as the benchmark's disjoint workloads generate it: interleaved
-    flights with their own planes and one to three bags each.  The bench
-    module is only read: no bytecode is written next to it."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclass looks its module up
-    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(gen)
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return parse_log(gen.generate(5, events).data)
+    flights with their own planes and one to three bags each."""
+    return invariants.bench_log(5, events)
 
 
 def _engine_logs(ocpn1):
