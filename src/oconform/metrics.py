@@ -64,7 +64,7 @@ def check(log: EventLog, net: AcceptingOCPN,
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
     groups = group_by_context(log, graph)
-    memo = FrontierMemo(net, log, graph,
+    memo = FrontierMemo(net, log, graph, cfg,
                         (eid for members in groups.values() for eid in members))
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()

@@ -54,6 +54,10 @@ class ReplayConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("explore_silent_when_enabled", "reverse_successors"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, not {value!r}")
         if self.silent_variable_mode not in SILENT_VARIABLE_MODES:
             raise ValueError(
                 f"silent_variable_mode must be one of {SILENT_VARIABLE_MODES}")
@@ -266,19 +270,18 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 _Step = tuple
 
 # Where replay of an event's preset may resume, as a plain tuple
-# (position, names, types, cls, own, firing).  A later event that resumes
-# here replays its preset from log position ``position``, just past the
-# event whose frontier this is, opening with ``own``: that event's own
-# step, compact.  ``firing`` is that step as the net fires it, or None if
-# it was never built.  ``names`` maps the entered objects, by graph number, to canonical
-# names, ints from 0 in order of entry, and ``types[name]`` is the type of
-# the object so named, so ``len(types)`` names the next new object.
-# ``cls`` is the event's replay class: its search result in those names,
-# whose ``entering`` markings and ``states`` resumed searches start from.
-_Frontier = tuple[int, dict[int, int], tuple[str, ...], _SingleReplay, _Step | None,
-                  _Firing | None]
+# (position, names, types, cls, own).  A later event that resumes here
+# replays its preset from log position ``position``, just past the event
+# whose frontier this is, opening with ``own``: that event's own step,
+# compact.  ``names`` maps the entered objects, by graph number, to
+# canonical names, ints from 0 in order of entry, and ``types[name]`` is
+# the type of the object so named, so ``len(types)`` names the next new
+# object.  ``cls`` is the event's replay class: its search result in those
+# names, whose ``entering`` markings and ``states`` resumed searches start
+# from.
+_Frontier = tuple[int, dict[int, int], tuple[str, ...], _SingleReplay, _Step | None]
 
-_START: _Frontier = (0, {}, (), _SingleReplay((), False, (Marking(),)), None, None)
+_START: _Frontier = (0, {}, (), _SingleReplay((), False, (Marking(),)), None)
 
 
 def _expanded(step: _Step, types: Sequence[str]) -> VisibleBindingStep:
@@ -312,7 +315,8 @@ def _prefix_predecessor(graph: EventObjectGraph, position: int) -> int | None:
 
 
 class FrontierMemo:
-    """Replay frontiers and firings shared by the events of one ``check``.
+    """Replay frontiers and firings shared by the events of one ``check``,
+    with the net, log, graph and config they were found for.
 
     An event's frontier is the raw set of markings that enter the end of
     its preset's binding sequence, before that cursor's silent search: the
@@ -322,17 +326,18 @@ class FrontierMemo:
     the rest of its preset.  ``order`` lists the event ids in the order
     they will be replayed; the users of each frontier are counted from it,
     and a frontier is dropped when its last user took it.  The frontiers
-    depend on the replay config, so one memo serves one config.  Events
-    not in ``order``, and all events on nets where lazy entry is not exact
-    (``lazy`` is False), resume from the empty frontier ``_START``.  Each
-    distinct visible step as the net fires it (``firing``) is built once
-    and kept while the memo lives.
+    depend on the replay config, so one memo serves one config, and one
+    net, log and graph: ``replay_context_group`` rejects it for any other.
+    Events not in ``order``, and all events on nets where lazy entry is
+    not exact (``lazy`` is False), resume from the empty frontier
+    ``_START``.  Each distinct visible step as the net fires it
+    (``firing``) is built once and kept while the memo lives.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                 order: Iterable[str]) -> None:
+                 cfg: ReplayConfig, order: Iterable[str] = ()) -> None:
+        self.net, self.log, self.graph, self.cfg = net, log, graph, cfg
         self.lazy = lazy_entry_exact(net)
-        self._net = net
         self._firings: dict[tuple, _Firing] = {}
         self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
         self._base: dict[int, int] = {}
@@ -373,9 +378,9 @@ class FrontierMemo:
         return frontier or _START
 
     def keep(self, position: int, names: dict[int, int], types: tuple[str, ...],
-             cls: _SingleReplay, own: _Step, firing: _Firing | None) -> None:
+             cls: _SingleReplay, own: _Step) -> None:
         if position in self._users:  # a later event resumes where its preset ends
-            self._frontiers[position] = (position + 1, names, types, cls, own, firing)
+            self._frontiers[position] = (position + 1, names, types, cls, own)
 
     def firing(self, step: _Step, types: Sequence[str]) -> _Firing:
         """The binding and needed tokens of a compact step, each name's
@@ -385,12 +390,12 @@ class FrontierMemo:
         key = (step, *map(types.__getitem__, step[1:]))
         firing = self._firings.get(key)
         if firing is None:
-            firing = self._firings[key] = _firing(self._net, _expanded(step, types))
+            firing = self._firings[key] = _firing(self.net, _expanded(step, types))
         return firing
 
 
-def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Frontier,
-              lazy: bool, canonical: bool) -> tuple:
+def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
+              ) -> tuple:
     """The names, the types of the names, the compact preset steps, the
     compact own step and the (cursor, (type, name) pairs) of objects
     entering the markings of the event at log ``position``, resumed from
@@ -406,9 +411,10 @@ def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Fron
     the graph's.  The base's names are copied on the first new object, and
     shared when there is none: no one writes to names once returned.
     """
-    start, names, types, _, opening, _ = base
+    start, names, types, _, opening = base
     steps = [] if opening is None else [opening]
-    kinds, slots, events = graph._types, graph._slots, log.events
+    graph = memo.graph
+    kinds, slots, events = graph._types, graph._slots, memo.log.events
     entering = []
     added: list[str] = []
     first = len(types)
@@ -429,7 +435,7 @@ def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Fron
             entering.append((len(steps), tuple(new)))
         bound.sort()
         steps.append((events[i].activity, *bound))
-    if entering and not lazy:
+    if entering and not memo.lazy:
         entering = [(0, tuple(pair for _, pairs in entering for pair in pairs))]
     if not canonical:
         types = kinds
@@ -439,32 +445,29 @@ def _sequence(log: EventLog, graph: EventObjectGraph, position: int, base: _Fron
     return names, types, steps, own, tuple(entering)
 
 
-def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                   position: int, base: _Frontier, canonical: bool, cfg: ReplayConfig,
-                   memo: FrontierMemo, searched: dict[tuple, _SingleReplay],
+def _preset_search(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
+                   searched: dict[tuple, _SingleReplay],
                    ) -> tuple[_SingleReplay, _Step, Sequence[str], dict[int, int]]:
     """Search the preset of the event at ``position`` from the base in the
     names ``_sequence`` gives, once per key in ``searched``: the base's
     class, the rest of the preset's compact steps and the entering
     objects.  The key fixes the type of every name.  Only a search builds
-    the firings of its steps, and it takes the base's own step's firing
-    from the base when the base holds it.  The search starts from the
-    base's entering markings, under the budget the base's states leave.
-    Returns the result, the event's compact own step, the types of the
-    names and the names."""
-    names, types, steps, own, entering = _sequence(log, graph, position, base, memo.lazy,
-                                                   canonical)
+    the firings of its steps, through the memo.  The search starts from
+    the base's entering markings, under the budget the base's states
+    leave.  Returns the result, the event's compact own step, the types of
+    the names and the names."""
+    names, types, steps, own, entering = _sequence(memo, position, base, canonical)
     cls = base[3]
     key = (cls, tuple(steps), entering)
     single = searched.get(key)
     if single is None:
+        net, cfg = memo.net, memo.cfg
         labels, initial = net.label_to_transition, net.initial_places
         if any(step[0] not in labels for step in steps) or not all(
                 otype in initial for _, objects in entering for otype, _ in objects):
             single = _UNREPLAYABLE  # an activity or an object type the net lacks
         else:
-            firings = [] if base[5] is None else [base[5]]
-            firings += [memo.firing(step, types) for step in steps[len(firings):]]
+            firings = [memo.firing(step, types) for step in steps]
             entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
                      for k, objects in entering}
             start = (tuple(m + entry[0] if m else entry[0] for m in cls.entering)
@@ -473,42 +476,6 @@ def _preset_search(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
             single = _SingleReplay(found.markings, found.truncated, found.entering,
                                    cls.states + found.states)
         searched[key] = single
-    return single, own, types, names
-
-
-def _replay_resumed(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                    position: int, cfg: ReplayConfig, memo: FrontierMemo,
-                    searched: dict[tuple, _SingleReplay],
-                    ) -> tuple[_SingleReplay, _Step, Sequence[str], dict[int, int]]:
-    """Replay one event's preset from the frontier the memo holds for it;
-    returns the result, the event's compact own step in the result's
-    names, the types of those names, and the event's names, from its
-    objects' graph numbers.
-
-    The frontier's objects keep their names and the new ones are numbered
-    on (``_sequence``); the token game cannot tell two objects of one type
-    apart, so events whose binding sequences are the same up to renaming
-    objects form one replay class, whose search runs once per
-    ``searched`` in canonical names (``_preset_search``).  The frontier's
-    states belong to its class, so the key fixes the budget, and whether
-    a search is cut is the same for the whole class: a complete search
-    expands every reachable state, in any order.  What a cut search found
-    follows the order of object names, so every member of a cut class is
-    searched again from ``_START`` by graph number, as the search from the
-    initial marking: within one type the numbers sort like the ids, and a
-    search compares names only within one type, so it expands the states
-    the search by id would, in its order, and is cut at the same point.
-    Members with the same preset and new objects share that search, and
-    it is no frontier.  A result is shared by a class exactly when it is
-    not truncated, and then ``replay_context_group`` keeps it as the
-    event's frontier.
-    """
-    single, own, types, names = _preset_search(net, log, graph, position,
-                                               memo.take(position), True, cfg, memo,
-                                               searched)
-    if single.truncated:
-        return _preset_search(net, log, graph, position, _START, False, cfg, memo,
-                              searched)
     return single, own, types, names
 
 
@@ -545,54 +512,78 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
                          memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    Each event resumes from the ``memo``'s frontier for it.  Without a
-    memo, one over no events resumes nothing: every event is replayed
-    from the initial marking.  The members of one replay class share one
-    search and one reading of the enabled labels, and each result shares
-    one ``reached_final`` search per own step, whichever names it is in.
-    Where a canonical ``reached_final`` search is cut, the event's preset
-    is searched again by graph number and the answer read from that
-    result, since where it cuts follows the names.  An own step's firing
-    is built only for a ``reached_final`` search, and the event's frontier
-    keeps it.  ``markings`` renames every member's result back to real
-    names, on first read.
+    Each event resumes from the ``memo``'s frontier for it.  A memo built
+    for another net, log or graph (as objects) or for an unequal config
+    raises ``ValueError``: its frontiers were searched under that config's
+    budget.  Without a memo, one over no events resumes nothing: every
+    event is replayed from the initial marking.
+
+    The frontier's objects keep their names and the new ones are numbered
+    on (``_sequence``); the token game cannot tell two objects of one type
+    apart, so events whose binding sequences are the same up to renaming
+    objects form one replay class, whose search runs once per group in
+    canonical names (``_preset_search``).  The frontier's states belong to
+    its class, so the key fixes the budget, and whether a search is cut is
+    the same for the whole class: a complete search expands every
+    reachable state, in any order.  The members of a class share one
+    reading of the enabled labels, and each result shares one
+    ``reached_final`` search per own step, whichever names it is in.
+
+    What a cut search found follows the order of object names.  So where
+    an event's canonical preset search, or the ``reached_final`` search
+    behind it, is cut, the event's preset is searched again from
+    ``_START`` by graph number, as the search from the initial marking:
+    within one type the numbers sort like the ids, and a search compares
+    names only within one type, so it expands the states the search by id
+    would, in its order, and is cut at the same point.  A cut preset
+    search gives way to that result; a cut ``reached_final`` search only
+    takes its answer from it.  Members with the same preset and new
+    objects share that search, and it is no frontier: a result is kept as
+    the event's frontier exactly when it is not truncated.  An own step's
+    firing is built only for a ``reached_final`` search.  ``markings``
+    renames every member's result back to real names, on first read.
     """
     if isinstance(events, str):
         events = (events,)
     if memo is None:
-        memo = FrontierMemo(net, log, graph, ())
+        memo = FrontierMemo(net, log, graph, cfg)
+    elif not (memo.net is net and memo.log is log and memo.graph is graph
+              and memo.cfg == cfg):
+        raise ValueError("the memo was built for another net, log, graph or config")
     searched: dict[tuple, _SingleReplay] = {}
-    finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool, _Firing | None]] = {}
+    finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
     results: dict[_SingleReplay, None] = {}
     members: list[tuple[tuple[Marking, ...], dict[int, int]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
 
-    def final(single: _SingleReplay, own: _Step, types: Sequence[str],
-              ) -> tuple[bool, bool, _Firing | None]:
+    def final(single: _SingleReplay, own: _Step, types: Sequence[str]) -> tuple[bool, bool]:
         # a result other than the shared unreplayable one, which has no
         # markings, comes from one key, and a key fixes the type of every
         # name, so the result and the compact step fix the firing
         answer = finals.get((single, own))
         if answer is None:
-            answer = (False, False, None)
+            answer = (False, False)
             if single.markings:
                 firing = memo.firing(own, types)
-                reached, cut = _reaches_final(net, single.markings, firing, cfg)
-                answer = (reached, cut, firing)
+                answer = _reaches_final(net, single.markings, firing, cfg)
             finals[single, own] = answer
         return answer
 
     for eid in events:
         position = graph._position(eid)
-        single, own, types, names = _replay_resumed(net, log, graph, position, cfg,
-                                                    memo, searched)
-        reached, cut, firing = final(single, own, types)
-        if not single.truncated:
-            memo.keep(position, names, types, single, own, firing)
-            if cut:  # where a closure cuts follows the names
-                reached, cut, _ = final(*_preset_search(
-                    net, log, graph, position, _START, False, cfg, memo, searched)[:3])
+        single, own, types, names = _preset_search(memo, position, memo.take(position),
+                                                   True, searched)
+        cut = single.truncated
+        if not cut:
+            memo.keep(position, names, types, single, own)
+            reached, cut = final(single, own, types)
+        if cut:  # where a search cuts follows the names
+            rerun, own, types, by_number = _preset_search(memo, position, _START, False,
+                                                          searched)
+            reached, cut = final(rerun, own, types)
+            if single.truncated:
+                single, names = rerun, by_number
         reached_final_by_event[eid] = reached
         truncated = truncated or single.truncated or (cut and not reached)
         results[single] = None

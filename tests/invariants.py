@@ -23,8 +23,8 @@ from oconform.ocel import ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
-from oconform.replay import (FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _expanded, _prefix_predecessor, _replay_resumed,
+from oconform.replay import (_START, FrontierMemo, ReplayConfig, VisibleBindingStep,
+                             _expanded, _prefix_predecessor, _preset_search,
                              lazy_entry_exact, replay_context_group)
 
 
@@ -377,9 +377,11 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         assert detail == eager, members
         truncated = truncated or eager.outcome.truncated
         for eid in members:
-            single, own, types, names = _replay_resumed(
-                net, log, graph, log.event_index[eid], cfg,
-                FrontierMemo(net, log, graph, ()), {})
+            memo = FrontierMemo(net, log, graph, cfg)
+            found = _preset_search(memo, log.event_index[eid], _START, True, {})
+            if found[0].truncated:
+                found = _preset_search(memo, log.event_index[eid], _START, False, {})
+            single, own, types, names = found
             want = singles[eid]
             event = log.event(eid)
             real_own = VisibleBindingStep.for_event(event)

@@ -5,12 +5,13 @@ import pytest
 import invariants
 import oracles
 from oconform import metrics, replay
-from oconform.context import build_graph, context_of_event
+from oconform.context import build_graph, context_of_event, group_by_context
+from oconform.fixtures import load_l1
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
-from oconform.replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
-                             VisibleBindingStep, lazy_entry_exact,
+from oconform.replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
+                             ReplayOutcome, VisibleBindingStep, lazy_entry_exact,
                              replay_context_group)
 
 E5_STATES = frozenset({
@@ -39,6 +40,16 @@ def test_config_budgets_must_be_integers(name, value):
     # enumerate_bindings' range(); a bool would render as true
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         ReplayConfig(**{name: value}, silent_variable_mode="subsets")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("explore_silent_when_enabled", "no"), ("explore_silent_when_enabled", 1),
+    ("reverse_successors", 0), ("reverse_successors", None)])
+def test_config_flags_must_be_booleans(name, value):
+    # "no" is truthy: it would switch the search on and reach the report
+    # as "no"
+    with pytest.raises(ValueError, match=f"^{name} must be a boolean, not {value!r}$"):
+        ReplayConfig(**{name: value})
 
 
 def test_binding_sequence_of_preset(l1, l1_graph):
@@ -447,12 +458,12 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
     for log, net in _engine_logs(ocpn1):
         built = Counter()
 
-        def spy(log, graph, position, base, lazy, canonical):
-            names, types, steps, own, entering = sequence(log, graph, position, base,
-                                                          lazy, canonical)
-            start, _, _, _, opening, _ = base
-            positions = [*graph.preset_positions(log.events[position].id, start),
-                         position]
+        def spy(memo, position, base, canonical):
+            names, types, steps, own, entering = sequence(memo, position, base,
+                                                          canonical)
+            start, _, _, _, opening = base
+            eid = memo.log.events[position].id
+            positions = [*memo.graph.preset_positions(eid, start), position]
             built.update(zip(positions, [*steps[opening is not None:], own],
                              strict=True))
             return names, types, steps, own, entering
@@ -703,3 +714,61 @@ def test_frontier_memo_is_empty_after_check(monkeypatch):
     assert memo.lazy and all(m is memo for m in memos)
     assert max(sizes) > 0
     assert len(memo) == 0
+
+
+def _shared_planes_log():
+    # 150 events whose flights share 3 planes: later presets resume from
+    # the frontiers of earlier events
+    return invariants.bench_log(5, 150, shared_planes=3)
+
+
+def test_memo_filled_under_one_config_rejects_another(ocpn1):
+    # the frontiers hold searches under the memo's budget; resumed under
+    # max_states=5, group e81, e82 came out not truncated, where its
+    # replay without a memo is cut
+    log = _shared_planes_log()
+    graph = build_graph(log)
+    groups = list(group_by_context(log, graph).values())
+    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG,
+                        (eid for members in groups for eid in members))
+    for members in groups[:44]:
+        replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
+    members, small = groups[44], ReplayConfig(max_states=5)
+    assert list(members) == ["e81", "e82"]
+    assert replay_context_group(ocpn1, log, graph, members, small).outcome.truncated
+    with pytest.raises(ValueError, match="another net, log, graph or config"):
+        replay_context_group(ocpn1, log, graph, members, small, memo)
+    # an equal config is the memo's config
+    detail = replay_context_group(ocpn1, log, graph, members, ReplayConfig(), memo)
+    assert detail == replay_context_group(ocpn1, log, graph, members)
+
+
+def test_memo_serves_only_its_own_net_log_and_graph(l1, ocpn1):
+    graph = build_graph(l1)
+    memo = FrontierMemo(ocpn1, l1, graph, DEFAULT_CONFIG)
+    # equal copies are others: the memo holds the objects it was built for
+    for net, log, other_graph in ((flower_model(l1), l1, graph),
+                                  (ocpn1, load_l1(), graph),
+                                  (ocpn1, l1, build_graph(l1))):
+        with pytest.raises(ValueError, match="another net, log, graph or config"):
+            replay_context_group(net, log, other_graph, "e5", DEFAULT_CONFIG, memo)
+    assert replay_context_group(ocpn1, l1, graph, "e5", DEFAULT_CONFIG, memo) == \
+        replay_context_group(ocpn1, l1, graph, "e5")
+
+
+def test_check_under_a_small_budget_equals_replay_without_a_memo(ocpn1):
+    log = _shared_planes_log()
+    cfg = ReplayConfig(max_states=5)
+    by_id = {d.event_id: d for d in metrics.check(log, ocpn1, cfg).per_event}
+    graph = build_graph(log)
+    groups = group_by_context(log, graph).values()
+    for members in groups:
+        detail = replay_context_group(ocpn1, log, graph, members, cfg)
+        enabled = tuple(sorted(detail.outcome.enabled))
+        for eid in members:
+            d = by_id[eid]
+            assert (d.en_model, d.replayable, d.reached_final, d.truncated) == \
+                (enabled, bool(enabled), detail.reached_final_by_event[eid],
+                 detail.outcome.truncated), eid
+    assert by_id["e81"].truncated and by_id["e82"].truncated
+    assert len(groups) == 89
