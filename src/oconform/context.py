@@ -221,12 +221,10 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     predecessor, and takes its preset from it with no set or shift loop.
     Context groups come from a second pass over the log
     (``_context_groups``).  Event ids are built only when read."""
-    # (id, type) pairs compare and hash in C, and sort in ObjectId order
-    by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
-    number = {key: s for s, key in enumerate(sorted(by_key))}
-    objects = tuple(by_key[key] for key in number)
-    types = [otype for _, otype in number]
-    slots = [sorted([number[o.id, o.otype] for o in e.omap]) for e in log.events]
+    objects = tuple(sorted({o for e in log.events for o in e.omap}))
+    number = {o: s for s, o in enumerate(objects)}
+    types = [o.otype for o in objects]
+    slots = [sorted(map(number.__getitem__, e.omap)) for e in log.events]
     last_seen = [-1] * len(objects)
     direct: list[set[int]] = []
     users = [0] * len(slots)

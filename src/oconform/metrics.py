@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .context import build_graph, group_by_context
 from .ocel import EventLog, LogError
@@ -24,8 +24,7 @@ from .replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
                      replay_context_group)
 
 
-@dataclass(frozen=True)
-class EventDiagnostic:
+class EventDiagnostic(NamedTuple):
     """Per-event view of the comparison, for reports and debugging."""
 
     event_id: str
@@ -88,16 +87,10 @@ def check(log: EventLog, net: AcceptingOCPN,
         digest = ctx.digest()
         log_side = tuple(sorted(en_log))
         model_side = tuple(sorted(en_model))
+        reached, cut = detail.reached_final_by_event, detail.outcome.truncated
         for eid in members:
-            diagnostics[eid] = EventDiagnostic(
-                event_id=eid,
-                context_digest=digest,
-                en_log=log_side,
-                en_model=model_side,
-                replayable=replayable,
-                reached_final=detail.reached_final_by_event[eid],
-                truncated=detail.outcome.truncated,
-            )
+            diagnostics[eid] = EventDiagnostic(eid, digest, log_side, model_side,
+                                               replayable, reached[eid], cut)
     num_events = len(log.events)
     report = ConformanceReport(
         fitness=_sum_of(fitness_sums) / num_events,
@@ -186,19 +179,26 @@ def report_to_json(report: ConformanceReport, decimals: int = 2) -> str:
     """``json.dumps(report_to_dict(report, decimals), indent=2,
     ensure_ascii=False) + "\\n"``, byte for byte, without the pure-Python
     encoder ``json.dumps`` runs with an indent: the per-event entries are
-    written here, each distinct activity list once, with strings escaped
-    by ``encode_basestring``, the C function that encoder calls, and
-    spliced into the rest of the report, dumped without them."""
+    written here, with strings escaped by ``encode_basestring``, the C
+    function that encoder calls, and spliced into the rest of the report,
+    dumped without them.  Everything an entry holds after its id, its
+    tail, is rendered once per distinct tail, and each distinct activity
+    list once; per event only the quoted id is joined to its tail."""
     quote = json.encoder.encode_basestring
-    sides = {side for d in report.per_event for side in (d.en_log, d.en_model)}
+    keys = [d[1:6] for d in report.per_event]  # the rendered fields after the id
+    tails = dict.fromkeys(keys)
+    sides = {side for key in tails for side in key[1:3]}
     lists = {side: "[\n        " + ",\n        ".join(map(quote, side)) + "\n      ]"
              if side else "[]" for side in sides}
-    entry = ('    {{\n      "id": {},\n      "context_digest": {},\n      "en_log": {},\n'
-             '      "en_model": {},\n      "replayable": {},\n      "reached_final": {}\n    }}')
-    entries = ",\n".join(entry.format(
-        quote(d.event_id), quote(d.context_digest), lists[d.en_log],
-        lists[d.en_model], "true" if d.replayable else "false",
-        "true" if d.reached_final else "false") for d in report.per_event)
+    tail = (',\n      "context_digest": {},\n      "en_log": {},\n      "en_model": {},\n'
+            '      "replayable": {},\n      "reached_final": {}\n    }}')
+    for key in tails:
+        digest, en_log, en_model, replayable, reached_final = key
+        tails[key] = tail.format(quote(digest), lists[en_log], lists[en_model],
+                                 "true" if replayable else "false",
+                                 "true" if reached_final else "false")
+    entries = ",\n".join([f'    {{\n      "id": {quote(d.event_id)}{tails[key]}'
+                          for d, key in zip(report.per_event, keys)])
     text = json.dumps(report_to_dict(replace(report, per_event=()), decimals),
                       indent=2, ensure_ascii=False)
     if entries:  # the keys before "per_event" hold numbers, bools or null

@@ -3,7 +3,8 @@
 A log is a totally ordered sequence of events, each carrying an activity
 label and a non-empty set of typed objects.  The order of the ``events``
 array is the authoritative total order; timestamps are carried through
-untouched but never interpreted.
+untouched but never interpreted.  ``ObjectId`` and ``Event`` are named
+tuples: they hash, compare and order as the tuple of their fields, in C.
 """
 
 from __future__ import annotations
@@ -11,23 +12,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
 class LogError(ValueError):
     """A log document or EventLog value violates the log contract."""
 
 
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(NamedTuple):
     """A typed object: identity plus its single, immutable object type."""
 
     id: str
     otype: str
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One event of the log.
 
     ``index`` is the position in the log's total order (0-based); two

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oconform.metrics import (check, fitness, format_fraction, format_summary,
+from oconform.metrics import (ConformanceReport, EventDiagnostic, check, fitness,
+                              format_fraction, format_summary,
                               precision, report_to_dict, report_to_json,
                               round_fraction, skipped_percent)
 from oconform.ocel import LogError, ObjectId, make_log
@@ -315,3 +316,80 @@ def test_report_json_escapes_text_as_json_dumps_does():
     assert {a for d in report.per_event for a in d.en_model} == set(odd)
     for decimals in (0, 2, 7):
         _assert_renders_as_dumps(report, decimals)
+
+
+def test_diagnostics_hash_and_print_as_their_fields():
+    fields = ("e1", "0123abcd", ("a", "b"), ("a",), True, False, True)
+    d = EventDiagnostic(*fields)
+    assert EventDiagnostic._fields == ("event_id", "context_digest", "en_log",
+                                       "en_model", "replayable", "reached_final",
+                                       "truncated")
+    assert hash(d) == hash(fields) and d == fields
+    assert repr(d) == ("EventDiagnostic(event_id='e1', context_digest='0123abcd', "
+                       "en_log=('a', 'b'), en_model=('a',), replayable=True, "
+                       "reached_final=False, truncated=True)")
+    for name in EventDiagnostic._fields:
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+
+
+def _report_of(*diagnostics) -> ConformanceReport:
+    """A report built by hand around the given diagnostics."""
+    n = len(diagnostics)
+    return ConformanceReport(
+        fitness=Fraction(1, 3), precision=Fraction(2, 3), num_events=n,
+        num_replayable=n, skipped_fraction=Fraction(0), truncated=False,
+        per_event=diagnostics, config=ReplayConfig())
+
+
+_TAIL = EventDiagnostic("e0", "0123456789abcdef", ("a", "b"), ("b", "c"),
+                        True, True, False)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("en_log", ("a",)), ("en_log", ()), ("en_model", ("b",)), ("en_model", ()),
+    ("replayable", False), ("reached_final", False)])
+def test_report_json_tells_apart_tails_that_differ_in_one_field(field, value):
+    other = _TAIL._replace(event_id="e1", **{field: value})
+    report = _report_of(_TAIL, other, _TAIL._replace(event_id="e2"),
+                        other._replace(event_id="e3"))
+    _assert_renders_as_dumps(report)
+    rendered = json.loads(report_to_json(report))["per_event"]
+    assert [e["id"] for e in rendered] == ["e0", "e1", "e2", "e3"]
+    assert rendered[2] | {"id": "e0"} == rendered[0]
+    assert rendered[3] | {"id": "e1"} == rendered[1] != rendered[0] | {"id": "e1"}
+    assert rendered[1][field] == (list(value) if field.startswith("en_") else value)
+
+
+def test_report_json_renders_a_shared_tail_once(monkeypatch):
+    report = _report_of(*(_TAIL._replace(event_id=f"e{k}") for k in range(500)))
+    _assert_renders_as_dumps(report)
+    quoted = []
+    quote = json.encoder.encode_basestring
+    monkeypatch.setattr(json.encoder, "encode_basestring",
+                        lambda text: quoted.append(text) or quote(text))
+    text = report_to_json(report)
+    monkeypatch.undo()
+    assert text == report_to_json(report)
+    # every id once; the digest and each activity name once, for all 500
+    assert [t for t in quoted if t[1:].isdigit()] == [f"e{k}" for k in range(500)]
+    assert quoted.count(_TAIL.context_digest) == 1
+    assert quoted.count("a") == 1 and quoted.count("b") == 2  # in two lists
+
+
+def test_report_json_leaves_truncated_out_of_the_tail():
+    report = _report_of(_TAIL, _TAIL._replace(event_id="e1", truncated=True))
+    _assert_renders_as_dumps(report)
+    entries = json.loads(report_to_json(report))["per_event"]
+    assert entries[0] | {"id": "e1"} == entries[1]
+
+
+def test_report_json_escapes_ids_that_share_a_tail():
+    ids = ['say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f", "\u2028ü\u00e9\U0001f6eb",
+           "Ωμέγα", "\\\"", ""]
+    report = _report_of(*(_TAIL._replace(event_id=eid) for eid in ids),
+                        _TAIL._replace(event_id='"', context_digest='\\ "\x7f é'))
+    for decimals in (0, 2):
+        _assert_renders_as_dumps(report, decimals)
+    assert [e["id"] for e in json.loads(report_to_json(report))["per_event"]] == \
+        [*ids, '"']

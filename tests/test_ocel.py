@@ -193,6 +193,35 @@ def test_make_log_derives_objects_and_types():
     assert validate_log(log) == []
 
 
+def test_object_ids_hash_print_and_order_as_their_fields():
+    obj = ObjectId("p1", "plane")
+    assert ObjectId._fields == ("id", "otype")
+    assert hash(obj) == hash(("p1", "plane"))
+    assert repr(obj) == "ObjectId(id='p1', otype='plane')"
+    assert obj == ObjectId(id="p1", otype="plane")
+    ids = [ObjectId("b", "t"), ObjectId("a", "u"), ObjectId("a", "t")]
+    assert sorted(ids) == [ObjectId("a", "t"), ObjectId("a", "u"), ObjectId("b", "t")]
+    assert sorted(ids) == sorted(ids, key=lambda o: (o.id, o.otype))
+    with pytest.raises(AttributeError):
+        obj.id = "p2"
+
+
+def test_events_hash_and_print_as_their_fields():
+    obj = ObjectId("o1", "t")
+    event = Event("e1", "a", frozenset({obj}), 0)
+    assert Event._fields == ("id", "activity", "omap", "index", "timestamp")
+    assert event.timestamp is None
+    assert hash(event) == hash(("e1", "a", frozenset({obj}), 0, None))
+    assert repr(event) == ("Event(id='e1', activity='a', omap=frozenset("
+                           "{ObjectId(id='o1', otype='t')}), index=0, timestamp=None)")
+    stamped = Event("e2", "b", frozenset({obj}), 1, "2021-01-01T00:00:00")
+    assert hash(stamped) == hash(("e2", "b", frozenset({obj}), 1, "2021-01-01T00:00:00"))
+    assert stamped.objects_of_type("t") == {obj} and stamped.otypes() == {"t"}
+    for name in Event._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+
+
 def test_empty_event_list_parses():
     log = parse_log('{"object_types": [], "objects": {}, "events": []}')
     assert log.events == ()
