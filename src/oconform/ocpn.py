@@ -97,6 +97,19 @@ class Marking:
         marking._hash = total
         return marking
 
+    def renamed(self, real: Mapping[Any, str]) -> "Marking":
+        """The marking with each object o renamed ``real[o]``, place by
+        place; ``real`` must be one-to-one on the objects of each place."""
+        tokens: dict[str, dict[str, int]] = {}
+        total = 0
+        for place, objects in self._tokens.items():
+            here = tokens[place] = {}
+            for obj, n in objects.items():
+                obj = real[obj]
+                here[obj] = n
+                total += hash((place, obj)) * n
+        return Marking._of(tokens, total)
+
     def key(self) -> tuple[tuple[str, str, int], ...]:
         return tuple(sorted([(place, obj, n) for place, objects in self._tokens.items()
                              for obj, n in objects.items()]))

@@ -541,7 +541,8 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     objects share that search, and it is no frontier: a result is kept as
     the event's frontier exactly when it is not truncated.  An own step's
     firing is built only for a ``reached_final`` search.  ``markings``
-    renames every member's result back to real names, on first read.
+    renames each member's result back to real names on first read, once
+    per distinct result and renaming.
     """
     if isinstance(events, str):
         events = (events,)
@@ -553,7 +554,7 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     searched: dict[tuple, _SingleReplay] = {}
     finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
     results: dict[_SingleReplay, None] = {}
-    members: list[tuple[tuple[Marking, ...], dict[int, int]]] = []
+    members: list[tuple[_SingleReplay, dict[int, int]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
 
@@ -587,16 +588,20 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         reached_final_by_event[eid] = reached
         truncated = truncated or single.truncated or (cut and not reached)
         results[single] = None
-        members.append((single.markings, names))
+        members.append((single, names))
 
     def real_markings() -> frozenset[Marking]:
         # one numbering covers every type, so a name alone is one object,
-        # and a place holds one type, so renaming keeps its tokens apart
+        # and a place holds one type, so renaming keeps its tokens apart;
+        # a result renamed by the same map gives the same markings again
         out: set[Marking] = set()
-        for markings, names in members:
+        done: set[tuple] = set()
+        for single, names in members:
             real = {name: graph.objects[s].id for s, name in names.items()}
-            out.update(Marking({(place, real[o]): n for (place, o), n in m.items()})
-                       for m in markings)
+            key = (single, *real.items())
+            if key not in done:
+                done.add(key)
+                out.update(m.renamed(real) for m in single.markings)
         return frozenset(out)
 
     enabled = frozenset().union(*(enabled_visible_labels(net, m)

@@ -81,11 +81,27 @@ def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
         oracles.brute_force_enabled_labels(net, items), items
 
 
+def _assert_renames(net: AcceptingOCPN, marking: Marking) -> None:
+    """``renamed`` by a one-to-one map of the marking's objects to ints
+    builds a marking that matches the same tokens built from scratch, and
+    leaves the marking it renames as it was; renamed back by the inverse
+    map, it has the marking's place dicts and hash."""
+    before = copy.deepcopy(marking._tokens), marking._hash
+    objects = sorted({obj for (_, obj), _ in marking.items()}, reverse=True)
+    numbered = marking.renamed({obj: i for i, obj in enumerate(objects)})
+    _assert_matches_scratch(net, numbered)
+    back = numbered.renamed(dict(enumerate(objects)))
+    assert (back._tokens, back._hash) == (marking._tokens, marking._hash) == before
+
+
 def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
     """Markings that ``_fire``, ``execute_binding``, ``+`` and ``-`` build
     from another marking, copying only the place dicts they write and
     updating its hash for the moved tokens only, equal the same tokens
     built from scratch, and leave the marking they start from as it was;
+    so do those that ``renamed`` builds from each marking the walk starts
+    from or fires into, by a map of its objects to ints and back
+    (``_assert_renames``);
     ``_fire`` gives ``marking - consumed + produced``, and returns the
     marking itself for a self-loop, whose input places are its output
     places.  Each round walks a random net from a random marking for a
@@ -112,6 +128,7 @@ def _walk_incrementally(rng: random.Random, net: AcceptingOCPN, shapes: Counter)
             shapes["none" if n == 0 else "one" if n == 1 else "several"] += 1
     marking = Marking(dict(oracles.random_marking_items(rng, net)))
     _assert_matches_scratch(net, marking)
+    _assert_renames(net, marking)
     for _ in range(5):
         fired = []
         before = copy.deepcopy(marking._tokens)
@@ -122,6 +139,7 @@ def _walk_incrementally(rng: random.Random, net: AcceptingOCPN, shapes: Counter)
                 prod = produced(net, binding)
                 after = _fire(net, marking, binding)
                 assert after == marking - cons + prod, binding
+                _assert_renames(net, after)
                 if self_loop:
                     assert after is marking, binding
                     shapes["self-loop"] += 1

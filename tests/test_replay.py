@@ -670,6 +670,30 @@ def test_flights_of_one_shape_share_their_searches(monkeypatch, ocpn1):
     assert counts[0] == counts[1] > 0
 
 
+def test_each_distinct_state_is_renamed_once_per_group(monkeypatch, ocpn1):
+    # members that share a class result and the real ids of its names
+    # give the same markings, so each is renamed once: on the silent-bags
+    # explain log, 556 renamings for 556 states, not 1,064
+    log = invariants.bench_log(5, 112, bags=(3, 4, 5, 6))
+    graph = build_graph(log)
+    calls = []
+    renamed = Marking.renamed
+
+    def spy(self, real):
+        calls.append(self)
+        return renamed(self, real)
+
+    monkeypatch.setattr(Marking, "renamed", spy)
+    counts = {}
+    for members in graph.members:
+        calls.clear()
+        states = replay_context_group(ocpn1, log, graph, members).markings
+        assert len(calls) == len(states), members
+        counts[members] = len(calls)
+    assert sum(counts.values()) == 556
+    assert [n for members, n in counts.items() if "e36" in members] == [128]
+
+
 def _silent_net(tau_arcs):
     places = (Place("x0", "X", initial=True), Place("x1", "X"),
               Place("x2", "X", final=True), Place("y0", "Y", initial=True),
