@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a log by random walks")
     p_sim.add_argument("--model", required=True, help="model-JSON file")
     p_sim.add_argument("--instances", type=int, default=10,
-                       help="number of process instances to walk")
+                       help="walks to attempt; one stuck outside a final marking "
+                            "or past --step-cap is dropped with a warning on stderr")
     p_sim.add_argument("--seed", type=int, default=0, help="random seed")
     p_sim.add_argument("-o", "--output",
                        help="write log-JSON here (default: stdout)")

@@ -56,7 +56,7 @@ class Marking:
 
     Value semantics: two markings are equal when they hold the same tokens
     with the same counts, so markings can key visited-state sets.
-    Instances are never mutated after construction.
+    Instances are never mutated after construction, but for the memo.
 
     The tokens are kept per place: ``_tokens`` maps each occupied place to
     its ``{object: count}`` dict, and keeps no empty place dict, so its
@@ -65,10 +65,12 @@ class Marking:
     place dicts they write, once each, and share the others with the
     marking they start from; they update the hash for the tokens they move
     only.  So hashing a marking costs O(1) and reading its occupied places
-    O(places), whatever its number of tokens.
+    O(places), whatever its number of tokens.  ``_labels`` memoizes
+    ``enabled_visible_labels`` as ``(net, labels)`` for the last net asked;
+    every new marking starts with ``(None, None)``.
     """
 
-    __slots__ = ("_tokens", "_hash")
+    __slots__ = ("_tokens", "_hash", "_labels")
 
     def __init__(self, tokens: Iterable[Token] | Mapping[Token, int] = ()):
         # the exact-type test first: the abstract-class check is slower
@@ -87,6 +89,7 @@ class Marking:
                 total += hash(token) * n
         self._tokens = per_place
         self._hash = total
+        self._labels = (None, None)
 
     @classmethod
     def _of(cls, tokens: dict[str, dict[str, int]], total: int) -> "Marking":
@@ -95,6 +98,7 @@ class Marking:
         marking = cls.__new__(cls)
         marking._tokens = tokens
         marking._hash = total
+        marking._labels = (None, None)
         return marking
 
     def renamed(self, real: Mapping[Any, str]) -> "Marking":
@@ -342,15 +346,25 @@ class AcceptingOCPN:
 
 
 def consumed(net: AcceptingOCPN, binding: Binding) -> Marking:
-    by_type = binding.by_type
-    return Marking([(place.id, obj) for place in net._preset[binding.transition]
-                    for obj in by_type.get(place.otype, ())])
+    return _one_each(net._preset[binding.transition], binding)
 
 
 def produced(net: AcceptingOCPN, binding: Binding) -> Marking:
+    return _one_each(net._postset[binding.transition], binding)
+
+
+def _one_each(places: tuple[Place, ...], binding: Binding) -> Marking:
+    """One token per place and object bound to the place's type."""
     by_type = binding.by_type
-    return Marking([(place.id, obj) for place in net._postset[binding.transition]
-                    for obj in by_type.get(place.otype, ())])
+    tokens = {}
+    total = 0
+    for place in places:
+        objects = by_type.get(place.otype)
+        if objects:
+            pid = place.id
+            tokens[pid] = dict.fromkeys(objects, 1)
+            total += sum([hash((pid, obj)) for obj in objects])
+    return Marking._of(tokens, total)
 
 
 def binding_well_formed(net: AcceptingOCPN, binding: Binding) -> bool:
@@ -427,10 +441,15 @@ def _fire(net: AcceptingOCPN, marking: Marking, binding: Binding) -> Marking:
 def enabled_visible_labels(net: AcceptingOCPN, marking: Marking) -> frozenset[str]:
     """Labels of visible transitions with at least one enabled binding in M:
     those whose every object type has a candidate object (one suffices
-    for variable and non-variable types alike)."""
-    return frozenset(t.label for t in net.visible_transitions
-                     if all(_candidate_objects(net, t.id, marking, ot)
-                            for ot in net.tpl(t.id)))
+    for variable and non-variable types alike).  Kept on M for the last net
+    asked, so a marking a self-loop returns or a frontier shares is read once."""
+    asked, labels = marking._labels
+    if asked is not net:
+        labels = frozenset(t.label for t in net.visible_transitions
+                           if all(_candidate_objects(net, t.id, marking, ot)
+                                  for ot in net.tpl(t.id)))
+        marking._labels = (net, labels)
+    return labels
 
 
 def _candidate_objects(net: AcceptingOCPN, tid: str, marking: Marking,

@@ -230,7 +230,7 @@ def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
                 if state not in seen:
                     seen.add(state)
                     queue.append(state)
-        if not advanced or cfg.explore_silent_when_enabled:
+        if net.silent_transitions and (not advanced or cfg.explore_silent_when_enabled):
             successors = list(_silent_successors(net, marking, cfg))
             if cfg.reverse_successors:
                 successors.reverse()

@@ -63,7 +63,8 @@ def run_enabled_labels_vs_brute_force(seed: int = 12, rounds: int = 300) -> int:
 def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
     """The marking's hash, place dicts and finality are those of the same
     tokens built from scratch, it keeps no empty place dict, and it
-    enables the oracle's labels."""
+    enables the oracle's labels: read once, read again off its memo, and
+    computed afresh on the marking built from scratch."""
     items = list(marking.items())
     fresh = Marking(dict(items))
     assert marking == fresh and fresh == marking, items
@@ -77,7 +78,9 @@ def _assert_matches_scratch(net: AcceptingOCPN, marking: Marking) -> None:
     assert all(marking._tokens.values()), items
     assert is_final(net, marking) == is_final(net, fresh) == all(
         place in net.final_places for (place, _), _ in items)
-    assert enabled_visible_labels(net, marking) == \
+    labels = enabled_visible_labels(net, marking)
+    assert labels == enabled_visible_labels(net, marking) == \
+        enabled_visible_labels(net, fresh) == \
         oracles.brute_force_enabled_labels(net, items), items
 
 
@@ -99,14 +102,18 @@ def run_marking_incremental(seed: int = 25, rounds: int = 150) -> Counter:
     from another marking, copying only the place dicts they write and
     updating its hash for the moved tokens only, equal the same tokens
     built from scratch, and leave the marking they start from as it was;
-    so do those that ``renamed`` builds from each marking the walk starts
-    from or fires into, by a map of its objects to ints and back
-    (``_assert_renames``);
+    so do each binding's ``consumed`` and ``produced``, built place by
+    place, and the markings that ``renamed`` builds from each marking the
+    walk starts from or fires into, by a map of its objects to ints and
+    back (``_assert_renames``);
     ``_fire`` gives ``marking - consumed + produced``, and returns the
     marking itself for a self-loop, whose input places are its output
-    places.  Each round walks a random net from a random marking for a
-    few firings, so the updates pile up; then a tenth as many rounds
-    walk flower nets of random logs, from their own random stream.
+    places.  Every marking is fired from and renamed only after its
+    labels were read, so a marking built from it that inherited that
+    answer would show it (``_assert_matches_scratch``).  Each round walks
+    a random net from a random marking for a few firings, so the updates
+    pile up; then a tenth as many rounds walk flower nets of random logs,
+    from their own random stream.
     Returns the visible (transition, type) pairs checked, counted by
     their number of input places, one branch of ``_candidate_objects``
     each: ``one``, ``several``, ``none``; and the self-loop firings, as
@@ -139,14 +146,14 @@ def _walk_incrementally(rng: random.Random, net: AcceptingOCPN, shapes: Counter)
                 prod = produced(net, binding)
                 after = _fire(net, marking, binding)
                 assert after == marking - cons + prod, binding
-                _assert_renames(net, after)
                 if self_loop:
                     assert after is marking, binding
                     shapes["self-loop"] += 1
-                for built in (after, execute_binding(net, marking, binding),
+                for built in (cons, prod, after, execute_binding(net, marking, binding),
                               marking - cons, marking + prod,
                               marking - cons + prod, after - prod + cons):
                     _assert_matches_scratch(net, built)
+                _assert_renames(net, after)
                 # no write went into a place dict shared with marking
                 assert marking._tokens == before, binding
                 fired.append(after)

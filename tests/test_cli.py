@@ -208,6 +208,17 @@ def test_simulate_flags(tmp_path, capsys):
     parse_log(out_file.read_text())
 
 
+def test_simulate_help_counts_walks_attempted(capsys):
+    # walks that get stuck or run past the step cap are dropped, so
+    # --instances counts walks attempted, not instances emitted
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--instances INSTANCES walks to attempt; one stuck outside a final "
+            "marking or past --step-cap is dropped with a warning on stderr") in text
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-objects", "0", "max_objects must be positive"),
     ("--step-cap", "0", "step_cap must be positive"),

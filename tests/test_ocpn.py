@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from oconform import ocpn
 from oconform.fixtures import fixture_text
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError,
@@ -159,6 +160,69 @@ def test_enabled_labels_match_brute_force_on_fixture_nets(ocpn1, flower_l1):
             items = oracles.random_marking_items(rng, net)
             got = enabled_visible_labels(net, Marking(dict(items)))
             assert got == oracles.brute_force_enabled_labels(net, items)
+
+
+@pytest.fixture
+def read_labels(monkeypatch):
+    """Read a marking's enabled labels, and say whether they were
+    computed, that is whether ``_candidate_objects`` ran."""
+    calls = []
+    candidates = ocpn._candidate_objects
+
+    def spy(*args):
+        calls.append(args)
+        return candidates(*args)
+
+    monkeypatch.setattr(ocpn, "_candidate_objects", spy)
+
+    def read(net, marking):
+        calls.clear()
+        return enabled_visible_labels(net, marking), bool(calls)
+    return read
+
+
+def test_labels_are_computed_once_per_marking_and_net(read_labels, ocpn1):
+    m = Marking([("pl5", "p1"), ("pl8", "b1"), ("pl8", "b2")])
+    assert read_labels(ocpn1, m) == ({"Lift off", "Pick up @ dest"}, True)
+    assert read_labels(ocpn1, m) == ({"Lift off", "Pick up @ dest"}, False)
+
+
+def test_labels_are_recomputed_for_another_net(read_labels, ocpn1, flower_l1):
+    # the memo holds the last net asked, by identity: an equal net parsed
+    # again is another net, and each answer is the one for its net
+    twin = parse_model(serialize_model(ocpn1))
+    m = Marking([("pl5", "p1"), ("pl8", "b1"), ("p_plane", "p1")])
+    reference = {"Lift off", "Pick up @ dest"}
+    flower = oracles.brute_force_enabled_labels(
+        flower_l1, [(token, n) for token, n in m.items() if token[0] == "p_plane"])
+    assert flower and flower != reference
+    assert read_labels(ocpn1, m) == (reference, True)
+    assert read_labels(twin, m) == (reference, True)
+    assert read_labels(flower_l1, m) == (flower, True)
+    assert read_labels(flower_l1, m) == (flower, False)
+    assert read_labels(ocpn1, m) == (reference, True)
+
+
+def test_new_markings_start_without_labels(read_labels, ocpn1, flower_l1):
+    # +, -, renamed and a firing that moves tokens build new markings,
+    # which never inherit the answer of the marking they start from; a
+    # self-loop firing returns its marking, answer and all
+    m = LOADED + Marking([("pl5", "p2")])
+    assert read_labels(ocpn1, m) == ({"Load cargo", "Lift off"}, True)
+    built = [Marking(dict(m.items())), m + Marking(), m - Marking(),
+             m.renamed({o: o for o in ("p1", "p2", "b1", "b2")}),
+             _fire(ocpn1, m, LOAD_BINDING)]
+    assert read_labels(ocpn1, built[-1]) == ({"Lift off"}, True)
+    for new in built[:-1]:
+        assert new == m
+        assert read_labels(ocpn1, new) == ({"Load cargo", "Lift off"}, True)
+    loop = Marking([("p_plane", "p1"), ("p_baggage", "b1")])
+    load = flower_l1.label_to_transition["Load cargo"].id
+    labels, _ = read_labels(flower_l1, loop)
+    fired = _fire(flower_l1, loop, Binding.make(load, {"plane": ["p1"],
+                                                       "baggage": ["b1"]}))
+    assert fired is loop
+    assert read_labels(flower_l1, fired) == (labels, False)
 
 
 def test_initial_marking_requires_a_typed_start(ocpn1):

@@ -4,7 +4,7 @@ import pytest
 
 import invariants
 import oracles
-from oconform import metrics, replay
+from oconform import metrics, ocpn, replay
 from oconform.context import build_graph, context_of_event, group_by_context
 from oconform.fixtures import load_l1
 from oconform.ocel import LogError, ObjectId, make_log
@@ -692,6 +692,39 @@ def test_each_distinct_state_is_renamed_once_per_group(monkeypatch, ocpn1):
         counts[members] = len(calls)
     assert sum(counts.values()) == 556
     assert [n for members, n in counts.items() if "e36" in members] == [128]
+
+
+@pytest.mark.parametrize("build_log, reference, computed, reads", [
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, 57, 269),
+    (invariants.chained_airport_log, False, 14, 60),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, 284, 284),
+], ids=["chained-bench", "chained-airport", "silent-bags"])
+def test_labels_are_computed_once_per_replayed_marking(monkeypatch, ocpn1, build_log,
+                                                       reference, computed, reads):
+    # on chained logs against their flower net, self-loop firings return
+    # the marking they fire from and a frontier hands its markings to
+    # every group resuming there, so the labels are read off the memo;
+    # the silent-bags log against the reference net reads each once
+    log = build_log()
+    net = ocpn1 if reference else flower_model(log)
+    calls = Counter()
+    candidates, labels = ocpn._candidate_objects, replay.enabled_visible_labels
+
+    def spy_candidates(*args):
+        calls["candidates"] += 1
+        return candidates(*args)
+
+    def spy_labels(*args):
+        before = calls["candidates"]
+        out = labels(*args)
+        calls["reads"] += 1
+        calls["computed"] += calls["candidates"] > before
+        return out
+
+    monkeypatch.setattr(ocpn, "_candidate_objects", spy_candidates)
+    monkeypatch.setattr(replay, "enabled_visible_labels", spy_labels)
+    metrics.check(log, net)
+    assert (calls["computed"], calls["reads"]) == (computed, reads)
 
 
 def _silent_net(tau_arcs):
