@@ -102,23 +102,6 @@ class _Trie:
                              for otype in sorted(per_type)))
 
 
-def _positions(low: int, bits: int, start: int = 0) -> list[int]:
-    """The positions set in ``bits``, where bit j stands for position
-    ``low + j``, from ``start`` on, in ascending order."""
-    if start > low:
-        bits >>= start - low
-        low = start
-    if not bits:
-        return []
-    digits = bin(bits)[:1:-1]  # least significant first, without "0b"
-    found = []
-    at = digits.find("1")
-    while at >= 0:
-        found.append(low + at)
-        at = digits.find("1", at + 1)
-    return found
-
-
 class _EventSets(Mapping):
     """Per event, a set of events (its preset, say) as a frozenset of event
     ids, built when read from the log positions ``positions`` gives."""
@@ -151,7 +134,8 @@ class EventObjectGraph:
     ancestor set) is one ``int`` over log positions, shifted down by the
     preset's lowest position: bit j of ``_bits[i]`` stands for position
     ``_low[i] + j``, so a preset costs its span in bits, not the log's
-    length.  ``preset_positions`` and ``preset_count`` read them;
+    length.  Only ``preset_positions`` and ``preset_count``, their forms
+    by log position and ``_prefix_predecessor`` read them;
     ``direct_predecessors`` and ``presets`` map each event id to a
     frozenset of event ids, built when read.  ``members`` partitions the
     events by context, groups in the log order of their first event and
@@ -181,7 +165,7 @@ class EventObjectGraph:
 
     @property
     def presets(self) -> Mapping[str, frozenset[str]]:
-        return _EventSets(self, lambda i: _positions(self._low[i], self._bits[i]))
+        return _EventSets(self, self._preset_positions)
 
     def edges(self) -> Iterator[tuple[str, str]]:
         for eid, direct in zip(self.order, self._direct):
@@ -194,17 +178,52 @@ class EventObjectGraph:
 
     def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
         """Log positions of the event's preset from ``start`` on, ascending."""
-        position = self._position(event_id)
-        return _positions(self._low[position], self._bits[position], start)
+        return self._preset_positions(self._position(event_id), start)
 
     def preset_count(self, event_id: str, below: int | None = None) -> int:
         """Size of the event's preset, or of its part before log position
         ``below``."""
-        position = self._position(event_id)
+        return self._preset_count(self._position(event_id), below)
+
+    def _preset_positions(self, position: int, start: int = 0) -> list[int]:
+        # bit j of the preset stands for log position low + j
+        low, bits = self._low[position], self._bits[position]
+        if start > low:
+            bits >>= start - low
+            low = start
+        if not bits:
+            return []
+        digits = bin(bits)[:1:-1]  # least significant first, without "0b"
+        found = []
+        at = digits.find("1")
+        while at >= 0:
+            found.append(low + at)
+            at = digits.find("1", at + 1)
+        return found
+
+    def _preset_count(self, position: int, below: int | None = None) -> int:
         bits = self._bits[position]
         if below is not None:
             bits &= (1 << max(below - self._low[position], 0)) - 1
         return bits.bit_count()
+
+    def _prefix_predecessor(self, position: int) -> int | None:
+        """The latest direct predecessor d of the event at ``position`` such
+        that d's log-ordered preset, followed by d, opens the event's
+        log-ordered preset.
+
+        d's preset lies in the event's preset and before d's log position,
+        so that holds exactly when the event's preset has as many positions
+        below d's position as d's own preset has: a popcount test.  A sole
+        direct predecessor passes it: the event's preset is d's and d.
+        """
+        direct = self._direct[position]
+        if len(direct) == 1:
+            return next(iter(direct))
+        for d in sorted(direct, reverse=True):
+            if self._preset_count(position, d) == self._preset_count(d):
+                return d
+        return None
 
     def _position(self, event_id: str) -> int:
         try:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .context import EventObjectGraph, _positions
+from .context import EventObjectGraph
 from .ocel import EventLog
 from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
                    consumed, enabled_visible_labels, enumerate_bindings,
@@ -264,54 +264,34 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 
 
 # Replay names objects by ints and keys its searches by compact steps: a
-# visible step as ``(activity, *names)``, the names ascending.  A compact
-# step and the type of each of its names give the ``VisibleBindingStep``
-# (``_expanded``).
+# visible step as ``(activity, *names)``, the names ascending.  A name says
+# its object's type: it is ``k * T + t``, where ``t`` indexes the memo's
+# ``kinds``, ``T`` of them, and ``k`` numbers the object.  So a compact step
+# alone gives the ``VisibleBindingStep`` (``_expanded``).
 _Step = tuple
 
 # Where replay of an event's preset may resume, as a plain tuple
-# (position, names, types, cls, own).  A later event that resumes here
-# replays its preset from log position ``position``, just past the event
-# whose frontier this is, opening with ``own``: that event's own step,
-# compact.  ``names`` maps the entered objects, by graph number, to
-# canonical names, ints from 0 in order of entry, and ``types[name]`` is
-# the type of the object so named, so ``len(types)`` names the next new
-# object.  ``cls`` is the event's replay class: its search result in those
-# names, whose ``entering`` markings and ``states`` resumed searches start
-# from.
-_Frontier = tuple[int, dict[int, int], tuple[str, ...], _SingleReplay, _Step | None]
+# (position, names, cls, own).  A later event that resumes here replays
+# its preset from log position ``position``, just past the event whose
+# frontier this is, opening with ``own``: that event's own step, compact.
+# ``names`` maps the entered objects, by graph number, to canonical names,
+# whose ``k`` counts from 0 in order of entry, so ``len(names)`` is the
+# ``k`` of the next new object.  ``cls`` is the event's replay class: its
+# search result in those names, whose ``entering`` markings and ``states``
+# resumed searches start from.
+_Frontier = tuple[int, dict[int, int], _SingleReplay, _Step | None]
 
-_START: _Frontier = (0, {}, (), _SingleReplay((), False, (Marking(),)), None)
+_START: _Frontier = (0, {}, _SingleReplay((), False, (Marking(),)), None)
 
 
-def _expanded(step: _Step, types: Sequence[str]) -> VisibleBindingStep:
+def _expanded(step: _Step, kinds: Sequence[str]) -> VisibleBindingStep:
     """The visible step a compact step stands for, each name's object type
-    read from ``types``."""
+    read as ``kinds[name % len(kinds)]``."""
     by_type: dict[str, list[int]] = {}
     for name in step[1:]:
-        by_type.setdefault(types[name], []).append(name)
+        by_type.setdefault(kinds[name % len(kinds)], []).append(name)
     return VisibleBindingStep(step[0], tuple(sorted(
         [(otype, frozenset(ids)) for otype, ids in by_type.items()])))
-
-
-def _prefix_predecessor(graph: EventObjectGraph, position: int) -> int | None:
-    """The latest direct predecessor d of the event at ``position`` such
-    that d's log-ordered preset, followed by d, opens the event's
-    log-ordered preset.
-
-    d's preset lies in the event's preset and before d's log position, so
-    that holds exactly when the event's preset has as many positions below
-    d's position as d's own preset has: a popcount test on the bitsets.
-    A sole direct predecessor passes it: the event's preset is d's and d.
-    """
-    direct = graph._direct[position]
-    if len(direct) == 1:
-        return next(iter(direct))
-    low, bits = graph._low[position], graph._bits[position]
-    for d in sorted(direct, reverse=True):
-        if (bits & ((1 << d - low) - 1)).bit_count() == graph._bits[d].bit_count():
-            return d
-    return None
 
 
 class FrontierMemo:
@@ -331,14 +311,21 @@ class FrontierMemo:
     Events not in ``order``, and all events on nets where lazy entry is
     not exact (``lazy`` is False), resume from the empty frontier
     ``_START``.  Each distinct visible step as the net fires it
-    (``firing``) is built once and kept while the memo lives.
+    (``firing``) is built once and kept while the memo lives.  ``kinds``
+    lists the log's object types, sorted: the ``t`` of replay names.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                  cfg: ReplayConfig, order: Iterable[str] = ()) -> None:
         self.net, self.log, self.graph, self.cfg = net, log, graph, cfg
         self.lazy = lazy_entry_exact(net)
-        self._firings: dict[tuple, _Firing] = {}
+        self.kinds = sorted(set(graph._types))
+        index = {otype: t for t, otype in enumerate(self.kinds)}
+        self._kind_of = [index[otype] for otype in graph._types]  # by graph number
+        initial = net.initial_places
+        self._initial = [initial[otype].id if otype in initial else None
+                         for otype in self.kinds]
+        self._firings: dict[_Step, _Firing] = {}
         self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
         self._base: dict[int, int] = {}
         self._users: dict[int, int] = {}
@@ -346,7 +333,7 @@ class FrontierMemo:
 
         def pred_of(position: int) -> int | None:
             if position not in preds:
-                preds[position] = _prefix_predecessor(graph, position)
+                preds[position] = graph._prefix_predecessor(position)
             return preds[position]
 
         done: set[int] = set()
@@ -377,106 +364,96 @@ class FrontierMemo:
             frontier = self._frontiers.pop(base, None)
         return frontier or _START
 
-    def keep(self, position: int, names: dict[int, int], types: tuple[str, ...],
-             cls: _SingleReplay, own: _Step) -> None:
+    def keep(self, position: int, names: dict[int, int], cls: _SingleReplay,
+             own: _Step) -> None:
         if position in self._users:  # a later event resumes where its preset ends
-            self._frontiers[position] = (position + 1, names, types, cls, own)
+            self._frontiers[position] = (position + 1, names, cls, own)
 
-    def firing(self, step: _Step, types: Sequence[str]) -> _Firing:
-        """The binding and needed tokens of a compact step, each name's
-        type read from ``types``; they and the step's ``VisibleBindingStep``
-        are built on first use.  The step and its names' types are the
-        key: they give the ``VisibleBindingStep``, and it gives them."""
-        key = (step, *map(types.__getitem__, step[1:]))
-        firing = self._firings.get(key)
+    def firing(self, step: _Step) -> _Firing:
+        """The binding and needed tokens of a compact step, built on first
+        use with its ``VisibleBindingStep``.  The step is the key: its
+        names say their types, so it gives the ``VisibleBindingStep``, and
+        it gives the step."""
+        firing = self._firings.get(step)
         if firing is None:
-            firing = self._firings[key] = _firing(self.net, _expanded(step, types))
+            firing = self._firings[step] = _firing(self.net, _expanded(step, self.kinds))
         return firing
 
 
 def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
               ) -> tuple:
-    """The names, the types of the names, the compact preset steps, the
-    compact own step and the (cursor, (type, name) pairs) of objects
-    entering the markings of the event at log ``position``, resumed from
-    the base.
+    """The names, the compact preset steps, the compact own step and the
+    (cursor, names) of objects entering the markings of the event at log
+    ``position``, resumed from the base.
 
     The preset's steps from the base's position follow the base's own
     step.  An object enters where a step first binds it, the event's own
     new objects at the end; all at cursor 0 when lazy entry is not exact.
     New objects join ``names`` by graph number, in order of entry, ties in
-    ``ObjectId`` order (the numbers' order).  When ``canonical`` they are
-    named by the ints from ``len(types)`` on, and their types extend the
-    base's ``types``; otherwise by their graph numbers, and the types are
-    the graph's.  The base's names are copied on the first new object, and
-    shared when there is none: no one writes to names once returned.
+    ``ObjectId`` order (the numbers' order).  A new object of type ``t``
+    is named ``k * T + t``: when ``canonical``, ``k`` counts on from the
+    base's ``len(names)``; otherwise ``k`` is its graph number.  The
+    base's names are copied on the first new object, and shared when there
+    is none: no one writes to names once returned.
     """
-    start, names, types, _, opening = base
+    start, names, _, opening = base
     steps = [] if opening is None else [opening]
     graph = memo.graph
-    kinds, slots, events = graph._types, graph._slots, memo.log.events
+    kind_of, width = memo._kind_of, len(memo.kinds)
+    slots, events = graph._slots, memo.log.events
     entering = []
-    added: list[str] = []
-    first = len(types)
-    for i in [*_positions(graph._low[position], graph._bits[position], start), position]:
+    for i in [*graph._preset_positions(position, start), position]:
         new = []
         bound = []
         for s in slots[i]:
             name = names.get(s)
             if name is None:
-                if not added:
+                if not (new or entering):
                     names = dict(names)
-                name = names[s] = first + len(added) if canonical else s
-                otype = kinds[s]
-                added.append(otype)
-                new.append((otype, name))
+                name = names[s] = (len(names) if canonical else s) * width + kind_of[s]
+                new.append(name)
             bound.append(name)
         if new:
             entering.append((len(steps), tuple(new)))
         bound.sort()
         steps.append((events[i].activity, *bound))
     if entering and not memo.lazy:
-        entering = [(0, tuple(pair for _, pairs in entering for pair in pairs))]
-    if not canonical:
-        types = kinds
-    elif added:
-        types = (*types, *added)
+        entering = [(0, tuple(name for _, new in entering for name in new))]
     own = steps.pop()
-    return names, types, steps, own, tuple(entering)
+    return names, steps, own, tuple(entering)
 
 
 def _preset_search(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
                    searched: dict[tuple, _SingleReplay],
-                   ) -> tuple[_SingleReplay, _Step, Sequence[str], dict[int, int]]:
+                   ) -> tuple[_SingleReplay, _Step, dict[int, int]]:
     """Search the preset of the event at ``position`` from the base in the
     names ``_sequence`` gives, once per key in ``searched``: the base's
-    class, the rest of the preset's compact steps and the entering
-    objects.  The key fixes the type of every name.  Only a search builds
-    the firings of its steps, through the memo.  The search starts from
-    the base's entering markings, under the budget the base's states
-    leave.  Returns the result, the event's compact own step, the types of
-    the names and the names."""
-    names, types, steps, own, entering = _sequence(memo, position, base, canonical)
-    cls = base[3]
+    class, the rest of the preset's compact steps and the entering names.
+    Only a search builds the firings of its steps, through the memo.  The
+    search starts from the base's entering markings, under the budget the
+    base's states leave.  Returns the result, the event's compact own step
+    and the names."""
+    names, steps, own, entering = _sequence(memo, position, base, canonical)
+    cls = base[2]
     key = (cls, tuple(steps), entering)
     single = searched.get(key)
     if single is None:
-        net, cfg = memo.net, memo.cfg
-        labels, initial = net.label_to_transition, net.initial_places
-        if any(step[0] not in labels for step in steps) or not all(
-                otype in initial for _, objects in entering for otype, _ in objects):
+        net, cfg, initial = memo.net, memo.cfg, memo._initial
+        width = len(initial)
+        if any(step[0] not in net.label_to_transition for step in steps) or any(
+                initial[name % width] is None for _, new in entering for name in new):
             single = _UNREPLAYABLE  # an activity or an object type the net lacks
         else:
-            firings = [memo.firing(step, types) for step in steps]
-            entry = {k: Marking([(initial[otype].id, name) for otype, name in objects])
-                     for k, objects in entering}
+            firings = [memo.firing(step) for step in steps]
+            entry = {k: Marking([(initial[name % width], name) for name in new])
+                     for k, new in entering}
             start = (tuple(m + entry[0] if m else entry[0] for m in cls.entering)
                      if 0 in entry else cls.entering)
             found = _search(net, firings, start, entry, cfg, cfg.max_states - cls.states)
             single = _SingleReplay(found.markings, found.truncated, found.entering,
                                    cls.states + found.states)
         searched[key] = single
-    return single, own, types, names
+    return single, own, names
 
 
 def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing,
@@ -532,9 +509,9 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     What a cut search found follows the order of object names.  So where
     an event's canonical preset search, or the ``reached_final`` search
     behind it, is cut, the event's preset is searched again from
-    ``_START`` by graph number, as the search from the initial marking:
-    within one type the numbers sort like the ids, and a search compares
-    names only within one type, so it expands the states the search by id
+    ``_START`` by graph number s, each name ``s * T + t``: within one type
+    those names sort like the ids, and a search compares names only
+    within one type, so it expands the states the search by id
     would, in its order, and is cut at the same point.  A cut preset
     search gives way to that result; a cut ``reached_final`` search only
     takes its answer from it.  Members with the same preset and new
@@ -558,31 +535,26 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
 
-    def final(single: _SingleReplay, own: _Step, types: Sequence[str]) -> tuple[bool, bool]:
-        # a result other than the shared unreplayable one, which has no
-        # markings, comes from one key, and a key fixes the type of every
-        # name, so the result and the compact step fix the firing
+    def final(single: _SingleReplay, own: _Step) -> tuple[bool, bool]:
         answer = finals.get((single, own))
         if answer is None:
             answer = (False, False)
             if single.markings:
-                firing = memo.firing(own, types)
-                answer = _reaches_final(net, single.markings, firing, cfg)
+                answer = _reaches_final(net, single.markings, memo.firing(own), cfg)
             finals[single, own] = answer
         return answer
 
     for eid in events:
         position = graph._position(eid)
-        single, own, types, names = _preset_search(memo, position, memo.take(position),
-                                                   True, searched)
+        single, own, names = _preset_search(memo, position, memo.take(position),
+                                            True, searched)
         cut = single.truncated
         if not cut:
-            memo.keep(position, names, types, single, own)
-            reached, cut = final(single, own, types)
+            memo.keep(position, names, single, own)
+            reached, cut = final(single, own)
         if cut:  # where a search cuts follows the names
-            rerun, own, types, by_number = _preset_search(memo, position, _START, False,
-                                                          searched)
-            reached, cut = final(rerun, own, types)
+            rerun, own, by_number = _preset_search(memo, position, _START, False, searched)
+            reached, cut = final(rerun, own)
             if single.truncated:
                 single, names = rerun, by_number
         reached_final_by_event[eid] = reached

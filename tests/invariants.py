@@ -24,8 +24,8 @@ from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
 from oconform.replay import (_START, FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _expanded, _prefix_predecessor, _preset_search,
-                             lazy_entry_exact, replay_context_group)
+                             _expanded, _preset_search, lazy_entry_exact,
+                             replay_context_group)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -249,7 +249,7 @@ def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
             if want:
                 assert low == want[0]
             assert graph._bits[i].bit_length() <= i - low
-            pred = _prefix_predecessor(graph, i)
+            pred = graph._prefix_predecessor(i)
             assert (None if pred is None else log.events[pred].id) == \
                 oracles.prefix_predecessor(log, anc, e.id)
     return len(logs)
@@ -388,10 +388,12 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
     are the reference's markings.  A cut search runs again with each
     object named by its graph number, and renamed back its markings are
     the reference's in the reference's order.  The names number the
-    event's objects one to one, canonical names as the ints from 0, and
-    the event's own step comes renamed with them: compact, as its activity
-    and its objects' names ascending, and, expanded by the types the
-    result gives its names, equal to the event's step renamed."""
+    event's objects one to one, each name ``k * T + t`` with its object's
+    type ``kinds[t]`` of the memo's ``T`` kinds, and ``k`` the ints from 0
+    for canonical names, the graph numbers in a rerun.  The event's own
+    step comes renamed with them: compact, as its activity and its
+    objects' names ascending, and, expanded by the types its names say,
+    equal to the event's step renamed."""
     report = check(log, net, cfg)
     by_id = {d.event_id: d for d in report.per_event}
     graph = build_graph(log)
@@ -406,7 +408,8 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
             found = _preset_search(memo, log.event_index[eid], _START, True, {})
             if found[0].truncated:
                 found = _preset_search(memo, log.event_index[eid], _START, False, {})
-            single, own, types, names = found
+            single, own, names = found
+            kinds = memo.kinds
             want = singles[eid]
             event = log.event(eid)
             real_own = VisibleBindingStep.for_event(event)
@@ -415,20 +418,21 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
             # names maps the graph's object numbers to the result's names
             named = {graph.objects[s]: name for s, name in names.items()}
             assert set(named) == objects, eid
-            assert all(types[name] == o.otype for o, name in named.items()), eid
+            assert all(kinds[name % len(kinds)] == o.otype
+                       for o, name in named.items()), eid
             assert own == (event.activity, *sorted(named[o] for o in event.omap)), eid
-            assert (_expanded(own, types),) == \
+            assert (_expanded(own, kinds),) == \
                 oracles.renamed_steps((real_own,), named), eid
             back = {ObjectId(name, o.otype): o.id for o, name in named.items()}
             real = oracles.renamed_markings(net, single.markings, back)
             if single.truncated:
                 # a cut search runs again by graph number, which finds the
                 # reference's markings in the reference's order
-                assert all(name == s for s, name in names.items()), eid
+                assert all(name // len(kinds) == s for s, name in names.items()), eid
                 assert real == want.markings, eid
             else:
-                assert sorted(names.values()) == list(range(len(names))), eid
-                assert len(types) == len(names), eid
+                assert sorted(name // len(kinds) for name in names.values()) == \
+                    list(range(len(names))), eid
                 canonical = oracles.eager_replay(
                     net, oracles.renamed_steps(
                         oracles.binding_sequence_of_preset(log, graph, eid), named),

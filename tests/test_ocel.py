@@ -172,6 +172,19 @@ def test_validate_reports_index_and_type_mismatches():
     assert any("used with type 'u' but declared 't'" in v for v in violations)
 
 
+def test_validate_reports_duplicate_object_ids():
+    obj = ObjectId("o1", "t")
+    log = EventLog(object_types=("t",), objects=(obj, obj), events=())
+    assert validate_log(log) == ["duplicate object id 'o1'"]
+
+
+def test_validate_reports_undeclared_objects():
+    obj = ObjectId("o1", "t")
+    log = EventLog(object_types=("t",), objects=(obj,),
+                   events=(Event("e1", "a", frozenset({obj, ObjectId("zz", "t")}), 0),))
+    assert validate_log(log) == ["event 'e1': unknown object 'zz'"]
+
+
 def test_validate_clean_log_returns_no_violations(l1):
     assert validate_log(l1) == []
 

@@ -395,12 +395,18 @@ def test_model_round_trip_is_identity_on_fixtures():
      "missing 'object_types'"),
     ('{"object_types": ["t", "t"], "places": [], "transitions": [], "arcs": []}',
      "duplicate object type"),
+    ('{"object_types": ["t", 1], "places": [], "transitions": [], "arcs": []}',
+     "'object_types' must be an array of strings"),
     ('{"object_types": ["t"], "places": [{"object_type": "t"}], '
      '"transitions": [], "arcs": []}', "needs a string 'id'"),
     ('{"object_types": ["t"], "places": [{"id": "p"}], '
      '"transitions": [], "arcs": []}', "missing 'object_type'"),
+    ('{"object_types": ["t"], "places": [], "transitions": [{"label": "a"}], '
+     '"arcs": []}', "each transition needs a string 'id'"),
     ('{"object_types": ["t"], "places": [], "transitions": [{"id": "a", "label": ""}], '
      '"arcs": []}', "label must be null or non-empty"),
+    ('{"object_types": ["t"], "places": [], "transitions": [], '
+     '"arcs": [["p", "a"]]}', "each arc must be a JSON object"),
     ('{"object_types": ["t"], "places": [], "transitions": [], '
      '"arcs": [{"source": "p"}]}', "needs string 'source' and 'target'"),
     ('{"object_types": ["t"], "places": [{"id": "p0", "id": "p1", "object_type": "t"}], '

@@ -433,6 +433,36 @@ def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("build_log, reference, searches, firings", [
+    (lambda: invariants.bench_log(5, 1512), True, 17, 18),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, 269, 178),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, 26, 31),
+], ids=["disjoint-ref", "chained-flower", "silent-bags"])
+def test_searches_and_firings_per_check_on_bench_logs(monkeypatch, ocpn1, build_log,
+                                                      reference, searches, firings):
+    # the memo keys a firing by the compact step alone, whose names say
+    # their types: steps that differ in a name's type must not share it,
+    # and steps that differ in nothing else must
+    log = build_log()
+    net = ocpn1 if reference else flower_model(log)
+    calls = Counter()
+    search, firing = replay._search, replay._firing
+
+    def spy_search(*args):
+        calls["searches"] += 1
+        return search(*args)
+
+    def spy_firing(*args):
+        calls["firings"] += 1
+        return firing(*args)
+
+    monkeypatch.setattr(replay, "_search", spy_search)
+    monkeypatch.setattr(replay, "_firing", spy_firing)
+    report = metrics.check(log, net)
+    assert not report.truncated
+    assert calls == {"searches": searches, "firings": firings}
+
+
 def _bench_disjoint_log(events=108):
     """A log as the benchmark's disjoint workloads generate it: interleaved
     flights with their own planes and one to three bags each."""
@@ -459,14 +489,13 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
         built = Counter()
 
         def spy(memo, position, base, canonical):
-            names, types, steps, own, entering = sequence(memo, position, base,
-                                                          canonical)
-            start, _, _, _, opening = base
+            names, steps, own, entering = sequence(memo, position, base, canonical)
+            start, _, _, opening = base
             eid = memo.log.events[position].id
             positions = [*memo.graph.preset_positions(eid, start), position]
             built.update(zip(positions, [*steps[opening is not None:], own],
                              strict=True))
-            return names, types, steps, own, entering
+            return names, steps, own, entering
 
         monkeypatch.setattr(replay, "_sequence", spy)
         report = metrics.check(log, net)

@@ -60,6 +60,13 @@ def test_dead_model_raises():
         simulate_log(net, instances=1, seed=0)
 
 
+def test_net_without_places_is_rejected():
+    net = AcceptingOCPN(object_types=("case",), places=(),
+                        transitions=(Transition("t1", "a"),), arcs=())
+    with pytest.raises(ModelError, match="^net has no places to put objects on$"):
+        simulate_log(net, instances=1, seed=0)
+
+
 def test_type_without_final_place_is_rejected():
     net = AcceptingOCPN(
         object_types=("case",),
