@@ -18,7 +18,17 @@ from .ocel import EventLog, LogError, ObjectId
 
 Prefix = tuple[str, ...]
 
-_CANONICAL = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_quote = json.encoder.encode_basestring  # the C function the encoder calls
+
+
+def _canonical(entries: Iterable[tuple[str, Iterable[str]]]) -> str:
+    """Ordered (type, rendered ``[sequence,count]`` items) entries as JSON."""
+    return "[%s]" % ",".join([f'[{_quote(otype)},[{",".join(items)}]]'
+                              for otype, items in entries])
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -54,23 +64,26 @@ class Context:
         return {}
 
     def canonical_json(self) -> str:
-        # tuples encode as JSON arrays
-        return _CANONICAL.encode(self.entries)
+        """The entries as compact JSON, by ``EventObjectGraph.digest``'s renderer."""
+        return _canonical((otype, [f'[[{",".join(map(_quote, seq))}],{n}]'
+                                   for seq, n in counted])
+                          for otype, counted in self.entries)
 
     def digest(self) -> str:
-        raw = self.canonical_json().encode("utf-8")
-        return hashlib.sha256(raw).hexdigest()[:16]
+        return _digest(self.canonical_json())
 
 
 class _Trie:
     """Activity sequences as nodes: one root per object type, and one child
     per (node, activity).  A node is an object type plus the sequence that
-    leads to it from the type's root."""
+    leads to it from the type's root.  Its sequence, as a tuple or as JSON
+    text, is built on first use from its parent's, so a label is quoted once."""
 
     def __init__(self) -> None:
         self._parents: list[tuple[int, str]] = []  # roots: (-1, type)
         self._children: dict[tuple[int, str], int] = {}
         self._sequences: dict[int, tuple[str, Prefix]] = {}
+        self._texts: dict[int, tuple[str, str]] = {}
 
     def child(self, parent: int, label: str) -> int:
         """The node after ``label``; a root, for an object type, at parent -1."""
@@ -79,7 +92,20 @@ class _Trie:
             self._parents.append((parent, label))
             if parent < 0:
                 self._sequences[node] = (label, ())
+                self._texts[node] = (label, "[]")
         return node
+
+    def text(self, node: int) -> tuple[str, str]:
+        """The node's object type and its sequence as compact JSON."""
+        path = []
+        while node not in self._texts:
+            path.append(node)
+            node = self._parents[node][0]
+        otype, text = self._texts[node]
+        for at in reversed(path):
+            text = f"{text[:-1]}{',' * (len(text) > 2)}{_quote(self._parents[at][1])}]"
+            self._texts[at] = (otype, text)
+        return otype, text
 
     def sequence(self, node: int) -> tuple[str, Prefix]:
         """The node's object type and activity sequence."""
@@ -141,9 +167,10 @@ class EventObjectGraph:
     events by context, groups in the log order of their first event and
     members in log order, and ``group_of`` maps each event id to its
     group's number.  A group's ``Context`` is built when read
-    (``context``).  ``objects[s]`` is object number s, in ``ObjectId``
-    order, ``_types[s]`` its type, and ``_slots[i]`` holds the numbers of
-    the i-th event's objects, ascending.
+    (``context``); its digest is rendered from its bag items, with no
+    ``Context`` built (``digest``).  ``objects[s]`` is object number s,
+    in ``ObjectId`` order, ``_types[s]`` its type, and ``_slots[i]``
+    holds the numbers of the i-th event's objects, ascending.
     """
 
     order: tuple[str, ...]
@@ -175,6 +202,25 @@ class EventObjectGraph:
     def context(self, group: int) -> Context:
         """The context shared by the events of one group."""
         return self._trie.context(self._bags[group])
+
+    def digest(self, group: int) -> str:
+        """``context(group).digest()``, rendered with no ``Context`` built from
+        the bag's node texts: types by name, and a type's items in sequence
+        order, whose tuples are read only when the type has two or more."""
+        trie = self._trie
+        texts, sequences = trie._texts, trie._sequences
+        per_type: dict[str, list[tuple[int, str]]] = {}
+        for node, n in self._bags[group]:
+            otype, text = texts.get(node) or trie.text(node)
+            per_type.setdefault(otype, []).append((node, f"[{text},{n}]"))
+        entries = []
+        for otype in sorted(per_type):
+            items = per_type[otype]
+            if len(items) > 1:  # JSON texts sort unlike tuples: '"' > ' '
+                items.sort(key=lambda item: (sequences.get(item[0])
+                                             or trie.sequence(item[0]))[1])
+            entries.append((otype, [item for _, item in items]))
+        return _digest(_canonical(entries))
 
     def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
         """Log positions of the event's preset from ``start`` on, ascending."""

@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-from .context import build_graph, group_by_context
+from .context import build_graph, group_by_context  # noqa: F401  bench/worker.py traces it here
 from .ocel import EventLog, LogError
 from .ocpn import AcceptingOCPN
 from .replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
@@ -53,25 +53,25 @@ def check(log: EventLog, net: AcceptingOCPN,
     """Compute fitness and precision of the net against the log in one pass.
 
     Replay happens once per context group; every event of a group shares
-    the group's enabled-activity sets.  A ``FrontierMemo`` lets each event
-    resume the replay where an earlier event's preset ended.  An event
-    counts as replayable when the net enables at least one activity for
-    its context; precision averages over exactly those events and is None
-    when there are none.
+    the group's enabled-activity sets and its digest, read off its bag
+    items with no ``Context`` built (``graph.digest``).  A ``FrontierMemo``
+    lets each event resume the replay where an earlier event's preset
+    ended.  An event counts as replayable when the net enables at least
+    one activity for its context; precision averages over exactly those
+    events and is None when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
-    groups = group_by_context(log, graph)
     memo = FrontierMemo(net, log, graph, cfg,
-                        (eid for members in groups.values() for eid in members))
+                        (eid for members in graph.members for eid in members))
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()
     num_replayable = 0
     diagnostics: dict[str, EventDiagnostic] = {}
     truncated = False
-    for ctx, members in groups.items():
+    for group, members in enumerate(graph.members):
         detail = replay_context_group(net, log, graph, members, cfg, memo)
         en_model = detail.outcome.enabled
         en_log = frozenset(log.event(eid).activity for eid in members)
@@ -84,7 +84,7 @@ def check(log: EventLog, net: AcceptingOCPN,
         if replayable:
             num_replayable += len(members)
             precision_sums[len(en_model)] += share
-        digest = ctx.digest()
+        digest = graph.digest(group)
         log_side = tuple(sorted(en_log))
         model_side = tuple(sorted(en_model))
         reached, cut = detail.reached_final_by_event, detail.outcome.truncated

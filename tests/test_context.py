@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from importlib.resources import files
 
 import pytest
 
 import invariants
 import oracles
+from oconform import context
 from oconform.cli import EXIT_OK, main
 from oconform.context import (Context, _Trie, build_graph, context_of_event,
                               enabled_log_activities, event_preset,
@@ -159,18 +161,35 @@ def _count_contexts(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("which", ["fixture", "chained"])
-def test_check_builds_each_group_context_once(monkeypatch, l1, ocpn1, which):
-    # nothing keeps a built Context, so a second read of a group would
-    # build it again: check reads each group's once, in group_by_context
+def test_check_builds_no_context(monkeypatch, l1, ocpn1, which):
+    # check digests each group from its bag items (graph.digest)
     if which == "fixture":
         log, net = l1, ocpn1
     else:  # as the chained-flower workload generates it
         log = invariants.bench_log(5, 486, shared_planes=3)
         net = flower_model(log)
-    groups = len(build_graph(log).members)
     calls = _count_contexts(monkeypatch)
     check(log, net)
-    assert calls[0] == groups
+    assert calls[0] == 0
+
+
+def test_check_quotes_each_trie_label_once(monkeypatch):
+    # a group's digest costs its bag: each node's text extends its
+    # parent's, so no history is quoted again per group
+    log = invariants.bench_log(5, 486, shared_planes=3)
+    labels = Counter(label for parent, label in build_graph(log)._trie._parents
+                     if parent >= 0)
+    quoted: Counter[str] = Counter()
+    quote = context._quote
+
+    def counted(text):
+        quoted[text] += 1
+        return quote(text)
+
+    monkeypatch.setattr(context, "_quote", counted)
+    check(log, flower_model(log))
+    assert sum(quoted[label] for label in labels) > 0
+    assert all(quoted[label] <= n for label, n in labels.items())
 
 
 def test_explain_builds_one_context(monkeypatch, capsys):
@@ -213,3 +232,44 @@ def test_contexts_match_naive_oracle_on_random_logs():
         for e in log.events:
             assert context_of_event(log, graph, e.id).entries == \
                 oracles.naive_context_key(log, anc, e.id)
+
+
+# names the encoder escapes, names outside ASCII, and names that sort
+# differently as tuples and as JSON text: a prefix of another name, or a
+# name that differs from another by a character below '"'
+ADVERSARIAL = ['say "hi"', "\\", "\t\n\x01\x1f", "Zürich", "\u2028", "\U0001f6eb",
+               "", '""', "Load", "Load cargo", "Load!", 'Load"', "a", "a b"]
+
+
+def _adversarial_log(rng):
+    types = rng.sample(ADVERSARIAL, rng.randint(1, 3))
+    objs = [ObjectId(f"o{i}", rng.choice(types)) for i in range(rng.randint(2, 6))]
+    return make_log([(f"e{k}", rng.choice(ADVERSARIAL),
+                      rng.sample(objs, rng.randint(1, min(3, len(objs)))))
+                     for k in range(rng.randint(4, 16))])
+
+
+def _assert_digests_agree(graph):
+    for group in range(len(graph.members)):
+        assert graph.digest(group) == graph.context(group).digest()
+
+
+def test_trie_digests_equal_context_digests_on_adversarial_names():
+    rng = random.Random(24)
+    for _ in range(150):
+        _assert_digests_agree(build_graph(_adversarial_log(rng)))
+
+
+@pytest.mark.parametrize("events, options, net", [
+    (1512, {}, "ref"),                            # disjoint-ref
+    (486, {"shared_planes": 3}, "flower"),        # chained-flower
+    (224, {"bags": (3, 4, 5, 6)}, "ref"),         # silent-bags
+])
+def test_check_digests_equal_context_digests(ocpn1, events, options, net):
+    # the check workloads' variant-5 logs
+    log = invariants.bench_log(5, events, **options)
+    graph = build_graph(log)
+    _assert_digests_agree(graph)
+    report = check(log, flower_model(log) if net == "flower" else ocpn1)
+    for d in report.per_event:
+        assert d.context_digest == context_of_event(log, graph, d.event_id).digest()
