@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
@@ -156,16 +157,15 @@ class EventObjectGraph:
     object; that keeps the edge set linear in object occurrences while
     preserving reachability, and ancestor sets are what the contexts are
     built from.  Events are stored as log positions: ``_direct[i]`` holds
-    the i-th event's direct predecessors, and its preset (its full
-    ancestor set) is one ``int`` over log positions, shifted down by the
-    preset's lowest position: bit j of ``_bits[i]`` stands for position
-    ``_low[i] + j``, so a preset costs its span in bits, not the log's
-    length.  Only ``preset_positions`` and ``preset_count``, their forms
-    by log position and ``_prefix_predecessor`` read them;
-    ``direct_predecessors`` and ``presets`` map each event id to a
-    frozenset of event ids, built when read.  ``members`` partitions the
-    events by context, groups in the log order of their first event and
-    members in log order, and ``group_of`` maps each event id to its
+    the i-th event's direct predecessors, and ``_weight[i]`` counts the
+    object occurrences of the events in its preset (its full ancestor
+    set).  Presets are not stored: ``preset_positions`` walks back over
+    ``_direct`` from an event, only as far back as asked, and
+    ``preset_count``, ``presets`` and ``_prefix_predecessor`` read the
+    same walk.  ``direct_predecessors`` and ``presets`` map each event id
+    to a frozenset of event ids, built when read.  ``members`` partitions
+    the events by context, groups in the log order of their first event
+    and members in log order, and ``group_of`` maps each event id to its
     group's number.  A group's ``Context`` is built when read
     (``context``); its digest is rendered from its bag items, with no
     ``Context`` built (``digest``).  ``objects[s]`` is object number s,
@@ -178,8 +178,7 @@ class EventObjectGraph:
     members: tuple[tuple[str, ...], ...]
     _index: Mapping[str, int] = field(repr=False)
     _direct: list[set[int]] = field(repr=False)
-    _low: list[int] = field(repr=False)
-    _bits: list[int] = field(repr=False)
+    _weight: list[int] = field(repr=False)
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
@@ -229,45 +228,37 @@ class EventObjectGraph:
     def preset_count(self, event_id: str, below: int | None = None) -> int:
         """Size of the event's preset, or of its part before log position
         ``below``."""
-        return self._preset_count(self._position(event_id), below)
+        positions = self._preset_positions(self._position(event_id))
+        return len(positions) if below is None else bisect_left(positions, below)
 
     def _preset_positions(self, position: int, start: int = 0) -> list[int]:
-        # bit j of the preset stands for log position low + j
-        low, bits = self._low[position], self._bits[position]
-        if start > low:
-            bits >>= start - low
-            low = start
-        if not bits:
-            return []
-        digits = bin(bits)[:1:-1]  # least significant first, without "0b"
-        found = []
-        at = digits.find("1")
-        while at >= 0:
-            found.append(low + at)
-            at = digits.find("1", at + 1)
-        return found
-
-    def _preset_count(self, position: int, below: int | None = None) -> int:
-        bits = self._bits[position]
-        if below is not None:
-            bits &= (1 << max(below - self._low[position], 0)) - 1
-        return bits.bit_count()
+        # every edge goes forward in the log, so a path from an ancestor at
+        # or after start passes only through positions at or after start
+        direct = self._direct
+        found: set[int] = set()
+        stack = [position]
+        while stack:
+            for p in direct[stack.pop()]:
+                if p >= start and p not in found:
+                    found.add(p)
+                    stack.append(p)
+        return sorted(found)
 
     def _prefix_predecessor(self, position: int) -> int | None:
         """The latest direct predecessor d of the event at ``position`` such
         that d's log-ordered preset, followed by d, opens the event's
         log-ordered preset.
 
-        d's preset lies in the event's preset and before d's log position,
-        so that holds exactly when the event's preset has as many positions
-        below d's position as d's own preset has: a popcount test.  A sole
-        direct predecessor passes it: the event's preset is d's and d.
+        The event's preset holds d's preset, d, and its own positions after
+        d; every event in a preset holds an object, so it holds nothing
+        more exactly when its weight is the sum of theirs.  No preset
+        position follows the latest direct predecessor, so its test needs
+        no walk.
         """
-        direct = self._direct[position]
-        if len(direct) == 1:
-            return next(iter(direct))
-        for d in sorted(direct, reverse=True):
-            if self._preset_count(position, d) == self._preset_count(d):
+        weight, slots = self._weight, self._slots
+        for n, d in enumerate(sorted(self._direct[position], reverse=True)):
+            later = n and sum([len(slots[p]) for p in self._preset_positions(position, d + 1)])
+            if weight[position] == weight[d] + len(slots[d]) + later:
                 return d
         return None
 
@@ -280,12 +271,10 @@ class EventObjectGraph:
 
 def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph.  One pass in log order gives each
-    event its direct predecessors, as log positions, and its preset, from
-    theirs; it also extends each object's trace in the trie and counts
-    direct successors.  An event with one object has at most one direct
-    predecessor, and takes its preset from it with no set or shift loop.
-    Context groups come from a second pass over the log
-    (``_context_groups``).  Event ids are built only when read."""
+    event its direct predecessors, as log positions; it also extends each
+    object's trace in the trie and counts direct successors.  Context
+    groups, and each event's preset weight, come from a second pass over
+    the log (``_context_groups``).  Event ids are built only when read."""
     objects = tuple(sorted({o for e in log.events for o in e.omap}))
     number = {o: s for s, o in enumerate(objects)}
     types = [o.otype for o in objects]
@@ -293,39 +282,15 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     last_seen = [-1] * len(objects)
     direct: list[set[int]] = []
     users = [0] * len(slots)
-    low: list[int] = []
-    bits: list[int] = []
     trie = _Trie()
     children, parents = trie._children, trie._parents
     trace = [[trie.child(-1, otype)] for otype in types]  # node after k occurrences
     for i, own in enumerate(slots):
-        if len(own) == 1:
-            # one object, so at most one direct predecessor: its preset and
-            # its own bit, at its lowest position
-            p = last_seen[own[0]]
-            if p < 0:
-                direct.append(set())
-                low.append(i)
-                bits.append(0)
-            else:
-                direct.append({p})
-                users[p] += 1
-                start = low[p]
-                low.append(start)
-                bits.append(bits[p] | 1 << (p - start))
-        else:
-            preds = {last_seen[s] for s in own}
-            preds.discard(-1)
-            direct.append(preds)
-            # every direct predecessor is earlier in the log, so its preset
-            # is done; an empty preset's lowest position is its event's own
-            start = min([low[p] for p in preds], default=i)
-            ancestors = 0
-            for p in preds:
-                ancestors |= (bits[p] | 1 << (p - low[p])) << (low[p] - start)
-                users[p] += 1
-            low.append(start)
-            bits.append(ancestors)
+        preds = {last_seen[s] for s in own}
+        preds.discard(-1)
+        direct.append(preds)
+        for p in preds:
+            users[p] += 1
         activity = log.events[i].activity
         for s in own:
             last_seen[s] = i
@@ -337,17 +302,15 @@ def build_graph(log: EventLog) -> EventObjectGraph:
                 parents.append(step)
             nodes.append(node)
     order = tuple(e.id for e in log.events)
-    group_of, members, bags = _context_groups(order, direct, users, low, bits,
-                                              slots, trace)
+    group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace)
     return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            low, bits, bags, trie, objects, types, slots)
+                            weight, bags, trie, objects, types, slots)
 
 
 def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],
-                    low: list[int], bits: list[int], slots: list[list[int]],
-                    trace: list[list[int]],
+                    slots: list[list[int]], trace: list[list[int]],
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
-                               tuple[tuple[tuple[int, int], ...], ...]]:
+                               tuple[tuple[tuple[int, int], ...], ...], list[int]]:
     """Every event's context group, in one pass over the log.
 
     Events are log positions: ``direct[i]`` holds the i-th event's direct
@@ -361,23 +324,28 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
     presets, so its counts are, object by object, the largest of its
     predecessors' counts taken after each predecessor itself.  The largest
     predecessor's counts are copied, or taken over by its last successor;
-    the others are merged in unless they are already in its preset; and
-    counts are freed once their last successor has read them.  A sole
-    predecessor needs no sort and no merge.  ``bag`` counts the objects at
-    each trie node alongside ``counts``, and each count moves inline: the
-    bag is the context, so equal contexts have equal bag items.  Groups
-    are keyed by the frozenset of the bag's items, which hashes in C with
-    no sort per event.  Returns each event's group number, each group's
-    events, and each group's bag items, sorted once per group.
+    the others are merged in unless one of their objects already counts
+    their occurrence, which puts them in the preset; and counts are freed
+    once their last successor has read them.  A sole predecessor needs no
+    sort and no merge.  An event's weight, the sum of its counts, is its
+    base predecessor's weight and object count, plus what each merge
+    raises.  ``bag`` counts the objects at each trie node alongside
+    ``counts``, and each count moves inline: the bag is the context, so
+    equal contexts have equal bag items.  Groups are keyed by the
+    frozenset of the bag's items, which hashes in C with no sort per
+    event.  Returns each event's group number, each group's events, each
+    group's bag items, sorted once per group, and each event's weight.
     """
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     number: dict[frozenset[tuple[int, int]], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
+    weight: list[int] = []
     for i, own in enumerate(slots):
         preds = direct[i]
         if len(preds) == 1:
             (d,) = preds
+            w = weight[d] + len(slots[d])
             users[d] -= 1
             if users[d]:
                 counts, bag = after[d]
@@ -385,33 +353,40 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
             else:
                 counts, bag = after.pop(d)
         elif not preds:
+            w = 0
             counts: dict[int, int] = {}
             bag: dict[int, int] = {}
         else:
             preds = sorted(preds, key=lambda d: len(after[d][0]), reverse=True)
-            if users[preds[0]] == 1:
-                counts, bag = after[preds[0]]
+            base = preds[0]
+            w = weight[base] + len(slots[base])
+            if users[base] == 1:
+                counts, bag = after[base]
             else:
-                counts, bag = (m.copy() for m in after[preds[0]])
+                counts, bag = (m.copy() for m in after[base])
             for d in preds[1:]:
-                shift = d - low[preds[0]]  # d is in the largest one's preset?
-                if shift < 0 or not bits[preds[0]] >> shift & 1:
-                    for s, k in after[d][0].items():
-                        was = counts.get(s)
-                        if was is None or was < k:
-                            if was is not None:
-                                node = trace[s][was]
-                                if bag[node] == 1:
-                                    del bag[node]
-                                else:
-                                    bag[node] -= 1
-                            counts[s] = k
-                            node = trace[s][k]
-                            bag[node] = bag.get(node, 0) + 1
+                theirs = after[d][0]
+                s = slots[d][0]
+                if counts.get(s, 0) >= theirs[s]:  # d is in the preset already
+                    continue
+                for s, k in theirs.items():
+                    was = counts.get(s, 0)  # no count is 0 before own objects join
+                    if was < k:
+                        if was:
+                            node = trace[s][was]
+                            if bag[node] == 1:
+                                del bag[node]
+                            else:
+                                bag[node] -= 1
+                        w += k - was
+                        counts[s] = k
+                        node = trace[s][k]
+                        bag[node] = bag.get(node, 0) + 1
             for d in preds:
                 users[d] -= 1
                 if not users[d]:
                     del after[d]
+        weight.append(w)
         for s in own:
             if s not in counts:
                 counts[s] = 0
@@ -437,12 +412,12 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
     return (group_of, tuple(map(tuple, members)),
-            tuple(tuple(sorted(key)) for key in number))
+            tuple(tuple(sorted(key)) for key in number), weight)
 
 
 def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:
     """All events with a path to the given event (its ancestors), as a
-    frozenset built from the graph's bitset."""
+    frozenset, walked back over the graph's direct predecessors."""
     try:
         return graph.presets[event_id]
     except KeyError:

@@ -190,46 +190,53 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
     return len(logs)
 
 
-GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_low", "_bits",
+GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight",
                    "_bags", "_types", "_slots")
 
 
 def run_graph_reference_agreement(seed: int = 26, rounds: int = 100) -> int:
     """The graph's internals, and its trie's nodes, pickle to the same
     bytes as those of the graph built the way it was before events with
-    one object or one direct predecessor took their own paths
-    (``oracles.reference_build_graph``).  Besides random logs, this runs
-    on chained airport logs and on a disjoint one, where most events hold
-    one object."""
+    one direct predecessor took their own path, with every preset stored
+    as a bitset (``oracles.reference_build_graph``); the weights the
+    reference sums over its bitsets included.  Every event's preset
+    positions are those of its reference bitset.  Besides random logs,
+    this runs on chained airport logs and on a disjoint one, where most
+    events hold one object."""
     rng = random.Random(seed)
     logs = [oracles.random_log(rng) for _ in range(rounds)]
     logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
              for s, flights, planes in ((19, 12, 2), (21, 6, 1), (24, 20, 3))]
     logs.append(disjoint_airport_log(30))
     for log in logs:
-        graph, reference = build_graph(log), oracles.reference_build_graph(log)
+        graph = build_graph(log)
+        reference, bitsets = oracles.reference_build_graph(log)
         for name in GRAPH_INTERNALS:
             assert pickle.dumps(getattr(graph, name)) == \
                 pickle.dumps(getattr(reference, name)), name
         assert pickle.dumps(graph._trie._parents) == \
             pickle.dumps(reference._trie._parents)
+        for e, bitset in zip(log.events, bitsets):
+            assert graph.preset_positions(e.id) == oracles.bitset_positions(*bitset)
     return len(logs)
 
 
 def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
-    """The graph's bitset presets agree with the fixpoint-closure oracle:
+    """The graph's walked presets agree with the fixpoint-closure oracle:
     log-ordered positions (whole, and from a start position on), counts
     below a position, the prefix predecessor of the sort-and-bisect
-    oracle, and ``presets`` as a Mapping of frozensets.  Each preset is
-    stored shifted down by its lowest position, so its bit length is at
-    most its event's position minus that lowest position.  Besides random
-    logs, this runs on chained airport logs, whose presets span most of
-    the log."""
+    oracle, and ``presets`` as a Mapping of frozensets.  Each event's
+    weight is the number of object occurrences in its preset.  Besides
+    random logs, this runs on chained airport logs, whose presets span
+    most of the log, and on the variant-5 logs of the check workloads
+    (``bench_log``), in the shapes the benchmark checks."""
     rng = random.Random(seed)
     logs = [oracles.random_log(rng) for _ in range(rounds)]
     logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
              for s, flights, planes in ((19, 12, 2), (20, 9, 3), (21, 6, 1),
                                         (24, 20, 3))]
+    logs += [bench_log(5, 1512), bench_log(5, 486, shared_planes=3),
+             bench_log(5, 224, bags=(3, 4, 5, 6))]
     for log in logs:
         graph = build_graph(log)
         anc = oracles.closure_ancestors(log)
@@ -245,10 +252,7 @@ def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
                     [p for p in want if p >= start]
                 assert graph.preset_count(e.id, below=start) == \
                     sum(p < start for p in want)
-            low = graph._low[i]
-            if want:
-                assert low == want[0]
-            assert graph._bits[i].bit_length() <= i - low
+            assert graph._weight[i] == sum(len(log.event(a).omap) for a in anc[e.id])
             pred = graph._prefix_predecessor(i)
             assert (None if pred is None else log.events[pred].id) == \
                 oracles.prefix_predecessor(log, anc, e.id)

@@ -110,13 +110,18 @@ def naive_groups(log: EventLog) -> dict[ContextKey, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# the event-object graph as built before events with one object or one
-# direct predecessor took their own paths: a set and a shift loop for
-# every event's preset, a sort of the direct predecessors and a sorted
-# tuple as every event's group key.  The package's graph must hold equal
-# internals.
+# the event-object graph as built before events with one direct
+# predecessor took their own path and before presets were walked instead
+# of stored: a set and a shift loop for every event's preset bitset, a
+# sort of the direct predecessors and a sorted tuple as every event's
+# group key.  The package's graph must hold equal internals, and walk the
+# presets these bitsets hold.
 
-def reference_build_graph(log: EventLog) -> EventObjectGraph:
+def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[int, int]]]:
+    """The graph built with each preset as an ``int`` bitset over log
+    positions, shifted down by its lowest position, and its context groups
+    merged with a bitset test.  Returns the graph, whose weights are summed
+    over the bitsets, and per event its (lowest position, bitset)."""
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
     objects = tuple(by_key[key] for key in number)
@@ -154,8 +159,16 @@ def reference_build_graph(log: EventLog) -> EventObjectGraph:
     order = tuple(e.id for e in log.events)
     group_of, members, bags = _reference_context_groups(order, direct, users, low, bits,
                                                         slots, trace)
-    return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            low, bits, bags, trie, objects, types, slots)
+    weight = [sum(len(slots[p]) for p in bitset_positions(*preset))
+              for preset in zip(low, bits)]
+    graph = EventObjectGraph(order, group_of, members, log.event_index, direct,
+                             weight, bags, trie, objects, types, slots)
+    return graph, list(zip(low, bits))
+
+
+def bitset_positions(low: int, bits: int) -> list[int]:
+    """The log positions of a preset bitset: bit j stands for ``low + j``."""
+    return [low + j for j in range(bits.bit_length()) if bits >> j & 1]
 
 
 def _reference_context_groups(order, direct, users, low, bits, slots, trace):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from importlib.resources import files
 
@@ -158,6 +159,26 @@ def _count_contexts(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_Trie, "context", counted)
     return calls
+
+
+def _retained_by_build_graph(log) -> int:
+    tracemalloc.start()
+    try:
+        graph = build_graph(log)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.order
+    return retained
+
+
+def test_chained_graph_memory_grows_about_linearly():
+    # presets on a chained log grow over the log, so a preset stored per
+    # event grows the graph about 2.5x per doubling of the log; direct
+    # predecessors and one weight per event grow it about 2.1x
+    small, large = (_retained_by_build_graph(invariants.bench_log(5, n, shared_planes=3))
+                    for n in (3888, 7776))
+    assert large <= 2.2 * small, large / small
 
 
 @pytest.mark.parametrize("which", ["fixture", "chained"])
