@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
@@ -160,17 +159,17 @@ class EventObjectGraph:
     the i-th event's direct predecessors, and ``_weight[i]`` counts the
     object occurrences of the events in its preset (its full ancestor
     set).  Presets are not stored: ``preset_positions`` walks back over
-    ``_direct`` from an event, only as far back as asked, and
-    ``preset_count``, ``presets`` and ``_prefix_predecessor`` read the
-    same walk.  ``direct_predecessors`` and ``presets`` map each event id
-    to a frozenset of event ids, built when read.  ``members`` partitions
+    ``_direct`` from an event, only as far back as asked, and ``presets``
+    and ``_prefix_predecessor`` read the same walk.
+    ``direct_predecessors`` and ``presets`` map each event id to a
+    frozenset of event ids, built when read.  ``members`` partitions
     the events by context, groups in the log order of their first event
     and members in log order, and ``group_of`` maps each event id to its
     group's number.  A group's ``Context`` is built when read
     (``context``); its digest is rendered from its bag items, with no
     ``Context`` built (``digest``).  ``objects[s]`` is object number s,
-    in ``ObjectId`` order, ``_types[s]`` its type, and ``_slots[i]``
-    holds the numbers of the i-th event's objects, ascending.
+    in ``ObjectId`` order, and ``_slots[i]`` holds the numbers of the
+    i-th event's objects, ascending.
     """
 
     order: tuple[str, ...]
@@ -182,7 +181,6 @@ class EventObjectGraph:
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
-    _types: list[str] = field(repr=False, compare=False)
     _slots: list[list[int]] = field(repr=False, compare=False)
 
     @property
@@ -224,12 +222,6 @@ class EventObjectGraph:
     def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
         """Log positions of the event's preset from ``start`` on, ascending."""
         return self._preset_positions(self._position(event_id), start)
-
-    def preset_count(self, event_id: str, below: int | None = None) -> int:
-        """Size of the event's preset, or of its part before log position
-        ``below``."""
-        positions = self._preset_positions(self._position(event_id))
-        return len(positions) if below is None else bisect_left(positions, below)
 
     def _preset_positions(self, position: int, start: int = 0) -> list[int]:
         # every edge goes forward in the log, so a path from an ancestor at
@@ -277,14 +269,13 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     the log (``_context_groups``).  Event ids are built only when read."""
     objects = tuple(sorted({o for e in log.events for o in e.omap}))
     number = {o: s for s, o in enumerate(objects)}
-    types = [o.otype for o in objects]
     slots = [sorted(map(number.__getitem__, e.omap)) for e in log.events]
     last_seen = [-1] * len(objects)
     direct: list[set[int]] = []
     users = [0] * len(slots)
     trie = _Trie()
     children, parents = trie._children, trie._parents
-    trace = [[trie.child(-1, otype)] for otype in types]  # node after k occurrences
+    trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
     for i, own in enumerate(slots):
         preds = {last_seen[s] for s in own}
         preds.discard(-1)
@@ -304,7 +295,7 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     order = tuple(e.id for e in log.events)
     group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace)
     return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            weight, bags, trie, objects, types, slots)
+                            weight, bags, trie, objects, slots)
 
 
 def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],

@@ -73,8 +73,7 @@ class Marking:
     __slots__ = ("_tokens", "_hash", "_labels")
 
     def __init__(self, tokens: Iterable[Token] | Mapping[Token, int] = ()):
-        # the exact-type test first: the abstract-class check is slower
-        if type(tokens) is dict or isinstance(tokens, Mapping):
+        if isinstance(tokens, Mapping):
             counted = tokens.items()
         else:
             counted = ((token, 1) for token in tokens)
@@ -356,15 +355,8 @@ def produced(net: AcceptingOCPN, binding: Binding) -> Marking:
 def _one_each(places: tuple[Place, ...], binding: Binding) -> Marking:
     """One token per place and object bound to the place's type."""
     by_type = binding.by_type
-    tokens = {}
-    total = 0
-    for place in places:
-        objects = by_type.get(place.otype)
-        if objects:
-            pid = place.id
-            tokens[pid] = dict.fromkeys(objects, 1)
-            total += sum([hash((pid, obj)) for obj in objects])
-    return Marking._of(tokens, total)
+    return Marking([(place.id, obj) for place in places
+                    for obj in by_type.get(place.otype, ())])
 
 
 def binding_well_formed(net: AcceptingOCPN, binding: Binding) -> bool:

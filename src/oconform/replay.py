@@ -319,9 +319,9 @@ class FrontierMemo:
                  cfg: ReplayConfig, order: Iterable[str] = ()) -> None:
         self.net, self.log, self.graph, self.cfg = net, log, graph, cfg
         self.lazy = lazy_entry_exact(net)
-        self.kinds = sorted(set(graph._types))
+        self.kinds = sorted({o.otype for o in graph.objects})
         index = {otype: t for t, otype in enumerate(self.kinds)}
-        self._kind_of = [index[otype] for otype in graph._types]  # by graph number
+        self._kind_of = [index[o.otype] for o in graph.objects]  # by graph number
         initial = net.initial_places
         self._initial = [initial[otype].id if otype in initial else None
                          for otype in self.kinds]
@@ -329,19 +329,12 @@ class FrontierMemo:
         self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
         self._base: dict[int, int] = {}
         self._users: dict[int, int] = {}
-        preds: dict[int, int | None] = {}
-
-        def pred_of(position: int) -> int | None:
-            if position not in preds:
-                preds[position] = graph._prefix_predecessor(position)
-            return preds[position]
-
         done: set[int] = set()
         for position in map(graph._index.__getitem__, order if self.lazy else ()):
             # a prefix predecessor's prefix predecessor opens the preset too
-            base = pred_of(position)
+            base = graph._prefix_predecessor(position)
             while base is not None and base not in done:
-                base = pred_of(base)
+                base = graph._prefix_predecessor(base)
             if base is not None:
                 self._base[position] = base
                 self._users[base] = self._users.get(base, 0) + 1
@@ -402,7 +395,10 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
     kind_of, width = memo._kind_of, len(memo.kinds)
     slots, events = graph._slots, memo.log.events
     entering = []
-    for i in [*graph._preset_positions(position, start), position]:
+    # no ancestor lies past the latest direct predecessor, so none past start
+    rest = (graph._preset_positions(position, start)
+            if max(graph._direct[position], default=-1) >= start else [])
+    for i in [*rest, position]:
         new = []
         bound = []
         for s in slots[i]:

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .ocel import Event, EventLog, ObjectId
-from .ocpn import (AcceptingOCPN, ModelError, enumerate_bindings,
-                   execute_binding, initial_marking_for, is_final)
+from .ocpn import (AcceptingOCPN, ModelError, _fire, enumerate_bindings,
+                   initial_marking_for, is_final)
 
 
 class DeadModelError(ModelError):
@@ -90,7 +90,7 @@ def simulate_log(net: AcceptingOCPN, instances: int, seed: int,
                 outcome = "stuck before reaching a final marking"
                 break
             binding = rng.choice(bindings)
-            marking = execute_binding(net, marking, binding)
+            marking = _fire(net, marking, binding)  # enumerated bindings are enabled
             steps += 1
             label = net.transitions_by_id[binding.transition].label
             if label is not None:

@@ -162,7 +162,7 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
     weight = [sum(len(slots[p]) for p in bitset_positions(*preset))
               for preset in zip(low, bits)]
     graph = EventObjectGraph(order, group_of, members, log.event_index, direct,
-                             weight, bags, trie, objects, types, slots)
+                             weight, bags, trie, objects, slots)
     return graph, list(zip(low, bits))
 
 

@@ -5,7 +5,8 @@ import pytest
 import invariants
 import oracles
 from oconform import metrics, ocpn, replay
-from oconform.context import build_graph, context_of_event, group_by_context
+from oconform.context import (EventObjectGraph, build_graph, context_of_event,
+                               group_by_context)
 from oconform.fixtures import load_l1
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
@@ -461,6 +462,33 @@ def test_searches_and_firings_per_check_on_bench_logs(monkeypatch, ocpn1, build_
     report = metrics.check(log, net)
     assert not report.truncated
     assert calls == {"searches": searches, "firings": firings}
+
+
+@pytest.mark.parametrize("build_log, reference, walks", [
+    (lambda: invariants.bench_log(5, 1512), True, 504),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, 170),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, 88),
+], ids=["disjoint-ref", "chained-flower", "silent-bags"])
+def test_preset_walks_per_check_on_bench_logs(monkeypatch, ocpn1, build_log,
+                                              reference, walks):
+    # no ancestor lies past an event's latest direct predecessor, so replay
+    # walks the rest of a preset only from a start at or before it, and
+    # such a walk finds that predecessor at least; most events resume from
+    # it and walk nothing
+    log = build_log()
+    net = ocpn1 if reference else flower_model(log)
+    found = []
+    walk = EventObjectGraph._preset_positions
+
+    def spy(graph, *args):
+        found.append(walk(graph, *args))
+        return found[-1]
+
+    monkeypatch.setattr(EventObjectGraph, "_preset_positions", spy)
+    report = metrics.check(log, net)
+    assert not report.truncated
+    assert 0 < len(found) <= walks
+    assert all(found)
 
 
 def _bench_disjoint_log(events=108):

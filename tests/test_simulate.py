@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oconform.ocel import serialize_log, validate_log
@@ -27,6 +29,19 @@ def test_generated_logs_are_valid(ocpn1, flower_l1, restricted):
         assert result.instances_emitted + len(result.discarded) <= 20
         ids = [e.id for e in result.log.events]
         assert ids == [f"e{i}" for i in range(1, len(ids) + 1)]
+
+
+def test_simulated_logs_are_pinned(ocpn1, flower_l1, restricted):
+    # the logs and discard lists of 100 walks on each fixture net and
+    # seeds 0 to 3: an enumerated binding is enabled, so firing it with no
+    # second enablement check must not move them
+    digest = hashlib.sha256()
+    for net in (ocpn1, flower_l1, restricted):
+        for seed in range(4):
+            result = simulate_log(net, instances=100, seed=seed)
+            digest.update(serialize_log(result.log).encode())
+            digest.update(repr((result.discarded, result.instances_emitted)).encode())
+    assert digest.hexdigest()[:16] == "7a4cdd60ea83abea"
 
 
 def test_event_activities_come_from_the_net(ocpn1):
