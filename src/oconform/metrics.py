@@ -52,11 +52,13 @@ def check(log: EventLog, net: AcceptingOCPN,
           cfg: ReplayConfig = DEFAULT_CONFIG) -> ConformanceReport:
     """Compute fitness and precision of the net against the log in one pass.
 
-    Replay happens once per context group; every event of a group shares
-    the group's enabled-activity sets and its digest, read off its bag
-    items with no ``Context`` built (``graph.digest``).  A ``FrontierMemo``
-    lets each event resume the replay where an earlier event's preset
-    ended.  An event counts as replayable when the net enables at least
+    ``replay_context_group`` is called once per context group; every
+    event of a group shares the group's enabled-activity sets and its
+    digest, read off its bag items with no ``Context`` built
+    (``graph.digest``).  Inside the first call, the ``FrontierMemo``
+    replays every event once, in log order, each resuming where its
+    prefix predecessor's preset ended; each call then reads its members'
+    results.  An event counts as replayable when the net enables at least
     one activity for its context; precision averages over exactly those
     events and is None when there are none.
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .context import EventObjectGraph
 from .ocel import EventLog
@@ -149,14 +149,6 @@ def _firing(net: AcceptingOCPN, step: VisibleBindingStep) -> _Firing:
     return _Firing(binding, consumed(net, binding))
 
 
-def _silent_successors(net: AcceptingOCPN, marking: Marking,
-                       cfg: ReplayConfig) -> Iterator[Marking]:
-    cap = 1 if cfg.silent_variable_mode == "singleton" else cfg.subset_cap
-    for t in net.silent_transitions:
-        for binding in enumerate_bindings(net, marking, t.id, subset_cap=cap):
-            yield _fire(net, marking, binding)
-
-
 @dataclass(frozen=True, eq=False)
 class _SingleReplay:
     """One search's result, compared by identity: a replay class's result
@@ -206,6 +198,7 @@ def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
     seen = set(queue)
     expanded = 0
     at_end = 0
+    cap = 1 if cfg.silent_variable_mode == "singleton" else cfg.subset_cap
     while queue:
         if expanded >= budget:
             truncated = True
@@ -231,7 +224,8 @@ def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
                     seen.add(state)
                     queue.append(state)
         if net.silent_transitions and (not advanced or cfg.explore_silent_when_enabled):
-            successors = list(_silent_successors(net, marking, cfg))
+            successors = [_fire(net, marking, binding) for t in net.silent_transitions
+                          for binding in enumerate_bindings(net, marking, t.id, cap)]
             if cfg.reverse_successors:
                 successors.reverse()
             for succ in successors:
@@ -295,22 +289,23 @@ def _expanded(step: _Step, kinds: Sequence[str]) -> VisibleBindingStep:
 
 
 class FrontierMemo:
-    """Replay frontiers and firings shared by the events of one ``check``,
-    with the net, log, graph and config they were found for.
+    """Replay results, frontiers and firings shared by the events of one
+    ``check``, with the net, log, graph and config they were found for.
 
-    An event's frontier is the raw set of markings that enter the end of
-    its preset's binding sequence, before that cursor's silent search: the
-    next step decides which silent firings follow.  An event resumes from
-    the frontier of its prefix predecessor d or, when d comes later in
-    ``order``, of d's own prefix predecessor, and so on; it replays only
-    the rest of its preset.  ``order`` lists the event ids in the order
-    they will be replayed; the users of each frontier are counted from it,
-    and a frontier is dropped when its last user took it.  The frontiers
-    depend on the replay config, so one memo serves one config, and one
-    net, log and graph: ``replay_context_group`` rejects it for any other.
-    Events not in ``order``, and all events on nets where lazy entry is
-    not exact (``lazy`` is False), resume from the empty frontier
-    ``_START``.  Each distinct visible step as the net fires it
+    The first time a group asks (``result``), the memo replays every event
+    of ``order`` once, in log order, and keeps each result until it is
+    read.  An event's frontier is the raw set of markings that enter the
+    end of its preset's binding sequence, before that cursor's silent
+    search: the next step decides which silent firings follow.  An event
+    resumes from the frontier of its prefix predecessor, replayed before
+    it, and replays only the rest of its preset.  A frontier is dropped
+    when its last user, counted up front, took it.  The frontiers depend
+    on the replay config, so one memo serves one config, and one net, log
+    and graph: ``replay_context_group`` rejects it for any other.  Events
+    whose prefix predecessor is not in ``order``, and all events on nets
+    where lazy entry is not exact (``lazy`` is False), resume from the
+    empty frontier ``_START``.  Searches and ``reached_final`` answers are
+    cached for the pass; each distinct visible step as the net fires it
     (``firing``) is built once and kept while the memo lives.  ``kinds``
     lists the log's object types, sorted: the ``t`` of replay names.
     """
@@ -327,21 +322,31 @@ class FrontierMemo:
                          for otype in self.kinds]
         self._firings: dict[_Step, _Firing] = {}
         self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
+        self._results: dict[int, tuple] = {}
+        self._searched: dict[tuple, _SingleReplay] = {}
+        self._finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
+        self._pending = sorted(map(graph._index.__getitem__, order))
         self._base: dict[int, int] = {}
         self._users: dict[int, int] = {}
-        done: set[int] = set()
-        for position in map(graph._index.__getitem__, order if self.lazy else ()):
-            # a prefix predecessor's prefix predecessor opens the preset too
+        served = set(self._pending)
+        for position in self._pending if self.lazy else ():
             base = graph._prefix_predecessor(position)
-            while base is not None and base not in done:
-                base = graph._prefix_predecessor(base)
-            if base is not None:
+            if base in served:
                 self._base[position] = base
                 self._users[base] = self._users.get(base, 0) + 1
-            done.add(position)
 
     def __len__(self) -> int:
         return len(self._frontiers)
+
+    def result(self, position: int) -> tuple | None:
+        """``_replay_event``'s answer for the event at ``position``, handed
+        out once; None for an event the memo does not serve."""
+        if self._pending:
+            pending, self._pending = self._pending, ()
+            for p in pending:
+                self._results[p] = _replay_event(self, p, self.take(p))
+            self._searched, self._finals = {}, {}
+        return self._results.pop(position, None)
 
     def take(self, position: int) -> _Frontier:
         """The frontier the event at ``position`` resumes from; the empty
@@ -349,17 +354,14 @@ class FrontierMemo:
         base = self._base.pop(position, None)
         if base is None:
             return _START
-        users = self._users.pop(base) - 1
-        if users:
-            self._users[base] = users
-            frontier = self._frontiers.get(base)
-        else:
-            frontier = self._frontiers.pop(base, None)
-        return frontier or _START
+        self._users[base] -= 1
+        if self._users[base]:
+            return self._frontiers.get(base, _START)  # a cut search keeps none
+        return self._frontiers.pop(base, _START)
 
     def keep(self, position: int, names: dict[int, int], cls: _SingleReplay,
              own: _Step) -> None:
-        if position in self._users:  # a later event resumes where its preset ends
+        if self._users.get(position):  # a later event resumes where its preset ends
             self._frontiers[position] = (position + 1, names, cls, own)
 
     def firing(self, step: _Step) -> _Firing:
@@ -458,8 +460,10 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
     firings, reaches an accepting marking; and whether the silent search
     was cut off at ``max_states``.  A final fired marking answers at once;
     one with a token outside ``net.finishing_places`` can never become
-    final and is dropped.  One search, under one budget, starts from every
-    fired marking left, if any, in the order of ``markings``."""
+    final and is dropped, before firing when the token is on a place the
+    binding does not read, as it stays there.  One search, under one
+    budget, starts from every fired marking left, if any, in the order of
+    ``markings``."""
     binding, need = own
     if need is None:
         return False, False
@@ -467,7 +471,7 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
     # one binding fired from distinct markings gives distinct markings
     fired = []
     for m in markings:
-        if need <= m:
+        if need <= m and finishing.issuperset(m._tokens.keys() - need._tokens.keys()):
             after = _fire(net, m, binding)
             if is_final(net, after):
                 return True, False
@@ -479,83 +483,84 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
     return any(is_final(net, m) for m in closure.markings), closure.truncated
 
 
+def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
+                  ) -> tuple[_SingleReplay, dict[int, int], bool, bool]:
+    """Replay the event at log ``position`` from the base, keep the result
+    as its frontier, and decide ``reached_final`` once per result and own
+    step.  Returns the result, its names, ``reached_final`` and whether a
+    cut search leaves the event truncated.
+
+    The token game cannot tell two objects of one type apart, so events
+    whose binding sequences are the same up to renaming objects form one
+    replay class, searched once in canonical names (``_preset_search``),
+    under the budget its key fixes: whether a search is cut is the same
+    for the whole class, as a complete search expands every state.
+
+    What a cut search found follows the order of object names.  So where
+    the canonical preset search, or the ``reached_final`` search behind
+    it, is cut, the preset is searched again from ``_START`` by graph
+    number s, each name ``s * T + t``, which expands the states a search
+    by id would, in its order: within one type those names sort like the
+    ids, and a search compares names only within one type.  A cut preset
+    search gives way to that result, which is no frontier and is shared by
+    events with the same preset and new objects; a cut ``reached_final``
+    search only takes its answer from it.  An own step's firing is built
+    only for a ``reached_final`` search.
+    """
+    single, own, names = _preset_search(memo, position, base, True, memo._searched)
+    cut = single.truncated
+    if not cut:
+        memo.keep(position, names, single, own)
+        reached, cut = _final(memo, single, own)
+    if cut:  # where a search cuts follows the names
+        rerun, own, by_number = _preset_search(memo, position, _START, False,
+                                               memo._searched)
+        reached, cut = _final(memo, rerun, own)
+        if single.truncated:
+            single, names = rerun, by_number
+    return single, names, reached, single.truncated or (cut and not reached)
+
+
+def _final(memo: FrontierMemo, single: _SingleReplay, own: _Step) -> tuple[bool, bool]:
+    answer = memo._finals.get((single, own))
+    if answer is None:
+        answer = memo._finals[single, own] = (
+            _reaches_final(memo.net, single.markings, memo.firing(own), memo.cfg)
+            if single.markings else (False, False))
+    return answer
+
+
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                          events: Iterable[str] | str,
                          cfg: ReplayConfig = DEFAULT_CONFIG,
                          memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    Each event resumes from the ``memo``'s frontier for it.  A memo built
+    Each event the ``memo`` serves reads its result off the memo's pass
+    (``FrontierMemo.result``); any other, and every event without a memo,
+    is replayed here from ``_START`` (``_replay_event``).  A memo built
     for another net, log or graph (as objects) or for an unequal config
-    raises ``ValueError``: its frontiers were searched under that config's
-    budget.  Without a memo, one over no events resumes nothing: every
-    event is replayed from the initial marking.
-
-    The frontier's objects keep their names and the new ones are numbered
-    on (``_sequence``); the token game cannot tell two objects of one type
-    apart, so events whose binding sequences are the same up to renaming
-    objects form one replay class, whose search runs once per group in
-    canonical names (``_preset_search``).  The frontier's states belong to
-    its class, so the key fixes the budget, and whether a search is cut is
-    the same for the whole class: a complete search expands every
-    reachable state, in any order.  The members of a class share one
-    reading of the enabled labels, and each result shares one
-    ``reached_final`` search per own step, whichever names it is in.
-
-    What a cut search found follows the order of object names.  So where
-    an event's canonical preset search, or the ``reached_final`` search
-    behind it, is cut, the event's preset is searched again from
-    ``_START`` by graph number s, each name ``s * T + t``: within one type
-    those names sort like the ids, and a search compares names only
-    within one type, so it expands the states the search by id
-    would, in its order, and is cut at the same point.  A cut preset
-    search gives way to that result; a cut ``reached_final`` search only
-    takes its answer from it.  Members with the same preset and new
-    objects share that search, and it is no frontier: a result is kept as
-    the event's frontier exactly when it is not truncated.  An own step's
-    firing is built only for a ``reached_final`` search.  ``markings``
-    renames each member's result back to real names on first read, once
-    per distinct result and renaming.
+    raises ``ValueError``: its frontiers were searched under that
+    config's budget.  Members that share a result read its enabled labels
+    once.  ``markings`` renames each member's result back to real names
+    on first read, once per distinct result and renaming.
     """
     if isinstance(events, str):
         events = (events,)
     if memo is None:
         memo = FrontierMemo(net, log, graph, cfg)
     elif not (memo.net is net and memo.log is log and memo.graph is graph
-              and memo.cfg == cfg):
+              and (memo.cfg is cfg or memo.cfg == cfg)):
         raise ValueError("the memo was built for another net, log, graph or config")
-    searched: dict[tuple, _SingleReplay] = {}
-    finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
-    results: dict[_SingleReplay, None] = {}
     members: list[tuple[_SingleReplay, dict[int, int]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
-
-    def final(single: _SingleReplay, own: _Step) -> tuple[bool, bool]:
-        answer = finals.get((single, own))
-        if answer is None:
-            answer = (False, False)
-            if single.markings:
-                answer = _reaches_final(net, single.markings, memo.firing(own), cfg)
-            finals[single, own] = answer
-        return answer
-
     for eid in events:
         position = graph._position(eid)
-        single, own, names = _preset_search(memo, position, memo.take(position),
-                                            True, searched)
-        cut = single.truncated
-        if not cut:
-            memo.keep(position, names, single, own)
-            reached, cut = final(single, own)
-        if cut:  # where a search cuts follows the names
-            rerun, own, by_number = _preset_search(memo, position, _START, False, searched)
-            reached, cut = final(rerun, own)
-            if single.truncated:
-                single, names = rerun, by_number
+        single, names, reached, cut = (memo.result(position)
+                                       or _replay_event(memo, position, _START))
         reached_final_by_event[eid] = reached
-        truncated = truncated or single.truncated or (cut and not reached)
-        results[single] = None
+        truncated = truncated or cut
         members.append((single, names))
 
     def real_markings() -> frozenset[Marking]:
@@ -572,6 +577,7 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
                 out.update(m.renamed(real) for m in single.markings)
         return frozenset(out)
 
+    results = dict.fromkeys([single for single, _ in members])
     enabled = frozenset().union(*(enabled_visible_labels(net, m)
                                   for single in results for m in single.markings))
     outcome = ReplayOutcome(enabled, any(single.markings for single in results),

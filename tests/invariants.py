@@ -190,7 +190,7 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
     return len(logs)
 
 
-GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight",
+GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight", "_prefix",
                    "_bags", "objects", "_slots")
 
 

@@ -367,6 +367,41 @@ def test_reached_final_search_skips_fired_markings_that_cannot_finish():
         [(False, False), (True, False)]
 
 
+@pytest.mark.parametrize("events, firings", [(224, 18), (112, 14)])
+def test_own_firings_per_check_skip_markings_that_cannot_finish(monkeypatch, ocpn1,
+                                                                 events, firings):
+    # a token on a place that neither finishes nor feeds the event's own
+    # binding stays there when the binding fires, so reached_final fires
+    # no such marking: on the silent-bags logs 18 and 14 own firings per
+    # check, where firing first and testing after took 584 and 418
+    log = invariants.bench_log(5, events, bags=(3, 4, 5, 6))
+    inside: list[str] = []
+    count = Counter()
+    fire = replay._fire
+
+    def within(name):
+        function = getattr(replay, name)
+
+        def spy(*args):
+            inside.append(name)
+            try:
+                return function(*args)
+            finally:
+                inside.pop()
+        return spy
+
+    def spy_fire(*args):
+        count["own"] += inside[-1:] == ["_reaches_final"]
+        return fire(*args)
+
+    for name in ("_reaches_final", "_search"):
+        monkeypatch.setattr(replay, name, within(name))
+    monkeypatch.setattr(replay, "_fire", spy_fire)
+    report = metrics.check(log, ocpn1)
+    assert not report.truncated
+    assert count["own"] == firings
+
+
 def test_fully_replayed_markings_come_in_discovery_order(l1, l1_graph, ocpn1):
     # after Load cargo the silent transition moves one bag at a time from
     # pl6 to pl8; the search meets b1's move before b2's
@@ -752,7 +787,7 @@ def test_each_distinct_state_is_renamed_once_per_group(monkeypatch, ocpn1):
 
 
 @pytest.mark.parametrize("build_log, reference, computed, reads", [
-    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, 57, 269),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, 56, 269),
     (invariants.chained_airport_log, False, 14, 60),
     (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, 284, 284),
 ], ids=["chained-bench", "chained-airport", "silent-bags"])
@@ -761,7 +796,9 @@ def test_labels_are_computed_once_per_replayed_marking(monkeypatch, ocpn1, build
     # on chained logs against their flower net, self-loop firings return
     # the marking they fire from and a frontier hands its markings to
     # every group resuming there, so the labels are read off the memo;
-    # the silent-bags log against the reference net reads each once
+    # on the chained bench log every event resumes from its own prefix
+    # predecessor, so two events share its frontier's markings; the
+    # silent-bags log against the reference net reads each once
     log = build_log()
     net = ocpn1 if reference else flower_model(log)
     calls = Counter()
@@ -812,22 +849,31 @@ def test_lazy_entry_not_exact_for_silent_output_only_type():
 
 
 def test_frontier_memo_is_empty_after_check(monkeypatch):
+    # the memo's pass runs inside the first group's call and holds
+    # frontiers while it runs; each is dropped after its last user, and
+    # each event's result once its group has read it
     log = invariants.chained_airport_log()
     memos, sizes = [], []
-    replay = metrics.replay_context_group
+    replay_group, take = metrics.replay_context_group, FrontierMemo.take
 
     def spy(net, log, graph, events, cfg, memo):
         memos.append(memo)
-        detail = replay(net, log, graph, events, cfg, memo)
-        sizes.append(len(memo))
-        return detail
+        return replay_group(net, log, graph, events, cfg, memo)
+
+    def spy_take(memo, position):
+        sizes.append((len(memos), len(memo)))
+        return take(memo, position)
 
     monkeypatch.setattr(metrics, "replay_context_group", spy)
+    monkeypatch.setattr(FrontierMemo, "take", spy_take)
     metrics.check(log, flower_model(log))
     memo = memos[0]
-    assert memo.lazy and all(m is memo for m in memos)
-    assert max(sizes) > 0
+    assert memo.lazy and all(m is memo for m in memos) and len(memos) > 1
+    assert len(sizes) == len(log.events)
+    assert {calls for calls, _ in sizes} == {1}
+    assert max(held for _, held in sizes) > 0
     assert len(memo) == 0
+    assert all(memo.result(position) is None for position in range(len(log.events)))
 
 
 def _shared_planes_log():
@@ -886,3 +932,64 @@ def test_check_under_a_small_budget_equals_replay_without_a_memo(ocpn1):
                  detail.outcome.truncated), eid
     assert by_id["e81"].truncated and by_id["e82"].truncated
     assert len(groups) == 89
+
+
+@pytest.mark.parametrize("build_log, reference", [
+    (lambda: invariants.bench_log(5, 1512), True),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True),
+], ids=["disjoint-ref", "chained-flower", "silent-bags"])
+def test_check_equals_replay_without_a_memo_on_bench_logs(ocpn1, build_log, reference):
+    # check resumes each event from its prefix predecessor's frontier, in
+    # log order; memo-less replay searches every preset from the start
+    log = build_log()
+    net = ocpn1 if reference else flower_model(log)
+    report = metrics.check(log, net)
+    assert not report.truncated
+    by_id = {d.event_id: d for d in report.per_event}
+    graph = build_graph(log)
+    for members in graph.members:
+        detail = replay_context_group(net, log, graph, members)
+        enabled = tuple(sorted(detail.outcome.enabled))
+        for eid in members:
+            d = by_id[eid]
+            assert (d.en_model, d.replayable, d.reached_final, d.truncated) == \
+                (enabled, bool(enabled), detail.reached_final_by_event[eid],
+                 detail.outcome.truncated), eid
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, ReplayConfig(max_states=5)],
+                         ids=["default", "cut"])
+def test_check_replays_each_event_once_in_log_order(monkeypatch, ocpn1, cfg):
+    # one canonical preset search per event, in ascending log position,
+    # and a search by graph number exactly for the events whose canonical
+    # search, or the reached_final search behind it, was cut
+    log = _shared_planes_log()
+    calls: list[tuple[int, bool]] = []
+    cut: set[int] = set()
+    sequence, preset_search, final = replay._sequence, replay._preset_search, replay._final
+
+    def spy_sequence(memo, position, base, canonical):
+        calls.append((position, canonical))
+        return sequence(memo, position, base, canonical)
+
+    def spy_preset_search(memo, position, base, canonical, searched):
+        found = preset_search(memo, position, base, canonical, searched)
+        if canonical and found[0].truncated:
+            cut.add(position)
+        return found
+
+    def spy_final(memo, single, own):
+        answer = final(memo, single, own)
+        position, canonical = calls[-1]
+        if canonical and answer[1]:
+            cut.add(position)
+        return answer
+
+    monkeypatch.setattr(replay, "_sequence", spy_sequence)
+    monkeypatch.setattr(replay, "_preset_search", spy_preset_search)
+    monkeypatch.setattr(replay, "_final", spy_final)
+    report = metrics.check(log, ocpn1, cfg)
+    assert [p for p, canonical in calls if canonical] == list(range(len(log.events)))
+    assert [p for p, canonical in calls if not canonical] == sorted(cut)
+    assert bool(cut) == report.truncated == (cfg.max_states == 5)
