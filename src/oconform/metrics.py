@@ -57,16 +57,17 @@ def check(log: EventLog, net: AcceptingOCPN,
     digest, read off its bag items with no ``Context`` built
     (``graph.digest``).  Inside the first call, the ``FrontierMemo``
     replays every event once, in log order, each resuming where its
-    prefix predecessor's preset ended; each call then reads its members'
-    results.  An event counts as replayable when the net enables at least
-    one activity for its context; precision averages over exactly those
-    events and is None when there are none.
+    prefix predecessor's preset ended, or takes the result of its
+    counterpart in an earlier process execution that its own repeats up
+    to renaming objects; each call then reads its members' results.  An
+    event counts as replayable when the net enables at least one activity
+    for its context; precision averages over exactly those events and is
+    None when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
-    memo = FrontierMemo(net, log, graph, cfg,
-                        (eid for members in graph.members for eid in members))
+    memo = FrontierMemo(net, log, graph, cfg, graph.order)
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()

@@ -10,12 +10,12 @@ in any of those states are the model's answer to "what may happen next".
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .context import EventObjectGraph
-from .ocel import EventLog
+from .ocel import EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
                    consumed, enabled_visible_labels, enumerate_bindings,
                    is_final)
@@ -294,20 +294,22 @@ class FrontierMemo:
 
     The first time a group asks (``result``), the memo replays every event
     of ``order`` once, in log order, and keeps each result until it is
-    read.  An event's frontier is the raw set of markings that enter the
-    end of its preset's binding sequence, before that cursor's silent
-    search: the next step decides which silent firings follow.  An event
-    resumes from the frontier of its prefix predecessor, replayed before
-    it, and replays only the rest of its preset.  A frontier is dropped
-    when its last user, counted up front, took it.  The frontiers depend
-    on the replay config, so one memo serves one config, and one net, log
-    and graph: ``replay_context_group`` rejects it for any other.  Events
-    whose prefix predecessor is not in ``order``, and all events on nets
-    where lazy entry is not exact (``lazy`` is False), resume from the
-    empty frontier ``_START``.  Searches and ``reached_final`` answers are
-    cached for the pass; each distinct visible step as the net fires it
-    (``firing``) is built once and kept while the memo lives.  ``kinds``
-    lists the log's object types, sorted: the ``t`` of replay names.
+    read; when that is every event (``graph.order`` needs no lookup), an
+    event whose execution repeats an earlier one takes its counterpart's
+    result instead.  An event's frontier is the raw set of markings that
+    enter the end of its preset's binding sequence, before that cursor's
+    silent search: the next step decides which silent firings follow.  An
+    event resumes from the frontier of its prefix predecessor, replayed
+    before it, and replays only the rest of its preset.  A frontier is
+    dropped when its last user, counted up front, took it.  The frontiers
+    depend on the replay config, so one memo serves one config, and one
+    net, log and graph: ``replay_context_group`` rejects it for any other.
+    Events whose prefix predecessor is not in ``order``, and all events on
+    nets where lazy entry is not exact (``lazy`` is False), resume from
+    the empty frontier ``_START``.  Searches and ``reached_final`` answers
+    are cached for the pass; each distinct visible step as the net fires
+    it (``firing``) is built once and kept while the memo lives.
+    ``kinds`` lists the log's object types, sorted: the ``t`` of names.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
@@ -325,28 +327,54 @@ class FrontierMemo:
         self._results: dict[int, tuple] = {}
         self._searched: dict[tuple, _SingleReplay] = {}
         self._finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
-        self._pending = sorted(map(graph._index.__getitem__, order))
+        self._cut: set[int] = set()  # positions where a search was cut
+        self._pending = (range(len(graph.order)) if order is graph.order
+                         else sorted({*map(graph._index.__getitem__, order)}))
         self._base: dict[int, int] = {}
         self._users: dict[int, int] = {}
-        served = set(self._pending)
-        for position in self._pending if self.lazy else ():
-            base = graph._prefix_predecessor(position)
-            if base in served:
-                self._base[position] = base
-                self._users[base] = self._users.get(base, 0) + 1
 
     def __len__(self) -> int:
         return len(self._frontiers)
 
     def result(self, position: int) -> tuple | None:
         """``_replay_event``'s answer for the event at ``position``, handed
-        out once; None for an event the memo does not serve."""
+        out once; None for an event the memo does not serve.
+
+        When the memo serves every event, an event whose execution repeats
+        an earlier one (``_repeats``) gets its counterpart's answer, with
+        the objects its names stand for paired to the event's own.  What a
+        cut search finds follows graph numbers, so where a search of the
+        first execution was cut (``_cut``), its repeats are replayed last."""
         if self._pending:
             pending, self._pending = self._pending, ()
-            for p in pending:
-                self._results[p] = _replay_event(self, p, self.take(p))
+            repeats = _repeats(self) if len(pending) == len(self.log.events) else ()
+            # first the first execution of each key and every unrepeated one
+            self._replay(sorted(set(pending).difference(
+                *[positions for _, positions, _ in repeats])) if repeats else pending)
+            results, later = self._results, []
+            for first, positions, objects in repeats:
+                if not self._cut.isdisjoint(first):
+                    later += positions
+                    continue
+                for p, c in zip(positions, first):
+                    single, names, _, reached, truncated = results[c]
+                    results[p] = (single, names, objects, reached, truncated)
+            self._replay(sorted(later))
             self._searched, self._finals = {}, {}
         return self._results.pop(position, None)
+
+    def _replay(self, positions: Sequence[int]) -> None:
+        """Replay the events at ``positions``, in log order, each resuming
+        from its prefix predecessor's frontier when that is among them."""
+        served = set(positions) if self.lazy else ()  # else none resumes
+        for position in positions if served else ():
+            base = self.graph._prefix_predecessor(position)
+            if base in served:
+                self._base[position] = base
+                self._users[base] = self._users.get(base, 0) + 1
+        del served  # held no longer than the links need it
+        for p in positions:
+            self._results[p] = _replay_event(self, p, self.take(p))
 
     def take(self, position: int) -> _Frontier:
         """The frontier the event at ``position`` resumes from; the empty
@@ -373,6 +401,62 @@ class FrontierMemo:
         if firing is None:
             firing = self._firings[step] = _firing(self.net, _expanded(step, self.kinds))
         return firing
+
+
+def _repeats(memo: FrontierMemo) -> list[tuple[list[int], list[int], dict]]:
+    """Each execution of the log that repeats an earlier one: the first
+    one's log positions, its own, and its objects by the first's numbers.
+
+    An execution is a component of the event-object graph, by a union
+    over ``graph._direct``; only those whose length another one shares
+    are keyed.  A key names the objects as ``_sequence`` does, ``k * T +
+    t``, ``k`` counting them in order of first occurrence, ties in
+    graph-number order, and lists the steps, names ascending.  Equal keys
+    pair two executions' objects by ``k`` and their events by index.  An
+    event's preset lies inside its execution, so paired events have equal
+    contexts, canonical names, searches and answers.
+    """
+    graph = memo.graph
+    parent = list(range(len(graph.order)))  # a root is its execution's first event
+    for i, preds in enumerate(graph._direct):
+        for d in preds:
+            top = parent[d]
+            while top != parent[top]:
+                top = parent[top]
+            here = parent[i]  # a root
+            if top < here:
+                parent[here] = parent[i] = top
+            elif here < top:
+                parent[top] = here
+    for i, up in enumerate(parent):  # every earlier position points at its root
+        parent[i] = parent[up]
+    sizes = Counter(parent)
+    shared = Counter(sizes.values())
+    executions = {top: [] for top, size in sizes.items() if shared[size] > 1}
+    for i, top in enumerate(parent):
+        if top in executions:
+            executions[top].append(i)
+    slots, events, objects = graph._slots, memo.log.events, graph.objects
+    kind_of, width = memo._kind_of, len(memo.kinds)
+    firsts: dict[tuple, tuple[list[int], list[int]]] = {}
+    repeats = []
+    for positions in executions.values():
+        names: dict[int, int] = {}
+        steps = []
+        for i in positions:
+            bound = []
+            for s in slots[i]:
+                name = names.get(s)
+                if name is None:
+                    name = names[s] = len(names) * width + kind_of[s]
+                bound.append(name)
+            bound.sort()
+            steps.append((events[i].activity, *bound))
+        first, numbers = firsts.setdefault(tuple(steps), (positions, list(names)))
+        if first is not positions:
+            repeats.append((first, positions,
+                            dict(zip(numbers, map(objects.__getitem__, names)))))
+    return repeats
 
 
 def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
@@ -484,11 +568,12 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
 
 
 def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
-                  ) -> tuple[_SingleReplay, dict[int, int], bool, bool]:
+                  ) -> tuple[_SingleReplay, dict[int, int], Sequence[ObjectId], bool, bool]:
     """Replay the event at log ``position`` from the base, keep the result
     as its frontier, and decide ``reached_final`` once per result and own
-    step.  Returns the result, its names, ``reached_final`` and whether a
-    cut search leaves the event truncated.
+    step.  Returns the result, its names, the objects their keys number
+    (the graph's), ``reached_final`` and whether a cut search leaves the
+    event truncated; the memo notes where any search was cut (``_cut``).
 
     The token game cannot tell two objects of one type apart, so events
     whose binding sequences are the same up to renaming objects form one
@@ -513,12 +598,14 @@ def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
         memo.keep(position, names, single, own)
         reached, cut = _final(memo, single, own)
     if cut:  # where a search cuts follows the names
+        memo._cut.add(position)
         rerun, own, by_number = _preset_search(memo, position, _START, False,
                                                memo._searched)
         reached, cut = _final(memo, rerun, own)
         if single.truncated:
             single, names = rerun, by_number
-    return single, names, reached, single.truncated or (cut and not reached)
+    return (single, names, memo.graph.objects, reached,
+            single.truncated or (cut and not reached))
 
 
 def _final(memo: FrontierMemo, single: _SingleReplay, own: _Step) -> tuple[bool, bool]:
@@ -537,13 +624,15 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     """Replay every event of one context group and union the outcomes.
 
     Each event the ``memo`` serves reads its result off the memo's pass
-    (``FrontierMemo.result``); any other, and every event without a memo,
-    is replayed here from ``_START`` (``_replay_event``).  A memo built
-    for another net, log or graph (as objects) or for an unequal config
-    raises ``ValueError``: its frontiers were searched under that
-    config's budget.  Members that share a result read its enabled labels
-    once.  ``markings`` renames each member's result back to real names
-    on first read, once per distinct result and renaming.
+    (``FrontierMemo.result``), its counterpart's where its execution
+    repeats an earlier one; any other, and every event without a memo, is
+    replayed here from ``_START`` (``_replay_event``).  A memo built for
+    another net, log or graph (as objects) or for an unequal config raises
+    ``ValueError``: its frontiers were searched under that config's
+    budget.  Members that share a result read its enabled labels once.
+    ``markings`` renames each member's result back to real names on first
+    read, once per distinct result and renaming, by the objects its
+    names' keys stand for: a counterpart's are paired to the member's.
     """
     if isinstance(events, str):
         events = (events,)
@@ -552,16 +641,16 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     elif not (memo.net is net and memo.log is log and memo.graph is graph
               and (memo.cfg is cfg or memo.cfg == cfg)):
         raise ValueError("the memo was built for another net, log, graph or config")
-    members: list[tuple[_SingleReplay, dict[int, int]]] = []
+    members: list[tuple[_SingleReplay, dict[int, int], Mapping[int, ObjectId]]] = []
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
         position = graph._position(eid)
-        single, names, reached, cut = (memo.result(position)
-                                       or _replay_event(memo, position, _START))
+        single, names, objects, reached, cut = (memo.result(position)
+                                                or _replay_event(memo, position, _START))
         reached_final_by_event[eid] = reached
         truncated = truncated or cut
-        members.append((single, names))
+        members.append((single, names, objects))
 
     def real_markings() -> frozenset[Marking]:
         # one numbering covers every type, so a name alone is one object,
@@ -569,15 +658,15 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         # a result renamed by the same map gives the same markings again
         out: set[Marking] = set()
         done: set[tuple] = set()
-        for single, names in members:
-            real = {name: graph.objects[s].id for s, name in names.items()}
+        for single, names, objects in members:
+            real = {name: objects[s].id for s, name in names.items()}
             key = (single, *real.items())
             if key not in done:
                 done.add(key)
                 out.update(m.renamed(real) for m in single.markings)
         return frozenset(out)
 
-    results = dict.fromkeys([single for single, _ in members])
+    results = dict.fromkeys([single for single, _, _ in members])
     enabled = frozenset().union(*(enabled_visible_labels(net, m)
                                   for single in results for m in single.markings))
     outcome = ReplayOutcome(enabled, any(single.markings for single in results),

@@ -24,7 +24,7 @@ from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
 from oconform.replay import (_START, FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _expanded, _preset_search, lazy_entry_exact,
+                             _expanded, _preset_search, _repeats, lazy_entry_exact,
                              replay_context_group)
 
 
@@ -515,6 +515,67 @@ def run_reached_final_random(seed: int = 22, rounds: int = 60) -> Counter:
             for pair_log, pair_net in pairs:
                 answers += run_reached_final_agreement(pair_log, pair_net, cfg)
     return answers
+
+
+def repeated_executions_log(rng, copies: int = 2):
+    """A random log and ``copies`` renamed copies of its events,
+    interleaved at random.  Each copy's object ids sort in a shuffled
+    order, never the originals', so a search by graph number enumerates
+    a copy's successors in another order than the original's."""
+    log = oracles.random_log(rng)
+    objects = sorted({o for e in log.events for o in e.omap})
+    original = [(e.activity, sorted(e.omap)) for e in log.events]
+    streams = [list(original)]
+    for c in range(copies):
+        ranks = list(range(len(objects)))
+        while ranks == sorted(ranks) and len(ranks) > 1:
+            rng.shuffle(ranks)
+        rename = {o: ObjectId(f"c{c}_{rank:02d}", o.otype)
+                  for o, rank in zip(objects, ranks)}
+        streams.append([(activity, [rename[o] for o in omap])
+                        for activity, omap in original])
+    events = []
+    while any(streams):
+        activity, omap = rng.choice([s for s in streams if s]).pop(0)
+        events.append((f"e{len(events) + 1}", activity, omap))
+    return make_log(events)
+
+
+def run_repeated_executions_agreement(log, net, cfg) -> Counter:
+    """check and replay_context_group without a memo both equal the eager
+    reference (``run_resumed_replay_agreement``), and each group replayed
+    through a memo that serves every event, including its markings
+    renamed from counterparts' results, equals the group replayed without
+    one.  Returns the executions that repeat an earlier one, counted by
+    whether they took their counterparts' results ("shared") or were
+    replayed because a search of the first one was cut ("cut")."""
+    run_resumed_replay_agreement(log, net, cfg)
+    graph = build_graph(log)
+    memo = FrontierMemo(net, log, graph, cfg, graph.order)
+    for members in graph.members:
+        detail = replay_context_group(net, log, graph, members, cfg, memo)
+        assert detail == replay_context_group(net, log, graph, members, cfg), members
+    return Counter("shared" if memo._cut.isdisjoint(first) else "cut"
+                   for first, _, _ in _repeats(memo))
+
+
+def run_repeated_executions_random(seed: int = 27, rounds: int = 12) -> Counter:
+    """run_repeated_executions_agreement on random logs with renamed
+    copies of their executions, against a random net and the log's own
+    flower net, at the default budget and at budgets of 1 to 8 states;
+    returns the repeating executions counted by kind and by whether the
+    net admits lazy entry."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for _ in range(rounds):
+        log = repeated_executions_log(rng)
+        net = oracles.random_net(rng)
+        for cfg in (ReplayConfig(), *(ReplayConfig(max_states=n) for n in range(1, 9))):
+            for checked in (net, flower_model(log)):
+                lazy = lazy_entry_exact(checked)
+                for kind, n in run_repeated_executions_agreement(log, checked, cfg).items():
+                    seen[kind, lazy] += n
+    return seen
 
 
 def plane_reusing_net(net: AcceptingOCPN) -> AcceptingOCPN:

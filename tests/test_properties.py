@@ -71,6 +71,14 @@ def test_resumed_replay_matches_from_scratch_on_chained_log(ocpn1, cfg):
         invariants.run_resumed_replay_agreement(log, net, cfg)
 
 
+def test_repeated_executions_match_from_scratch_on_random_nets():
+    # copies of a log's executions take their counterparts' results
+    # unless a first execution's search is cut; both kinds occur, on
+    # nets with and without lazy entry
+    seen = invariants.run_repeated_executions_random(rounds=12)
+    assert all(seen[kind, lazy] for kind in ("shared", "cut") for lazy in (True, False)), seen
+
+
 SWEPT_BUDGETS = (1, 2, 4, 6, 8, 10, 21, 34)
 
 

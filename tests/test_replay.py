@@ -542,14 +542,25 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
     # an event's own compact step is built once, from the graph's numbers,
     # and the events resuming from its frontier open with it; a step is
     # built again only in the other names of a later event's rest of the
-    # preset
+    # preset; an event whose execution repeats an earlier one takes its
+    # counterpart's result and builds no step
     def no_for_event(cls, event):
         raise AssertionError("check builds steps from the graph's numbers")
 
     monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(no_for_event))
-    sequence = replay._sequence
+    sequence, repeats = replay._sequence, replay._repeats
+    copied: set[int] = set()
+
+    def spy_repeats(memo):
+        found = repeats(memo)
+        copied.update(p for _, positions, _ in found for p in positions)
+        return found
+
+    monkeypatch.setattr(replay, "_repeats", spy_repeats)
+    counts = []
     for log, net in _engine_logs(ocpn1):
         built = Counter()
+        copied.clear()
 
         def spy(memo, position, base, canonical):
             names, steps, own, entering = sequence(memo, position, base, canonical)
@@ -563,8 +574,11 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
         monkeypatch.setattr(replay, "_sequence", spy)
         report = metrics.check(log, net)
         assert not report.truncated
-        assert {position for position, _ in built} == set(range(len(log.events)))
+        assert {position for position, _ in built} == \
+            set(range(len(log.events))) - copied
         assert set(built.values()) == {1}
+        counts.append(len(copied))
+    assert counts == [41, 0, 0]  # of 108, 100 and 100 events
 
 
 def test_steps_are_expanded_per_searched_class_not_per_event(monkeypatch, ocpn1):
@@ -746,17 +760,21 @@ def test_twins_in_a_cut_class_share_one_search_by_number(monkeypatch, ocpn1,
 
 def test_flights_of_one_shape_share_their_searches(monkeypatch, ocpn1):
     # flights that differ only in their objects' names run the searches
-    # of one flight, however many there are
+    # of one flight, however many there are; as repeated executions, the
+    # later flights are not even replayed: they read the first's results
     one = invariants.disjoint_airport_log(1)
     en_model = [d.en_model for d in metrics.check(one, ocpn1).per_event]
     calls = _search_calls(monkeypatch)
+    replayed = _replayed_events(monkeypatch)
     counts = []
     for flights in (2, 8):
         log = invariants.disjoint_airport_log(flights)
         assert _replay_classes(log) == _replay_classes(one)
         calls.clear()
+        replayed.clear()
         report = metrics.check(log, ocpn1)
         counts.append(len(calls))
+        assert replayed == list(range(len(one.events)))
         assert not report.truncated
         assert [d.en_model for d in report.per_event] == en_model * flights
     assert counts[0] == counts[1] > 0
@@ -993,3 +1011,71 @@ def test_check_replays_each_event_once_in_log_order(monkeypatch, ocpn1, cfg):
     assert [p for p, canonical in calls if canonical] == list(range(len(log.events)))
     assert [p for p, canonical in calls if not canonical] == sorted(cut)
     assert bool(cut) == report.truncated == (cfg.max_states == 5)
+
+
+def _replayed_events(monkeypatch) -> list[int]:
+    """Spy on replay._replay_event: the log position of each event replayed."""
+    calls = []
+    replay_event = replay._replay_event
+
+    def spy(memo, position, base):
+        calls.append(position)
+        return replay_event(memo, position, base)
+
+    monkeypatch.setattr(replay, "_replay_event", spy)
+    return calls
+
+
+@pytest.mark.parametrize("build_log, reference, max_states, served", [
+    (lambda: invariants.bench_log(5, 1512), True, None, 1293),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, None, 0),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, None, 0),
+    (lambda: invariants.disjoint_airport_log(4), True, None, 27),
+    (lambda: invariants.disjoint_airport_log(4), True, 4, 0),
+], ids=["disjoint-ref", "chained-flower", "silent-bags", "disjoint-airport",
+        "disjoint-airport-cut"])
+def test_events_served_by_a_counterpart_per_check(monkeypatch, ocpn1, build_log,
+                                                  reference, max_states, served):
+    # an event whose execution repeats an earlier one up to renaming
+    # objects takes its counterpart's result and is not replayed: most
+    # flights of the disjoint bench log repeat an earlier one, while the
+    # executions of the chained and silent-bags logs are all distinct;
+    # where a search of a first execution is cut, its repeats are replayed
+    log = build_log()
+    net = ocpn1 if reference else flower_model(log)
+    cfg = ReplayConfig(max_states=max_states) if max_states else DEFAULT_CONFIG
+    calls = _replayed_events(monkeypatch)
+    report = metrics.check(log, net, cfg)
+    assert report.truncated == bool(max_states)
+    assert len(calls) == len(set(calls)) == len(log.events) - served
+
+
+def test_memo_shares_results_only_when_it_serves_every_event(monkeypatch, ocpn1):
+    # a memo for part of the log replays each event it serves, and the
+    # group's call replays the rest; a memo for every event, in any order
+    # or form, replays the first of the four flights only; both give what
+    # replay without a memo gives
+    log = invariants.disjoint_airport_log(4)
+    graph = build_graph(log)
+    calls = _replayed_events(monkeypatch)
+    for order, replayed in ((graph.order[:-1], 36), (graph.order[9:], 36),
+                            (list(reversed(graph.order)), 9), (graph.order, 9)):
+        calls.clear()
+        memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG, order)
+        details = [replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
+                   for members in graph.members]
+        assert sorted(calls) == list(range(replayed))
+        assert details == [replay_context_group(ocpn1, log, graph, members)
+                           for members in graph.members]
+
+
+def test_executions_that_differ_only_in_types_share_nothing(monkeypatch, ocpn1):
+    # one Check-in of a bag and one of a plane: their steps match but for
+    # the objects' types, which replay names carry, so neither execution
+    # repeats the other; the plane's replay enables Fuel plane instead
+    bag, plane = ObjectId("b1", "baggage"), ObjectId("p1", "plane")
+    log = make_log([("e1", "Check-in", [bag]), ("e2", "Check-in", [plane])])
+    calls = _replayed_events(monkeypatch)
+    report = metrics.check(log, ocpn1)
+    assert sorted(calls) == [0, 1]
+    assert [d.en_model for d in report.per_event] == [("Check-in",), ("Fuel plane",)]
