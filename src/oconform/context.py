@@ -158,11 +158,9 @@ class EventObjectGraph:
     built from.  Events are stored as log positions: ``_direct[i]`` holds
     the i-th event's direct predecessors, and ``_weight[i]`` counts the
     object occurrences of the events in its preset (its full ancestor
-    set).  ``_prefix[i]`` is the i-th event's prefix predecessor where the
-    grouping pass knows it, else None.  Presets are not stored:
-    ``preset_positions`` walks back over ``_direct`` from an event, only
-    as far back as asked, and ``presets`` and ``_prefix_predecessor`` read
-    the same walk.
+    set).  Presets are not stored: ``preset_positions`` walks back over
+    ``_direct`` from an event, only as far back as asked, and ``presets``
+    and ``_prefix_predecessor`` read the same walk.
     ``direct_predecessors`` and ``presets`` map each event id to a
     frozenset of event ids, built when read.  ``members`` partitions
     the events by context, groups in the log order of their first event
@@ -180,7 +178,6 @@ class EventObjectGraph:
     _index: Mapping[str, int] = field(repr=False)
     _direct: list[set[int]] = field(repr=False)
     _weight: list[int] = field(repr=False)
-    _prefix: list[int | None] = field(repr=False, compare=False)
     _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
     _trie: _Trie = field(repr=False, compare=False)
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
@@ -247,14 +244,17 @@ class EventObjectGraph:
         The event's preset holds d's preset, d, and its own positions after
         d; every event in a preset holds an object, so it holds nothing
         more exactly when its weight is the sum of theirs.  No preset
-        position follows the latest direct predecessor, so its test needs
-        no walk.  The grouping pass gives most events' answer (``_prefix``).
+        position follows the latest direct predecessor, so it is tested
+        first, with no sort and no walk; only the earlier ones walk.
         """
-        if self._prefix[position] is not None:
-            return self._prefix[position]
-        weight, slots = self._weight, self._slots
-        for n, d in enumerate(sorted(self._direct[position], reverse=True)):
-            later = n and sum([len(slots[p]) for p in self._preset_positions(position, d + 1)])
+        direct, weight, slots = self._direct[position], self._weight, self._slots
+        if not direct:
+            return None
+        latest = max(direct)
+        if weight[position] == weight[latest] + len(slots[latest]):
+            return latest
+        for d in sorted(direct - {latest}, reverse=True):
+            later = sum([len(slots[p]) for p in self._preset_positions(position, d + 1)])
             if weight[position] == weight[d] + len(slots[d]) + later:
                 return d
         return None
@@ -298,17 +298,15 @@ def build_graph(log: EventLog) -> EventObjectGraph:
                 parents.append(step)
             nodes.append(node)
     order = tuple(e.id for e in log.events)
-    group_of, members, bags, weight, prefix = _context_groups(order, direct, users,
-                                                              slots, trace)
+    group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace)
     return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            weight, prefix, bags, trie, objects, slots)
+                            weight, bags, trie, objects, slots)
 
 
 def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],
                     slots: list[list[int]], trace: list[list[int]],
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
-                               tuple[tuple[tuple[int, int], ...], ...], list[int],
-                               list[int | None]]:
+                               tuple[tuple[tuple[int, int], ...], ...], list[int]]:
     """Every event's context group, in one pass over the log.
 
     Events are log positions: ``direct[i]`` holds the i-th event's direct
@@ -327,22 +325,18 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
     once their last successor has read them.  A sole predecessor needs no
     sort and no merge.  An event's weight, the sum of its counts, is its
     base predecessor's weight and object count, plus what each merge
-    raises.  When no merge raised one, the others lie in the base's
-    preset, so the base is the event's prefix predecessor; else that is
-    left to ``_prefix_predecessor`` (None).  ``bag`` counts the objects
-    at each trie node alongside ``counts``, and each count moves inline:
-    the bag is the context, so equal contexts have equal bag items.
-    Groups are keyed by the frozenset of the bag's items, which hashes in
-    C with no sort per event.  Returns each event's group number, each
-    group's events, each group's bag items, sorted once per group, and
-    each event's weight and known prefix predecessor.
+    raises.  ``bag`` counts the objects at each trie node alongside
+    ``counts``, and each count moves inline: the bag is the context, so
+    equal contexts have equal bag items.  Groups are keyed by the
+    frozenset of the bag's items, which hashes in C with no sort per
+    event.  Returns each event's group number, each group's events, each
+    group's bag items, sorted once per group, and each event's weight.
     """
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     number: dict[frozenset[tuple[int, int]], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
     weight: list[int] = []
-    prefix: list[int | None] = []
     for i, own in enumerate(slots):
         preds = direct[i]
         if len(preds) == 1:
@@ -388,7 +382,6 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 users[d] -= 1
                 if not users[d]:
                     del after[d]
-        prefix.append(base if preds and w == weight[base] + len(slots[base]) else None)
         weight.append(w)
         for s in own:
             if s not in counts:
@@ -415,7 +408,7 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
     return (group_of, tuple(map(tuple, members)),
-            tuple(tuple(sorted(key)) for key in number), weight, prefix)
+            tuple(tuple(sorted(key)) for key in number), weight)
 
 
 def event_preset(graph: EventObjectGraph, event_id: str) -> frozenset[str]:

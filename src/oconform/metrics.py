@@ -56,18 +56,18 @@ def check(log: EventLog, net: AcceptingOCPN,
     event of a group shares the group's enabled-activity sets and its
     digest, read off its bag items with no ``Context`` built
     (``graph.digest``).  Inside the first call, the ``FrontierMemo``
-    replays every event once, in log order, each resuming where its
-    prefix predecessor's preset ended, or takes the result of its
-    counterpart in an earlier process execution that its own repeats up
-    to renaming objects; each call then reads its members' results.  An
-    event counts as replayable when the net enables at least one activity
-    for its context; precision averages over exactly those events and is
-    None when there are none.
+    replays every event of the log once, in log order, each resuming
+    from the frontier in its prefix predecessor's result, or takes the
+    result of its counterpart in an earlier process execution that its
+    own repeats up to renaming objects; each call then reads its
+    members' results.  An event counts as replayable when the net
+    enables at least one activity for its context; precision averages
+    over exactly those events and is None when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
-    memo = FrontierMemo(net, log, graph, cfg, graph.order)
+    memo = FrontierMemo(net, log, graph, cfg)
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()

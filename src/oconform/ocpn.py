@@ -594,7 +594,9 @@ def flower_model(log: EventLog) -> AcceptingOCPN:
 
     A transition's arcs cover every object type seen together with its
     activity anywhere in the log; an arc is variable iff some event of
-    that activity carries two or more objects of the type.
+    that activity carries two or more objects of the type.  So an event
+    that lacks one of its activity's types has no well-formed binding,
+    and a log need not fit its own flower net.
     """
     if not log.events:
         raise LogError("cannot build a flower model from an empty log")

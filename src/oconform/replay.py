@@ -289,31 +289,30 @@ def _expanded(step: _Step, kinds: Sequence[str]) -> VisibleBindingStep:
 
 
 class FrontierMemo:
-    """Replay results, frontiers and firings shared by the events of one
-    ``check``, with the net, log, graph and config they were found for.
+    """Replay results and firings shared by the events of one ``check``,
+    with the net, log, graph and config they were found for.
 
     The first time a group asks (``result``), the memo replays every event
-    of ``order`` once, in log order, and keeps each result until it is
-    read; when that is every event (``graph.order`` needs no lookup), an
-    event whose execution repeats an earlier one takes its counterpart's
-    result instead.  An event's frontier is the raw set of markings that
-    enter the end of its preset's binding sequence, before that cursor's
-    silent search: the next step decides which silent firings follow.  An
-    event resumes from the frontier of its prefix predecessor, replayed
-    before it, and replays only the rest of its preset.  A frontier is
-    dropped when its last user, counted up front, took it.  The frontiers
-    depend on the replay config, so one memo serves one config, and one
-    net, log and graph: ``replay_context_group`` rejects it for any other.
-    Events whose prefix predecessor is not in ``order``, and all events on
-    nets where lazy entry is not exact (``lazy`` is False), resume from
-    the empty frontier ``_START``.  Searches and ``reached_final`` answers
-    are cached for the pass; each distinct visible step as the net fires
-    it (``firing``) is built once and kept while the memo lives.
-    ``kinds`` lists the log's object types, sorted: the ``t`` of names.
+    of the log once, in log order, and keeps each result until it is
+    read; an event whose execution repeats an earlier one takes its
+    counterpart's result instead.  An event's frontier is read off its
+    result: the raw set of markings that enter the end of its preset's
+    binding sequence, before that cursor's silent search, as the next step
+    decides which silent firings follow.  An event resumes from the
+    frontier of its prefix predecessor, replayed before it, and replays
+    only the rest of its preset.  The frontiers depend on the config, so
+    one memo serves one config, and one net, log and graph:
+    ``replay_context_group`` rejects it for any other.  Events whose
+    prefix predecessor's canonical search was cut, and all events on nets
+    where lazy entry is not exact (``lazy`` is False), resume from the
+    empty frontier ``_START``.  Searches and ``reached_final`` answers are
+    cached for the pass; each distinct visible step as the net fires it
+    (``firing``) is built once and kept while the memo lives.  ``kinds``
+    lists the log's object types, sorted: the ``t`` of names.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
-                 cfg: ReplayConfig, order: Iterable[str] = ()) -> None:
+                 cfg: ReplayConfig) -> None:
         self.net, self.log, self.graph, self.cfg = net, log, graph, cfg
         self.lazy = lazy_entry_exact(net)
         self.kinds = sorted({o.otype for o in graph.objects})
@@ -323,74 +322,50 @@ class FrontierMemo:
         self._initial = [initial[otype].id if otype in initial else None
                          for otype in self.kinds]
         self._firings: dict[_Step, _Firing] = {}
-        self._frontiers: dict[int, _Frontier] = {}  # by log position, like the bases
-        self._results: dict[int, tuple] = {}
+        self._results: dict[int, tuple] = {}  # by log position
         self._searched: dict[tuple, _SingleReplay] = {}
         self._finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
         self._cut: set[int] = set()  # positions where a search was cut
-        self._pending = (range(len(graph.order)) if order is graph.order
-                         else sorted({*map(graph._index.__getitem__, order)}))
-        self._base: dict[int, int] = {}
-        self._users: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._frontiers)
+        self._pending = True
 
     def result(self, position: int) -> tuple | None:
         """``_replay_event``'s answer for the event at ``position``, handed
-        out once; None for an event the memo does not serve.
+        out once; None once it has been.
 
-        When the memo serves every event, an event whose execution repeats
-        an earlier one (``_repeats``) gets its counterpart's answer, with
-        the objects its names stand for paired to the event's own.  What a
-        cut search finds follows graph numbers, so where a search of the
-        first execution was cut (``_cut``), its repeats are replayed last."""
+        An event whose execution repeats an earlier one (``_repeats``) gets
+        its counterpart's answer, with the objects its names stand for
+        paired to the event's own.  What a cut search finds follows graph
+        numbers, so where a search of the first execution was cut
+        (``_cut``), its repeats are replayed last."""
         if self._pending:
-            pending, self._pending = self._pending, ()
-            repeats = _repeats(self) if len(pending) == len(self.log.events) else ()
+            self._pending = False
+            repeats = _repeats(self)
             # first the first execution of each key and every unrepeated one
-            self._replay(sorted(set(pending).difference(
-                *[positions for _, positions, _ in repeats])) if repeats else pending)
+            self._replay(sorted(set(range(len(self.log.events))).difference(
+                *[positions for _, positions, _ in repeats])))
             results, later = self._results, []
             for first, positions, objects in repeats:
                 if not self._cut.isdisjoint(first):
                     later += positions
                     continue
                 for p, c in zip(positions, first):
-                    single, names, _, reached, truncated = results[c]
-                    results[p] = (single, names, objects, reached, truncated)
+                    single, names, _, reached, truncated, opening = results[c]
+                    results[p] = (single, names, objects, reached, truncated, opening)
             self._replay(sorted(later))
             self._searched, self._finals = {}, {}
         return self._results.pop(position, None)
 
     def _replay(self, positions: Sequence[int]) -> None:
         """Replay the events at ``positions``, in log order, each resuming
-        from its prefix predecessor's frontier when that is among them."""
-        served = set(positions) if self.lazy else ()  # else none resumes
-        for position in positions if served else ():
-            base = self.graph._prefix_predecessor(position)
-            if base in served:
-                self._base[position] = base
-                self._users[base] = self._users.get(base, 0) + 1
-        del served  # held no longer than the links need it
+        from the frontier read off its prefix predecessor's result: an
+        ancestor lies in the event's execution, so it is among them, and
+        earlier."""
+        results, graph = self._results, self.graph
         for p in positions:
-            self._results[p] = _replay_event(self, p, self.take(p))
-
-    def take(self, position: int) -> _Frontier:
-        """The frontier the event at ``position`` resumes from; the empty
-        start if none."""
-        base = self._base.pop(position, None)
-        if base is None:
-            return _START
-        self._users[base] -= 1
-        if self._users[base]:
-            return self._frontiers.get(base, _START)  # a cut search keeps none
-        return self._frontiers.pop(base, _START)
-
-    def keep(self, position: int, names: dict[int, int], cls: _SingleReplay,
-             own: _Step) -> None:
-        if self._users.get(position):  # a later event resumes where its preset ends
-            self._frontiers[position] = (position + 1, names, cls, own)
+            base = graph._prefix_predecessor(p) if self.lazy else None
+            opening = None if base is None else results[base][5]
+            results[p] = _replay_event(self, p, _START if opening is None else (
+                base + 1, results[base][1], results[base][0], opening))
 
     def firing(self, step: _Step) -> _Firing:
         """The binding and needed tokens of a compact step, built on first
@@ -409,11 +384,10 @@ def _repeats(memo: FrontierMemo) -> list[tuple[list[int], list[int], dict]]:
 
     An execution is a component of the event-object graph, by a union
     over ``graph._direct``; only those whose length another one shares
-    are keyed.  A key names the objects as ``_sequence`` does, ``k * T +
-    t``, ``k`` counting them in order of first occurrence, ties in
-    graph-number order, and lists the steps, names ascending.  Equal keys
-    pair two executions' objects by ``k`` and their events by index.  An
-    event's preset lies inside its execution, so paired events have equal
+    are keyed.  A key lists the steps in the canonical names ``_named``
+    gives from no names, as ``_sequence`` does.  Equal keys pair two
+    executions' objects by ``k`` and their events by index.  An event's
+    preset lies inside its execution, so paired events have equal
     contexts, canonical names, searches and answers.
     """
     graph = memo.graph
@@ -436,55 +410,34 @@ def _repeats(memo: FrontierMemo) -> list[tuple[list[int], list[int], dict]]:
     for i, top in enumerate(parent):
         if top in executions:
             executions[top].append(i)
-    slots, events, objects = graph._slots, memo.log.events, graph.objects
-    kind_of, width = memo._kind_of, len(memo.kinds)
     firsts: dict[tuple, tuple[list[int], list[int]]] = {}
     repeats = []
     for positions in executions.values():
-        names: dict[int, int] = {}
-        steps = []
-        for i in positions:
-            bound = []
-            for s in slots[i]:
-                name = names.get(s)
-                if name is None:
-                    name = names[s] = len(names) * width + kind_of[s]
-                bound.append(name)
-            bound.sort()
-            steps.append((events[i].activity, *bound))
+        steps: list[_Step] = []
+        names, _ = _named(memo, positions, {}, True, steps)
         first, numbers = firsts.setdefault(tuple(steps), (positions, list(names)))
         if first is not positions:
             repeats.append((first, positions,
-                            dict(zip(numbers, map(objects.__getitem__, names)))))
+                            dict(zip(numbers, map(graph.objects.__getitem__, names)))))
     return repeats
 
 
-def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
-              ) -> tuple:
-    """The names, the compact preset steps, the compact own step and the
-    (cursor, names) of objects entering the markings of the event at log
-    ``position``, resumed from the base.
-
-    The preset's steps from the base's position follow the base's own
-    step.  An object enters where a step first binds it, the event's own
-    new objects at the end; all at cursor 0 when lazy entry is not exact.
-    New objects join ``names`` by graph number, in order of entry, ties in
-    ``ObjectId`` order (the numbers' order).  A new object of type ``t``
-    is named ``k * T + t``: when ``canonical``, ``k`` counts on from the
-    base's ``len(names)``; otherwise ``k`` is its graph number.  The
-    base's names are copied on the first new object, and shared when there
-    is none: no one writes to names once returned.
+def _named(memo: FrontierMemo, positions: Iterable[int], names: dict[int, int],
+           canonical: bool, steps: list[_Step]) -> tuple[dict[int, int], list]:
+    """Append to ``steps`` the compact steps of the events at
+    ``positions``, naming each object on entry that ``names`` lacks;
+    returns the names and, per step that binds new objects, its index in
+    ``steps`` and their names.  A new object of type ``t`` is named
+    ``k * T + t``: when ``canonical``, ``k`` counts on from
+    ``len(names)``, ties in graph-number (``ObjectId``) order; otherwise
+    ``k`` is its graph number.  ``names`` is copied on the first new
+    object, and returned as is when there is none: no one writes to names
+    once returned.
     """
-    start, names, _, opening = base
-    steps = [] if opening is None else [opening]
-    graph = memo.graph
     kind_of, width = memo._kind_of, len(memo.kinds)
-    slots, events = graph._slots, memo.log.events
+    slots, events = memo.graph._slots, memo.log.events
     entering = []
-    # no ancestor lies past the latest direct predecessor, so none past start
-    rest = (graph._preset_positions(position, start)
-            if max(graph._direct[position], default=-1) >= start else [])
-    for i in [*rest, position]:
+    for i in positions:
         new = []
         bound = []
         for s in slots[i]:
@@ -499,6 +452,27 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
             entering.append((len(steps), tuple(new)))
         bound.sort()
         steps.append((events[i].activity, *bound))
+    return names, entering
+
+
+def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
+              ) -> tuple:
+    """The names, the compact preset steps, the compact own step and the
+    (cursor, names) of objects entering the markings of the event at log
+    ``position``, resumed from the base.
+
+    The preset's steps from the base's position follow the base's own
+    step, named on from the base's names (``_named``).  An object enters
+    where a step first binds it, the event's own new objects at the end;
+    all at cursor 0 when lazy entry is not exact.
+    """
+    start, names, _, opening = base
+    steps = [] if opening is None else [opening]
+    graph = memo.graph
+    # no ancestor lies past the latest direct predecessor, so none past start
+    rest = (graph._preset_positions(position, start)
+            if max(graph._direct[position], default=-1) >= start else [])
+    names, entering = _named(memo, [*rest, position], names, canonical, steps)
     if entering and not memo.lazy:
         entering = [(0, tuple(name for _, new in entering for name in new))]
     own = steps.pop()
@@ -506,19 +480,18 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
 
 
 def _preset_search(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
-                   searched: dict[tuple, _SingleReplay],
                    ) -> tuple[_SingleReplay, _Step, dict[int, int]]:
     """Search the preset of the event at ``position`` from the base in the
-    names ``_sequence`` gives, once per key in ``searched``: the base's
-    class, the rest of the preset's compact steps and the entering names.
-    Only a search builds the firings of its steps, through the memo.  The
-    search starts from the base's entering markings, under the budget the
-    base's states leave.  Returns the result, the event's compact own step
-    and the names."""
+    names ``_sequence`` gives, once per key in the memo's ``_searched``:
+    the base's class, the rest of the preset's compact steps and the
+    entering names.  Only a search builds the firings of its steps,
+    through the memo.  The search starts from the base's entering
+    markings, under the budget the base's states leave.  Returns the
+    result, the event's compact own step and the names."""
     names, steps, own, entering = _sequence(memo, position, base, canonical)
     cls = base[2]
     key = (cls, tuple(steps), entering)
-    single = searched.get(key)
+    single = memo._searched.get(key)
     if single is None:
         net, cfg, initial = memo.net, memo.cfg, memo._initial
         width = len(initial)
@@ -534,7 +507,7 @@ def _preset_search(memo: FrontierMemo, position: int, base: _Frontier, canonical
             found = _search(net, firings, start, entry, cfg, cfg.max_states - cls.states)
             single = _SingleReplay(found.markings, found.truncated, found.entering,
                                    cls.states + found.states)
-        searched[key] = single
+        memo._searched[key] = single
     return single, own, names
 
 
@@ -568,12 +541,16 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
 
 
 def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
-                  ) -> tuple[_SingleReplay, dict[int, int], Sequence[ObjectId], bool, bool]:
-    """Replay the event at log ``position`` from the base, keep the result
-    as its frontier, and decide ``reached_final`` once per result and own
-    step.  Returns the result, its names, the objects their keys number
-    (the graph's), ``reached_final`` and whether a cut search leaves the
-    event truncated; the memo notes where any search was cut (``_cut``).
+                  ) -> tuple[_SingleReplay, dict[int, int], Sequence[ObjectId], bool, bool,
+                             _Step | None]:
+    """Replay the event at log ``position`` from the base, and decide
+    ``reached_final`` once per result and own step.  Returns the result,
+    its names, the objects their keys number (the graph's),
+    ``reached_final``, whether a cut search leaves the event truncated,
+    and the compact own step that, with the result and names, makes the
+    frontier later events resume from: None when the canonical preset
+    search was cut, as that result is no frontier.  The memo notes where
+    any search was cut (``_cut``).
 
     The token game cannot tell two objects of one type apart, so events
     whose binding sequences are the same up to renaming objects form one
@@ -592,20 +569,19 @@ def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
     search only takes its answer from it.  An own step's firing is built
     only for a ``reached_final`` search.
     """
-    single, own, names = _preset_search(memo, position, base, True, memo._searched)
+    single, own, names = _preset_search(memo, position, base, True)
+    opening = own
     cut = single.truncated
     if not cut:
-        memo.keep(position, names, single, own)
         reached, cut = _final(memo, single, own)
     if cut:  # where a search cuts follows the names
         memo._cut.add(position)
-        rerun, own, by_number = _preset_search(memo, position, _START, False,
-                                               memo._searched)
+        rerun, own, by_number = _preset_search(memo, position, _START, False)
         reached, cut = _final(memo, rerun, own)
         if single.truncated:
-            single, names = rerun, by_number
+            single, names, opening = rerun, by_number, None
     return (single, names, memo.graph.objects, reached,
-            single.truncated or (cut and not reached))
+            single.truncated or (cut and not reached), opening)
 
 
 def _final(memo: FrontierMemo, single: _SingleReplay, own: _Step) -> tuple[bool, bool]:
@@ -623,13 +599,15 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
                          memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    Each event the ``memo`` serves reads its result off the memo's pass
+    With a ``memo``, each event reads its result off the memo's pass
     (``FrontierMemo.result``), its counterpart's where its execution
-    repeats an earlier one; any other, and every event without a memo, is
-    replayed here from ``_START`` (``_replay_event``).  A memo built for
-    another net, log or graph (as objects) or for an unequal config raises
-    ``ValueError``: its frontiers were searched under that config's
-    budget.  Members that share a result read its enabled labels once.
+    repeats an earlier one; an event whose result was read already, and
+    every event without a memo, is replayed here from ``_START``
+    (``_replay_event``), the reference the pass must agree with.  A memo
+    built for another net, log or graph (as objects) or for an unequal
+    config raises ``ValueError``: its frontiers were searched under that
+    config's budget.  Members that share a result read its enabled labels
+    once.
     ``markings`` renames each member's result back to real names on first
     read, once per distinct result and renaming, by the objects its
     names' keys stand for: a counterpart's are paired to the member's.
@@ -638,6 +616,7 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         events = (events,)
     if memo is None:
         memo = FrontierMemo(net, log, graph, cfg)
+        memo._pending = False  # no pass: every member from _START
     elif not (memo.net is net and memo.log is log and memo.graph is graph
               and (memo.cfg is cfg or memo.cfg == cfg)):
         raise ValueError("the memo was built for another net, log, graph or config")
@@ -646,8 +625,8 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
         position = graph._position(eid)
-        single, names, objects, reached, cut = (memo.result(position)
-                                                or _replay_event(memo, position, _START))
+        single, names, objects, reached, cut, _ = (memo.result(position)
+                                                   or _replay_event(memo, position, _START))
         reached_final_by_event[eid] = reached
         truncated = truncated or cut
         members.append((single, names, objects))

@@ -190,8 +190,8 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
     return len(logs)
 
 
-GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight", "_prefix",
-                   "_bags", "objects", "_slots")
+GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight", "_bags",
+                   "objects", "_slots")
 
 
 def run_graph_reference_agreement(seed: int = 26, rounds: int = 100) -> int:
@@ -406,9 +406,9 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         truncated = truncated or eager.outcome.truncated
         for eid in members:
             memo = FrontierMemo(net, log, graph, cfg)
-            found = _preset_search(memo, log.event_index[eid], _START, True, {})
+            found = _preset_search(memo, log.event_index[eid], _START, True)
             if found[0].truncated:
-                found = _preset_search(memo, log.event_index[eid], _START, False, {})
+                found = _preset_search(memo, log.event_index[eid], _START, False)
             single, own, names = found
             kinds = memo.kinds
             want = singles[eid]
@@ -452,9 +452,12 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
 
 def run_resumed_replay_random(seed: int = 18, rounds: int = 60) -> dict[bool, int]:
     """Resumed against eager replay on random logs, each against a
-    random net and its own flower net (which replays every event), under
-    every config of RESUME_CONFIGS; returns the random nets checked by
-    whether they admit lazy entry."""
+    random net and its own flower net, under every config of
+    RESUME_CONFIGS; returns the random nets checked by whether they admit
+    lazy entry.  A flower net enables each activity with any objects of
+    the types it was ever seen with, but binds all of them: an event that
+    lacks one has no well-formed binding, so many of these logs check
+    below fitness 1 against their own flower net."""
     rng = random.Random(seed)
     kinds = {True: 0, False: 0}
     for _ in range(rounds):
@@ -551,7 +554,7 @@ def run_repeated_executions_agreement(log, net, cfg) -> Counter:
     replayed because a search of the first one was cut ("cut")."""
     run_resumed_replay_agreement(log, net, cfg)
     graph = build_graph(log)
-    memo = FrontierMemo(net, log, graph, cfg, graph.order)
+    memo = FrontierMemo(net, log, graph, cfg)
     for members in graph.members:
         detail = replay_context_group(net, log, graph, members, cfg, memo)
         assert detail == replay_context_group(net, log, graph, members, cfg), members

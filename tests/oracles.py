@@ -121,8 +121,7 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
     """The graph built with each preset as an ``int`` bitset over log
     positions, shifted down by its lowest position, and its context groups
     merged with a bitset test.  Returns the graph, whose weights are summed
-    over the bitsets and whose known prefix predecessors come from that
-    test, and per event its (lowest position, bitset)."""
+    over the bitsets, and per event its (lowest position, bitset)."""
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
     objects = tuple(by_key[key] for key in number)
@@ -158,12 +157,12 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
                 parents.append(step)
             nodes.append(node)
     order = tuple(e.id for e in log.events)
-    group_of, members, bags, prefix = _reference_context_groups(
+    group_of, members, bags = _reference_context_groups(
         order, direct, users, low, bits, slots, trace)
     weight = [sum(len(slots[p]) for p in bitset_positions(*preset))
               for preset in zip(low, bits)]
     graph = EventObjectGraph(order, group_of, members, log.event_index, direct,
-                             weight, prefix, bags, trie, objects, slots)
+                             weight, bags, trie, objects, slots)
     return graph, list(zip(low, bits))
 
 
@@ -177,9 +176,6 @@ def _reference_context_groups(order, direct, users, low, bits, slots, trace):
     number: dict[tuple[tuple[int, int], ...], int] = {}
     members: list[list[str]] = []
     group_of: dict[str, int] = {}
-    # the first predecessor opens the preset when every other one is in
-    # its preset bitset; None when that is not so or there is none
-    prefix: list[int | None] = []
     for i, own in enumerate(slots):
         preds = [*direct[i]]
         if len(preds) > 1:
@@ -191,11 +187,9 @@ def _reference_context_groups(order, direct, users, low, bits, slots, trace):
             counts, bag = after[preds[0]]
         else:
             counts, bag = (m.copy() for m in after[preds[0]])
-        merged = False
         for d in preds[1:]:
             shift = d - low[preds[0]]
             if shift < 0 or not bits[preds[0]] >> shift & 1:
-                merged = True
                 for s, k in after[d][0].items():
                     was = counts.get(s)
                     if was is None or was < k:
@@ -212,7 +206,6 @@ def _reference_context_groups(order, direct, users, low, bits, slots, trace):
             users[d] -= 1
             if not users[d]:
                 del after[d]
-        prefix.append(preds[0] if preds and not merged else None)
         for s in own:
             if s not in counts:
                 counts[s] = 0
@@ -236,7 +229,7 @@ def _reference_context_groups(order, direct, users, low, bits, slots, trace):
                 node = nodes[k + 1]
                 bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
-    return group_of, tuple(map(tuple, members)), tuple(number), prefix
+    return group_of, tuple(map(tuple, members)), tuple(number)
 
 
 # ---------------------------------------------------------------------------

@@ -866,31 +866,32 @@ def test_lazy_entry_not_exact_for_silent_output_only_type():
         (Arc("x1", "tau"), Arc("tau", "x2"), Arc("tau", "y1"))))
 
 
-def test_frontier_memo_is_empty_after_check(monkeypatch):
-    # the memo's pass runs inside the first group's call and holds
-    # frontiers while it runs; each is dropped after its last user, and
-    # each event's result once its group has read it
+def test_one_memo_replays_the_log_inside_the_first_call_of_check(monkeypatch):
+    # check hands one memo to every group's call; its pass replays every
+    # event inside the first call, most from the frontier in an earlier
+    # event's result, and each result is handed out once, so none is left
+    # after check
     log = invariants.chained_airport_log()
-    memos, sizes = [], []
-    replay_group, take = metrics.replay_context_group, FrontierMemo.take
+    memos, replayed, resumed = [], [], []
+    replay_group, replay_event = metrics.replay_context_group, replay._replay_event
 
     def spy(net, log, graph, events, cfg, memo):
         memos.append(memo)
         return replay_group(net, log, graph, events, cfg, memo)
 
-    def spy_take(memo, position):
-        sizes.append((len(memos), len(memo)))
-        return take(memo, position)
+    def spy_replay_event(memo, position, base):
+        replayed.append(len(memos))
+        resumed.append(base is not replay._START)
+        return replay_event(memo, position, base)
 
     monkeypatch.setattr(metrics, "replay_context_group", spy)
-    monkeypatch.setattr(FrontierMemo, "take", spy_take)
+    monkeypatch.setattr(replay, "_replay_event", spy_replay_event)
     metrics.check(log, flower_model(log))
     memo = memos[0]
     assert memo.lazy and all(m is memo for m in memos) and len(memos) > 1
-    assert len(sizes) == len(log.events)
-    assert {calls for calls, _ in sizes} == {1}
-    assert max(held for _, held in sizes) > 0
-    assert len(memo) == 0
+    assert replayed == [1] * len(log.events)
+    assert sum(resumed) > len(log.events) // 2
+    assert not memo._results
     assert all(memo.result(position) is None for position in range(len(log.events)))
 
 
@@ -907,8 +908,7 @@ def test_memo_filled_under_one_config_rejects_another(ocpn1):
     log = _shared_planes_log()
     graph = build_graph(log)
     groups = list(group_by_context(log, graph).values())
-    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG,
-                        (eid for members in groups for eid in members))
+    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG)
     for members in groups[:44]:
         replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
     members, small = groups[44], ReplayConfig(max_states=5)
@@ -991,8 +991,8 @@ def test_check_replays_each_event_once_in_log_order(monkeypatch, ocpn1, cfg):
         calls.append((position, canonical))
         return sequence(memo, position, base, canonical)
 
-    def spy_preset_search(memo, position, base, canonical, searched):
-        found = preset_search(memo, position, base, canonical, searched)
+    def spy_preset_search(memo, position, base, canonical):
+        found = preset_search(memo, position, base, canonical)
         if canonical and found[0].truncated:
             cut.add(position)
         return found
@@ -1050,23 +1050,20 @@ def test_events_served_by_a_counterpart_per_check(monkeypatch, ocpn1, build_log,
     assert len(calls) == len(set(calls)) == len(log.events) - served
 
 
-def test_memo_shares_results_only_when_it_serves_every_event(monkeypatch, ocpn1):
-    # a memo for part of the log replays each event it serves, and the
-    # group's call replays the rest; a memo for every event, in any order
-    # or form, replays the first of the four flights only; both give what
-    # replay without a memo gives
+def test_memo_shares_results_of_repeated_executions(monkeypatch, ocpn1):
+    # the memo serves the whole log: of the four flights it replays the
+    # first only, and every group it serves equals replay without a memo
     log = invariants.disjoint_airport_log(4)
     graph = build_graph(log)
     calls = _replayed_events(monkeypatch)
-    for order, replayed in ((graph.order[:-1], 36), (graph.order[9:], 36),
-                            (list(reversed(graph.order)), 9), (graph.order, 9)):
-        calls.clear()
-        memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG, order)
-        details = [replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
-                   for members in graph.members]
-        assert sorted(calls) == list(range(replayed))
-        assert details == [replay_context_group(ocpn1, log, graph, members)
-                           for members in graph.members]
+    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG)
+    details = [replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
+               for members in graph.members]
+    assert sorted(calls) == list(range(9)) and len(log.events) == 36
+    calls.clear()
+    assert details == [replay_context_group(ocpn1, log, graph, members)
+                       for members in graph.members]
+    assert sorted(calls) == list(range(36))
 
 
 def test_executions_that_differ_only_in_types_share_nothing(monkeypatch, ocpn1):
