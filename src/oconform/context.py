@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .ocel import EventLog, LogError, ObjectId
+from .ocel import Event, EventLog, LogError, ObjectId
 
 Prefix = tuple[str, ...]
 
@@ -169,7 +170,12 @@ class EventObjectGraph:
     (``context``); its digest is rendered from its bag items, with no
     ``Context`` built (``digest``).  ``objects[s]`` is object number s,
     in ``ObjectId`` order, and ``_slots[i]`` holds the numbers of the
-    i-th event's objects, ascending.
+    i-th event's objects, ascending.  ``kinds`` lists the object types,
+    sorted, and ``_kind_of[s]`` indexes object s's type in it.
+    ``_repeats`` records each process execution that repeats an earlier
+    one up to renaming objects, as ``build_graph`` finds them: the first
+    one's positions, its own, and its objects by the first's graph
+    numbers.
     """
 
     order: tuple[str, ...]
@@ -182,6 +188,10 @@ class EventObjectGraph:
     _trie: _Trie = field(repr=False, compare=False)
     objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
     _slots: list[list[int]] = field(repr=False, compare=False)
+    kinds: tuple[str, ...] = field(repr=False, compare=False)
+    _kind_of: list[int] = field(repr=False, compare=False)
+    _repeats: tuple[tuple[list[int], list[int], dict[int, ObjectId]], ...] = field(
+        repr=False, compare=False)
 
     @property
     def direct_predecessors(self) -> Mapping[str, frozenset[str]]:
@@ -269,15 +279,22 @@ class EventObjectGraph:
 def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph.  One pass in log order gives each
     event its direct predecessors, as log positions; it also extends each
-    object's trace in the trie and counts direct successors.  Context
+    object's trace in the trie, counts direct successors and joins each
+    event to its predecessors' process executions.  The executions that
+    repeat an earlier one are found from that union (``_repeats``); context
     groups, and each event's preset weight, come from a second pass over
-    the log (``_context_groups``).  Event ids are built only when read."""
+    the other events (``_context_groups``).  Event ids are built only when
+    read."""
     objects = tuple(sorted({o for e in log.events for o in e.omap}))
     number = {o: s for s, o in enumerate(objects)}
     slots = [sorted(map(number.__getitem__, e.omap)) for e in log.events]
+    kinds = tuple(sorted({o.otype for o in objects}))
+    index = {otype: t for t, otype in enumerate(kinds)}
+    kind_of = [index[o.otype] for o in objects]
     last_seen = [-1] * len(objects)
     direct: list[set[int]] = []
     users = [0] * len(slots)
+    root: list[int] = []  # an earlier event of the same execution, or a root: its first
     trie = _Trie()
     children, parents = trie._children, trie._parents
     trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
@@ -285,8 +302,17 @@ def build_graph(log: EventLog) -> EventObjectGraph:
         preds = {last_seen[s] for s in own}
         preds.discard(-1)
         direct.append(preds)
+        root.append(i)
         for p in preds:
             users[p] += 1
+            top = root[p]
+            while top != root[top]:
+                top = root[top]
+            here = root[i]  # a root
+            if top < here:
+                root[here] = root[i] = top
+            elif here < top:
+                root[top] = here
         activity = log.events[i].activity
         for s in own:
             last_seen[s] = i
@@ -298,13 +324,87 @@ def build_graph(log: EventLog) -> EventObjectGraph:
                 parents.append(step)
             nodes.append(node)
     order = tuple(e.id for e in log.events)
-    group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace)
+    repeats = _repeats(log.events, slots, objects, kind_of, len(kinds), root)
+    group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace,
+                                                      repeats)
     return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            weight, bags, trie, objects, slots)
+                            weight, bags, trie, objects, slots, kinds, kind_of, repeats)
+
+
+def _repeats(events: Sequence[Event], slots: list[list[int]], objects: Sequence[ObjectId],
+             kind_of: list[int], width: int, root: list[int],
+             ) -> tuple[tuple[list[int], list[int], dict[int, ObjectId]], ...]:
+    """Each process execution of the log that repeats an earlier one: the
+    first one's log positions, its own, and its objects by the first's
+    graph numbers.
+
+    An execution is a component of the event-object graph: ``root[i]`` is
+    an earlier event of the i-th event's, or the event itself when it is
+    the first.  Only executions whose length another one shares are keyed.
+    A key lists the steps in the canonical names ``_named`` gives from no
+    names, as replay's ``_sequence`` does.  Equal keys pair two executions'
+    objects by ``k`` and their events by index.  An event's preset lies
+    inside its execution, so paired events have equal contexts, weights,
+    canonical names, searches and answers.
+    """
+    for i, up in enumerate(root):  # every earlier position points at its root
+        root[i] = root[up]
+    sizes = Counter(root)
+    if len(sizes) == len(set(sizes.values())):
+        return ()
+    shared = Counter(sizes.values())
+    executions = {top: [] for top, size in sizes.items() if shared[size] > 1}
+    for i, top in enumerate(root):
+        if top in executions:
+            executions[top].append(i)
+    firsts: dict[tuple, tuple[list[int], dict[int, int]]] = {}
+    repeats = []
+    for positions in executions.values():
+        steps: list[tuple] = []
+        names = _named(events, slots, kind_of, width, positions, {}, True, steps)
+        first, numbers = firsts.setdefault(tuple(steps), (positions, names))
+        if first is not positions:
+            repeats.append((first, positions,
+                            dict(zip(numbers, map(objects.__getitem__, names)))))
+    return tuple(repeats)
+
+
+def _named(events: Sequence[Event], slots: list[list[int]], kind_of: list[int], width: int,
+           positions: Iterable[int], names: dict[int, int], canonical: bool,
+           steps: list[tuple], entering: list | None = None) -> dict[int, int]:
+    """Append to ``steps`` the compact steps ``(activity, *names)`` of the
+    events at ``positions``, each step's names ascending, naming each
+    object on entry that ``names`` lacks; returns the names.  A new object
+    s of type ``t = kind_of[s]`` is named ``k * width + t``: when
+    ``canonical``, ``k`` counts on from ``len(names)``, ties in
+    graph-number (``ObjectId``) order; otherwise ``k`` is s.  ``names`` is
+    copied on the first new object and returned as is when there is none:
+    no one writes to names once returned.  ``entering``, when given, gets
+    each step that binds new objects, as its index in ``steps`` and their
+    names.
+    """
+    given = names
+    for i in positions:
+        new = ()
+        bound = []
+        for s in slots[i]:
+            name = names.get(s)
+            if name is None:
+                if names is given:
+                    names = dict(names)
+                name = names[s] = (len(names) if canonical else s) * width + kind_of[s]
+                new += (name,)
+            bound.append(name)
+        if new and entering is not None:
+            entering.append((len(steps), new))
+        bound.sort()
+        steps.append((events[i].activity, *bound))
+    return names
 
 
 def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],
                     slots: list[list[int]], trace: list[list[int]],
+                    repeats: Sequence[tuple[list[int], list[int], dict]],
                     ) -> tuple[dict[str, int], tuple[tuple[str, ...], ...],
                                tuple[tuple[tuple[int, int], ...], ...], list[int]]:
     """Every event's context group, in one pass over the log.
@@ -329,15 +429,21 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
     ``counts``, and each count moves inline: the bag is the context, so
     equal contexts have equal bag items.  Groups are keyed by the
     frozenset of the bag's items, which hashes in C with no sort per
-    event.  Returns each event's group number, each group's events, each
-    group's bag items, sorted once per group, and each event's weight.
+    event.  The events of an execution that repeats an earlier one
+    (``repeats``, as ``_repeats`` gives them) build no counts and no bag:
+    each takes its counterpart's key and weight after the pass, since a
+    repeat's event may come first in the log.  So groups are numbered
+    after the pass, in the log order of their first events.  Returns each
+    event's group number, each group's events, each group's bag items,
+    sorted once per group, and each event's weight.
     """
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    number: dict[frozenset[tuple[int, int]], int] = {}
-    members: list[list[str]] = []
-    group_of: dict[str, int] = {}
-    weight: list[int] = []
+    keys: list[frozenset[tuple[int, int]] | None] = [None] * len(slots)
+    weight = [0] * len(slots)
+    repeated = set().union(*[positions for _, positions, _ in repeats])
     for i, own in enumerate(slots):
+        if i in repeated:
+            continue
         preds = direct[i]
         if len(preds) == 1:
             (base,) = preds
@@ -382,18 +488,13 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 users[d] -= 1
                 if not users[d]:
                     del after[d]
-        weight.append(w)
+        weight[i] = w
         for s in own:
             if s not in counts:
                 counts[s] = 0
                 node = trace[s][0]
                 bag[node] = bag.get(node, 0) + 1
-        group = number.setdefault(frozenset(bag.items()), len(members))
-        if group == len(members):
-            members.append([])
-        eid = order[i]
-        members[group].append(eid)
-        group_of[eid] = group
+        keys[i] = frozenset(bag.items())
         if users[i]:
             for s in own:
                 nodes = trace[s]
@@ -407,6 +508,18 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 node = nodes[k + 1]
                 bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
+    for first, positions, _ in repeats:
+        for p, c in zip(positions, first):
+            keys[p], weight[p] = keys[c], weight[c]
+    number: dict[frozenset[tuple[int, int]], int] = {}
+    members: list[list[str]] = []
+    group_of: dict[str, int] = {}
+    for eid, key in zip(order, keys):
+        group = number.setdefault(key, len(members))
+        if group == len(members):
+            members.append([])
+        members[group].append(eid)
+        group_of[eid] = group
     return (group_of, tuple(map(tuple, members)),
             tuple(tuple(sorted(key)) for key in number), weight)
 

@@ -10,11 +10,11 @@ in any of those states are the model's answer to "what may happen next".
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .context import EventObjectGraph
+from .context import EventObjectGraph, _named
 from .ocel import EventLog, ObjectId
 from .ocpn import (AcceptingOCPN, Binding, Marking, _fire, binding_well_formed,
                    consumed, enabled_visible_labels, enumerate_bindings,
@@ -259,9 +259,9 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 
 # Replay names objects by ints and keys its searches by compact steps: a
 # visible step as ``(activity, *names)``, the names ascending.  A name says
-# its object's type: it is ``k * T + t``, where ``t`` indexes the memo's
-# ``kinds``, ``T`` of them, and ``k`` numbers the object.  So a compact step
-# alone gives the ``VisibleBindingStep`` (``_expanded``).
+# its object's type: it is ``k * T + t``, where ``t`` indexes the graph's
+# ``kinds``, ``T`` of them, and ``k`` numbers the object (``context._named``).
+# So a compact step alone gives the ``VisibleBindingStep`` (``_expanded``).
 _Step = tuple
 
 # Where replay of an event's preset may resume, as a plain tuple
@@ -294,33 +294,30 @@ class FrontierMemo:
 
     The first time a group asks (``result``), the memo replays every event
     of the log once, in log order, and keeps each result until it is
-    read; an event whose execution repeats an earlier one takes its
-    counterpart's result instead.  An event's frontier is read off its
-    result: the raw set of markings that enter the end of its preset's
-    binding sequence, before that cursor's silent search, as the next step
-    decides which silent firings follow.  An event resumes from the
-    frontier of its prefix predecessor, replayed before it, and replays
-    only the rest of its preset.  The frontiers depend on the config, so
-    one memo serves one config, and one net, log and graph:
-    ``replay_context_group`` rejects it for any other.  Events whose
-    prefix predecessor's canonical search was cut, and all events on nets
-    where lazy entry is not exact (``lazy`` is False), resume from the
-    empty frontier ``_START``.  Searches and ``reached_final`` answers are
-    cached for the pass; each distinct visible step as the net fires it
-    (``firing``) is built once and kept while the memo lives.  ``kinds``
-    lists the log's object types, sorted: the ``t`` of names.
+    read; an event whose execution repeats an earlier one, as the graph
+    records (``_repeats``), takes its counterpart's result instead.  An
+    event's frontier is read off its result: the raw set of markings that
+    enter the end of its preset's binding sequence, before that cursor's
+    silent search, as the next step decides which silent firings follow.
+    An event resumes from the frontier of its prefix predecessor,
+    replayed before it, and replays only the rest of its preset.  The
+    frontiers depend on the config, so one memo serves one config, and one
+    net, log and graph: ``replay_context_group`` rejects it for any other.
+    Events whose prefix predecessor's canonical search was cut, and all
+    events on nets where lazy entry is not exact (``lazy`` is False),
+    resume from the empty frontier ``_START``.  Searches and
+    ``reached_final`` answers are cached for the pass; each distinct
+    visible step as the net fires it (``firing``) is built once and kept
+    while the memo lives.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                  cfg: ReplayConfig) -> None:
         self.net, self.log, self.graph, self.cfg = net, log, graph, cfg
         self.lazy = lazy_entry_exact(net)
-        self.kinds = sorted({o.otype for o in graph.objects})
-        index = {otype: t for t, otype in enumerate(self.kinds)}
-        self._kind_of = [index[o.otype] for o in graph.objects]  # by graph number
         initial = net.initial_places
         self._initial = [initial[otype].id if otype in initial else None
-                         for otype in self.kinds]
+                         for otype in graph.kinds]
         self._firings: dict[_Step, _Firing] = {}
         self._results: dict[int, tuple] = {}  # by log position
         self._searched: dict[tuple, _SingleReplay] = {}
@@ -332,14 +329,14 @@ class FrontierMemo:
         """``_replay_event``'s answer for the event at ``position``, handed
         out once; None once it has been.
 
-        An event whose execution repeats an earlier one (``_repeats``) gets
-        its counterpart's answer, with the objects its names stand for
-        paired to the event's own.  What a cut search finds follows graph
-        numbers, so where a search of the first execution was cut
-        (``_cut``), its repeats are replayed last."""
+        An event whose execution repeats an earlier one (the graph's
+        ``_repeats``) gets its counterpart's answer, with the objects its
+        names stand for paired to the event's own.  What a cut search finds
+        follows graph numbers, so where a search of the first execution was
+        cut (``_cut``), its repeats are replayed last."""
         if self._pending:
             self._pending = False
-            repeats = _repeats(self)
+            repeats = self.graph._repeats
             # first the first execution of each key and every unrepeated one
             self._replay(sorted(set(range(len(self.log.events))).difference(
                 *[positions for _, positions, _ in repeats])))
@@ -374,85 +371,9 @@ class FrontierMemo:
         it gives the step."""
         firing = self._firings.get(step)
         if firing is None:
-            firing = self._firings[step] = _firing(self.net, _expanded(step, self.kinds))
+            firing = self._firings[step] = _firing(self.net,
+                                                   _expanded(step, self.graph.kinds))
         return firing
-
-
-def _repeats(memo: FrontierMemo) -> list[tuple[list[int], list[int], dict]]:
-    """Each execution of the log that repeats an earlier one: the first
-    one's log positions, its own, and its objects by the first's numbers.
-
-    An execution is a component of the event-object graph, by a union
-    over ``graph._direct``; only those whose length another one shares
-    are keyed.  A key lists the steps in the canonical names ``_named``
-    gives from no names, as ``_sequence`` does.  Equal keys pair two
-    executions' objects by ``k`` and their events by index.  An event's
-    preset lies inside its execution, so paired events have equal
-    contexts, canonical names, searches and answers.
-    """
-    graph = memo.graph
-    parent = list(range(len(graph.order)))  # a root is its execution's first event
-    for i, preds in enumerate(graph._direct):
-        for d in preds:
-            top = parent[d]
-            while top != parent[top]:
-                top = parent[top]
-            here = parent[i]  # a root
-            if top < here:
-                parent[here] = parent[i] = top
-            elif here < top:
-                parent[top] = here
-    for i, up in enumerate(parent):  # every earlier position points at its root
-        parent[i] = parent[up]
-    sizes = Counter(parent)
-    shared = Counter(sizes.values())
-    executions = {top: [] for top, size in sizes.items() if shared[size] > 1}
-    for i, top in enumerate(parent):
-        if top in executions:
-            executions[top].append(i)
-    firsts: dict[tuple, tuple[list[int], list[int]]] = {}
-    repeats = []
-    for positions in executions.values():
-        steps: list[_Step] = []
-        names, _ = _named(memo, positions, {}, True, steps)
-        first, numbers = firsts.setdefault(tuple(steps), (positions, list(names)))
-        if first is not positions:
-            repeats.append((first, positions,
-                            dict(zip(numbers, map(graph.objects.__getitem__, names)))))
-    return repeats
-
-
-def _named(memo: FrontierMemo, positions: Iterable[int], names: dict[int, int],
-           canonical: bool, steps: list[_Step]) -> tuple[dict[int, int], list]:
-    """Append to ``steps`` the compact steps of the events at
-    ``positions``, naming each object on entry that ``names`` lacks;
-    returns the names and, per step that binds new objects, its index in
-    ``steps`` and their names.  A new object of type ``t`` is named
-    ``k * T + t``: when ``canonical``, ``k`` counts on from
-    ``len(names)``, ties in graph-number (``ObjectId``) order; otherwise
-    ``k`` is its graph number.  ``names`` is copied on the first new
-    object, and returned as is when there is none: no one writes to names
-    once returned.
-    """
-    kind_of, width = memo._kind_of, len(memo.kinds)
-    slots, events = memo.graph._slots, memo.log.events
-    entering = []
-    for i in positions:
-        new = []
-        bound = []
-        for s in slots[i]:
-            name = names.get(s)
-            if name is None:
-                if not (new or entering):
-                    names = dict(names)
-                name = names[s] = (len(names) if canonical else s) * width + kind_of[s]
-                new.append(name)
-            bound.append(name)
-        if new:
-            entering.append((len(steps), tuple(new)))
-        bound.sort()
-        steps.append((events[i].activity, *bound))
-    return names, entering
 
 
 def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
@@ -462,7 +383,7 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
     ``position``, resumed from the base.
 
     The preset's steps from the base's position follow the base's own
-    step, named on from the base's names (``_named``).  An object enters
+    step, named on from the base's names (``context._named``).  An object enters
     where a step first binds it, the event's own new objects at the end;
     all at cursor 0 when lazy entry is not exact.
     """
@@ -472,7 +393,9 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
     # no ancestor lies past the latest direct predecessor, so none past start
     rest = (graph._preset_positions(position, start)
             if max(graph._direct[position], default=-1) >= start else [])
-    names, entering = _named(memo, [*rest, position], names, canonical, steps)
+    entering: list[tuple[int, tuple[int, ...]]] = []
+    names = _named(memo.log.events, graph._slots, graph._kind_of, len(graph.kinds),
+                   [*rest, position], names, canonical, steps, entering)
     if entering and not memo.lazy:
         entering = [(0, tuple(name for _, new in entering for name in new))]
     own = steps.pop()

@@ -24,7 +24,7 @@ from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
 from oconform.replay import (_START, FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _expanded, _preset_search, _repeats, lazy_entry_exact,
+                             _expanded, _preset_search, lazy_entry_exact,
                              replay_context_group)
 
 
@@ -194,20 +194,26 @@ GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight", "_bags"
                    "objects", "_slots")
 
 
-def run_graph_reference_agreement(seed: int = 26, rounds: int = 100) -> int:
+def run_graph_reference_agreement(seed: int = 26, rounds: int = 100,
+                                  repeated: int = 40) -> int:
     """The graph's internals, and its trie's nodes, pickle to the same
     bytes as those of the graph built the way it was before events with
     one direct predecessor took their own path, with every preset stored
-    as a bitset (``oracles.reference_build_graph``); the weights the
-    reference sums over its bitsets included.  Every event's preset
-    positions are those of its reference bitset.  Besides random logs,
-    this runs on chained airport logs and on a disjoint one, where most
-    events hold one object."""
+    as a bitset and no execution taking a counterpart's groups
+    (``oracles.reference_build_graph``); the weights the reference sums
+    over its bitsets included.  Every event's preset positions are those
+    of its reference bitset.  Besides random logs, this runs on chained
+    airport logs, on disjoint ones, where most events hold one object and
+    most flights repeat an earlier one, and on ``repeated`` random logs
+    with interleaved renamed copies, where some repeat's event comes
+    before its counterpart in the log."""
     rng = random.Random(seed)
     logs = [oracles.random_log(rng) for _ in range(rounds)]
     logs += [chained_airport_log(seed=s, flights=flights, planes=planes)
              for s, flights, planes in ((19, 12, 2), (21, 6, 1), (24, 20, 3))]
-    logs.append(disjoint_airport_log(30))
+    logs += [disjoint_airport_log(30), bench_log(5, 1512)]
+    logs += [repeated_executions_log(rng) for _ in range(repeated)]
+    early = 0
     for log in logs:
         graph = build_graph(log)
         reference, bitsets = oracles.reference_build_graph(log)
@@ -218,6 +224,9 @@ def run_graph_reference_agreement(seed: int = 26, rounds: int = 100) -> int:
             pickle.dumps(reference._trie._parents)
         for e, bitset in zip(log.events, bitsets):
             assert graph.preset_positions(e.id) == oracles.bitset_positions(*bitset)
+        early += any(p < c for first, positions, _ in graph._repeats
+                     for p, c in zip(positions, first))
+    assert early >= repeated // 4, early
     return len(logs)
 
 
@@ -390,7 +399,7 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
     object named by its graph number, and renamed back its markings are
     the reference's in the reference's order.  The names number the
     event's objects one to one, each name ``k * T + t`` with its object's
-    type ``kinds[t]`` of the memo's ``T`` kinds, and ``k`` the ints from 0
+    type ``kinds[t]`` of the graph's ``T`` kinds, and ``k`` the ints from 0
     for canonical names, the graph numbers in a rerun.  The event's own
     step comes renamed with them: compact, as its activity and its
     objects' names ascending, and, expanded by the types its names say,
@@ -410,7 +419,7 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
             if found[0].truncated:
                 found = _preset_search(memo, log.event_index[eid], _START, False)
             single, own, names = found
-            kinds = memo.kinds
+            kinds = graph.kinds
             want = singles[eid]
             event = log.event(eid)
             real_own = VisibleBindingStep.for_event(event)
@@ -559,7 +568,7 @@ def run_repeated_executions_agreement(log, net, cfg) -> Counter:
         detail = replay_context_group(net, log, graph, members, cfg, memo)
         assert detail == replay_context_group(net, log, graph, members, cfg), members
     return Counter("shared" if memo._cut.isdisjoint(first) else "cut"
-                   for first, _, _ in _repeats(memo))
+                   for first, _, _ in graph._repeats)
 
 
 def run_repeated_executions_random(seed: int = 27, rounds: int = 12) -> Counter:

@@ -120,8 +120,9 @@ def naive_groups(log: EventLog) -> dict[ContextKey, list[str]]:
 def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[int, int]]]:
     """The graph built with each preset as an ``int`` bitset over log
     positions, shifted down by its lowest position, and its context groups
-    merged with a bitset test.  Returns the graph, whose weights are summed
-    over the bitsets, and per event its (lowest position, bitset)."""
+    merged with a bitset test, every event on its own.  Returns the graph,
+    whose weights are summed over the bitsets and which records no
+    repeated executions, and per event its (lowest position, bitset)."""
     by_key = {(o.id, o.otype): o for e in log.events for o in e.omap}
     number = {key: s for s, key in enumerate(sorted(by_key))}
     objects = tuple(by_key[key] for key in number)
@@ -161,8 +162,10 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
         order, direct, users, low, bits, slots, trace)
     weight = [sum(len(slots[p]) for p in bitset_positions(*preset))
               for preset in zip(low, bits)]
+    kinds = tuple(sorted(set(types)))
     graph = EventObjectGraph(order, group_of, members, log.event_index, direct,
-                             weight, bags, trie, objects, slots)
+                             weight, bags, trie, objects, slots, kinds,
+                             [kinds.index(otype) for otype in types], ())
     return graph, list(zip(low, bits))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import invariants
 import oracles
-from oconform import metrics, ocpn, replay
+from oconform import context, metrics, ocpn, replay
 from oconform.context import (EventObjectGraph, build_graph, context_of_event,
                                group_by_context)
 from oconform.fixtures import load_l1
@@ -548,15 +548,15 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
         raise AssertionError("check builds steps from the graph's numbers")
 
     monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(no_for_event))
-    sequence, repeats = replay._sequence, replay._repeats
+    sequence, build = replay._sequence, metrics.build_graph
     copied: set[int] = set()
 
-    def spy_repeats(memo):
-        found = repeats(memo)
-        copied.update(p for _, positions, _ in found for p in positions)
-        return found
+    def spy_build(log):
+        graph = build(log)
+        copied.update(p for _, positions, _ in graph._repeats for p in positions)
+        return graph
 
-    monkeypatch.setattr(replay, "_repeats", spy_repeats)
+    monkeypatch.setattr(metrics, "build_graph", spy_build)
     counts = []
     for log, net in _engine_logs(ocpn1):
         built = Counter()
@@ -1026,28 +1026,48 @@ def _replayed_events(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("build_log, reference, max_states, served", [
-    (lambda: invariants.bench_log(5, 1512), True, None, 1293),
-    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, None, 0),
-    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, None, 0),
-    (lambda: invariants.disjoint_airport_log(4), True, None, 27),
-    (lambda: invariants.disjoint_airport_log(4), True, 4, 0),
-], ids=["disjoint-ref", "chained-flower", "silent-bags", "disjoint-airport",
-        "disjoint-airport-cut"])
+@pytest.mark.parametrize("build_log, reference, max_states, served, grouped", [
+    (lambda: invariants.bench_log(5, 1512), True, None, 1293, 1293),
+    (lambda: invariants.bench_log(5, 756), True, None, 570, 570),
+    (lambda: invariants.bench_log(5, 486, shared_planes=3), False, None, 0, 0),
+    (lambda: invariants.bench_log(5, 224, bags=(3, 4, 5, 6)), True, None, 0, 0),
+    (lambda: invariants.disjoint_airport_log(4), True, None, 27, 27),
+    (lambda: invariants.disjoint_airport_log(4), True, 4, 0, 27),
+], ids=["disjoint-ref", "disjoint-half", "chained-flower", "silent-bags",
+        "disjoint-airport", "disjoint-airport-cut"])
 def test_events_served_by_a_counterpart_per_check(monkeypatch, ocpn1, build_log,
-                                                  reference, max_states, served):
+                                                  reference, max_states, served, grouped):
     # an event whose execution repeats an earlier one up to renaming
-    # objects takes its counterpart's result and is not replayed: most
-    # flights of the disjoint bench log repeat an earlier one, while the
-    # executions of the chained and silent-bags logs are all distinct;
-    # where a search of a first execution is cut, its repeats are replayed
+    # objects takes its counterpart's context group and result: it builds
+    # no counts and no bag key, and is not replayed.  Most flights of the
+    # disjoint bench logs repeat an earlier one, while the executions of
+    # the chained and silent-bags logs are all distinct; where a search of
+    # a first execution is cut, its repeats are replayed, but still grouped
+    # through their counterparts
     log = build_log()
     net = ocpn1 if reference else flower_model(log)
     cfg = ReplayConfig(max_states=max_states) if max_states else DEFAULT_CONFIG
     calls = _replayed_events(monkeypatch)
+    graphs, keys = [], Counter()
+    build = metrics.build_graph
+
+    def spy_build(log):
+        graphs.append(build(log))
+        return graphs[-1]
+
+    def spy_frozenset(items):
+        keys["built"] += 1
+        return frozenset(items)
+
+    monkeypatch.setattr(metrics, "build_graph", spy_build)
+    monkeypatch.setattr(context, "frozenset", spy_frozenset, raising=False)
     report = metrics.check(log, net, cfg)
     assert report.truncated == bool(max_states)
     assert len(calls) == len(set(calls)) == len(log.events) - served
+    (graph,) = graphs
+    repeated = [p for _, positions, _ in graph._repeats for p in positions]
+    assert len(repeated) == len(set(repeated)) == grouped
+    assert keys["built"] == len(log.events) - grouped
 
 
 def test_memo_shares_results_of_repeated_executions(monkeypatch, ocpn1):
