@@ -20,8 +20,7 @@ from typing import Any, NamedTuple
 from .context import build_graph, group_by_context  # noqa: F401  bench/worker.py traces it here
 from .ocel import EventLog, LogError
 from .ocpn import AcceptingOCPN
-from .replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
-                     replay_context_group)
+from .replay import DEFAULT_CONFIG, ReplayConfig, replay_context_group, replay_log
 
 
 class EventDiagnostic(NamedTuple):
@@ -52,22 +51,22 @@ def check(log: EventLog, net: AcceptingOCPN,
           cfg: ReplayConfig = DEFAULT_CONFIG) -> ConformanceReport:
     """Compute fitness and precision of the net against the log in one pass.
 
-    ``replay_context_group`` is called once per context group; every
-    event of a group shares the group's enabled-activity sets and its
-    digest, read off its bag items with no ``Context`` built
-    (``graph.digest``).  Inside the first call, the ``FrontierMemo``
-    replays every event of the log once, in log order, each resuming
-    from the frontier in its prefix predecessor's result, or takes the
-    result of its counterpart in an earlier process execution that its
-    own repeats up to renaming objects; each call then reads its
-    members' results.  An event counts as replayable when the net
-    enables at least one activity for its context; precision averages
-    over exactly those events and is None when there are none.
+    First ``replay_log`` replays every event of the log once, in log
+    order, each resuming from the frontier in its prefix predecessor's
+    result, or takes the result of its counterpart in an earlier process
+    execution that its own repeats up to renaming objects.  Then
+    ``replay_context_group`` is called once per context group, and reads
+    its members' results off the memo; every event of a group shares the
+    group's enabled-activity sets and its digest, read off its bag items
+    with no ``Context`` built (``graph.digest``).  An event counts as
+    replayable when the net enables at least one activity for its
+    context; precision averages over exactly those events and is None
+    when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
-    memo = FrontierMemo(net, log, graph, cfg)
+    memo = replay_log(net, log, graph, cfg)
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()

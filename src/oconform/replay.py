@@ -264,18 +264,8 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 # So a compact step alone gives the ``VisibleBindingStep`` (``_expanded``).
 _Step = tuple
 
-# Where replay of an event's preset may resume, as a plain tuple
-# (position, names, cls, own).  A later event that resumes here replays
-# its preset from log position ``position``, just past the event whose
-# frontier this is, opening with ``own``: that event's own step, compact.
-# ``names`` maps the entered objects, by graph number, to canonical names,
-# whose ``k`` counts from 0 in order of entry, so ``len(names)`` is the
-# ``k`` of the next new object.  ``cls`` is the event's replay class: its
-# search result in those names, whose ``entering`` markings and ``states``
-# resumed searches start from.
-_Frontier = tuple[int, dict[int, int], _SingleReplay, _Step | None]
-
-_START: _Frontier = (0, {}, _SingleReplay((), False, (Marking(),)), None)
+# The class result of no base: the empty marking enters cursor 0.
+_EMPTY = _SingleReplay((), False, (Marking(),))
 
 
 def _expanded(step: _Step, kinds: Sequence[str]) -> VisibleBindingStep:
@@ -292,23 +282,24 @@ class FrontierMemo:
     """Replay results and firings shared by the events of one ``check``,
     with the net, log, graph and config they were found for.
 
-    The first time a group asks (``result``), the memo replays every event
-    of the log once, in log order, and keeps each result until it is
-    read; an event whose execution repeats an earlier one, as the graph
-    records (``_repeats``), takes its counterpart's result instead.  An
-    event's frontier is read off its result: the raw set of markings that
-    enter the end of its preset's binding sequence, before that cursor's
-    silent search, as the next step decides which silent firings follow.
-    An event resumes from the frontier of its prefix predecessor,
-    replayed before it, and replays only the rest of its preset.  The
-    frontiers depend on the config, so one memo serves one config, and one
-    net, log and graph: ``replay_context_group`` rejects it for any other.
-    Events whose prefix predecessor's canonical search was cut, and all
+    ``replay_log`` fills the memo: it replays every event of the log once,
+    in log order, and keeps each result, by log position, until its
+    group reads it.  An event's frontier is read off its result: the raw
+    set of markings that enter the end of its preset's binding sequence,
+    before that cursor's silent search, as the next step decides which
+    silent firings follow.  So a frontier is named by its event's log
+    position, the **base** of the events that resume there: each resumes
+    from its prefix predecessor's frontier, replays its preset from the
+    position just past the base, opening with the base's own step, and
+    names new objects on from the base's names (``_sequence``).  A base
+    of None is the empty frontier, whose class result is ``_EMPTY``:
+    events whose prefix predecessor's canonical search was cut, and all
     events on nets where lazy entry is not exact (``lazy`` is False),
-    resume from the empty frontier ``_START``.  Searches and
-    ``reached_final`` answers are cached for the pass; each distinct
-    visible step as the net fires it (``firing``) is built once and kept
-    while the memo lives.
+    resume there.  The frontiers depend on the config, so one memo serves
+    one config, and one net, log and graph: ``replay_context_group``
+    rejects it for any other.  Searches and ``reached_final`` answers are
+    cached for the pass; each distinct visible step as the net fires it
+    (``firing``) is built once and kept while the memo lives.
     """
 
     def __init__(self, net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
@@ -323,46 +314,6 @@ class FrontierMemo:
         self._searched: dict[tuple, _SingleReplay] = {}
         self._finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
         self._cut: set[int] = set()  # positions where a search was cut
-        self._pending = True
-
-    def result(self, position: int) -> tuple | None:
-        """``_replay_event``'s answer for the event at ``position``, handed
-        out once; None once it has been.
-
-        An event whose execution repeats an earlier one (the graph's
-        ``_repeats``) gets its counterpart's answer, with the objects its
-        names stand for paired to the event's own.  What a cut search finds
-        follows graph numbers, so where a search of the first execution was
-        cut (``_cut``), its repeats are replayed last."""
-        if self._pending:
-            self._pending = False
-            repeats = self.graph._repeats
-            # first the first execution of each key and every unrepeated one
-            self._replay(sorted(set(range(len(self.log.events))).difference(
-                *[positions for _, positions, _ in repeats])))
-            results, later = self._results, []
-            for first, positions, objects in repeats:
-                if not self._cut.isdisjoint(first):
-                    later += positions
-                    continue
-                for p, c in zip(positions, first):
-                    single, names, _, reached, truncated, opening = results[c]
-                    results[p] = (single, names, objects, reached, truncated, opening)
-            self._replay(sorted(later))
-            self._searched, self._finals = {}, {}
-        return self._results.pop(position, None)
-
-    def _replay(self, positions: Sequence[int]) -> None:
-        """Replay the events at ``positions``, in log order, each resuming
-        from the frontier read off its prefix predecessor's result: an
-        ancestor lies in the event's execution, so it is among them, and
-        earlier."""
-        results, graph = self._results, self.graph
-        for p in positions:
-            base = graph._prefix_predecessor(p) if self.lazy else None
-            opening = None if base is None else results[base][5]
-            results[p] = _replay_event(self, p, _START if opening is None else (
-                base + 1, results[base][1], results[base][0], opening))
 
     def firing(self, step: _Step) -> _Firing:
         """The binding and needed tokens of a compact step, built on first
@@ -376,19 +327,24 @@ class FrontierMemo:
         return firing
 
 
-def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
+def _sequence(memo: FrontierMemo, position: int, base: int | None, canonical: bool,
               ) -> tuple:
     """The names, the compact preset steps, the compact own step and the
     (cursor, names) of objects entering the markings of the event at log
-    ``position``, resumed from the base.
+    ``position``, resumed from the frontier of the event at log position
+    ``base``, or from the empty frontier when it is None.
 
-    The preset's steps from the base's position follow the base's own
-    step, named on from the base's names (``context._named``).  An object enters
-    where a step first binds it, the event's own new objects at the end;
-    all at cursor 0 when lazy entry is not exact.
+    The preset's steps past the base follow the base's own step, named on
+    from the base's names (``context._named``), both read off the base's
+    result.  An object enters where a step first binds it, the event's
+    own new objects at the end; all at cursor 0 when lazy entry is not
+    exact.
     """
-    start, names, _, opening = base
-    steps = [] if opening is None else [opening]
+    if base is None:
+        start, names, steps = 0, {}, []
+    else:
+        _, names, _, _, _, opening = memo._results[base]
+        start, steps = base + 1, [opening]
     graph = memo.graph
     # no ancestor lies past the latest direct predecessor, so none past start
     rest = (graph._preset_positions(position, start)
@@ -402,17 +358,17 @@ def _sequence(memo: FrontierMemo, position: int, base: _Frontier, canonical: boo
     return names, steps, own, tuple(entering)
 
 
-def _preset_search(memo: FrontierMemo, position: int, base: _Frontier, canonical: bool,
+def _preset_search(memo: FrontierMemo, position: int, base: int | None, canonical: bool,
                    ) -> tuple[_SingleReplay, _Step, dict[int, int]]:
-    """Search the preset of the event at ``position`` from the base in the
-    names ``_sequence`` gives, once per key in the memo's ``_searched``:
-    the base's class, the rest of the preset's compact steps and the
-    entering names.  Only a search builds the firings of its steps,
-    through the memo.  The search starts from the base's entering
-    markings, under the budget the base's states leave.  Returns the
+    """Search the preset of the event at ``position`` from the base's
+    frontier in the names ``_sequence`` gives, once per key in the memo's
+    ``_searched``: the base's class, the rest of the preset's compact
+    steps and the entering names.  Only a search builds the firings of
+    its steps, through the memo.  The search starts from the class's
+    entering markings, under the budget its states leave.  Returns the
     result, the event's compact own step and the names."""
     names, steps, own, entering = _sequence(memo, position, base, canonical)
-    cls = base[2]
+    cls = _EMPTY if base is None else memo._results[base][0]
     key = (cls, tuple(steps), entering)
     single = memo._searched.get(key)
     if single is None:
@@ -463,10 +419,11 @@ def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing
     return any(is_final(net, m) for m in closure.markings), closure.truncated
 
 
-def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
+def _replay_event(memo: FrontierMemo, position: int, base: int | None,
                   ) -> tuple[_SingleReplay, dict[int, int], Sequence[ObjectId], bool, bool,
                              _Step | None]:
-    """Replay the event at log ``position`` from the base, and decide
+    """Replay the event at log ``position`` from the frontier of the event
+    at log position ``base`` (None for the empty frontier), and decide
     ``reached_final`` once per result and own step.  Returns the result,
     its names, the objects their keys number (the graph's),
     ``reached_final``, whether a cut search leaves the event truncated,
@@ -483,7 +440,7 @@ def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
 
     What a cut search found follows the order of object names.  So where
     the canonical preset search, or the ``reached_final`` search behind
-    it, is cut, the preset is searched again from ``_START`` by graph
+    it, is cut, the preset is searched again from no base by graph
     number s, each name ``s * T + t``, which expands the states a search
     by id would, in its order: within one type those names sort like the
     ids, and a search compares names only within one type.  A cut preset
@@ -499,7 +456,7 @@ def _replay_event(memo: FrontierMemo, position: int, base: _Frontier,
         reached, cut = _final(memo, single, own)
     if cut:  # where a search cuts follows the names
         memo._cut.add(position)
-        rerun, own, by_number = _preset_search(memo, position, _START, False)
+        rerun, own, by_number = _preset_search(memo, position, None, False)
         reached, cut = _final(memo, rerun, own)
         if single.truncated:
             single, names, opening = rerun, by_number, None
@@ -516,21 +473,60 @@ def _final(memo: FrontierMemo, single: _SingleReplay, own: _Step) -> tuple[bool,
     return answer
 
 
+def replay_log(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
+               cfg: ReplayConfig = DEFAULT_CONFIG) -> FrontierMemo:
+    """A memo holding the replay result of every event of the log, each
+    replayed once, in log order, from its prefix predecessor's frontier.
+
+    An event whose execution repeats an earlier one, as the graph records
+    (``_repeats``), takes its counterpart's result instead, with the
+    objects its names stand for paired to the event's own.  What a cut
+    search finds follows graph numbers, so where a search of the first
+    execution was cut (``_cut``), its repeats are replayed last.  Every
+    ancestor of an event lies in its execution, so its prefix
+    predecessor is replayed before it.  The search caches are dropped
+    after the pass."""
+    memo = FrontierMemo(net, log, graph, cfg)
+    results, repeats = memo._results, graph._repeats
+
+    def replay(positions: Iterable[int]) -> None:
+        for p in positions:
+            base = graph._prefix_predecessor(p) if memo.lazy else None
+            if base is not None and results[base][5] is None:
+                base = None  # a cut canonical search is no frontier
+            results[p] = _replay_event(memo, p, base)
+
+    # first the first execution of each key and every unrepeated one
+    replay(sorted(set(range(len(log.events))).difference(
+        *[positions for _, positions, _ in repeats])))
+    later: list[int] = []
+    for first, positions, objects in repeats:
+        if not memo._cut.isdisjoint(first):
+            later += positions
+            continue
+        for p, c in zip(positions, first):
+            single, names, _, reached, truncated, opening = results[c]
+            results[p] = (single, names, objects, reached, truncated, opening)
+    replay(sorted(later))
+    memo._searched, memo._finals = {}, {}
+    return memo
+
+
 def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
                          events: Iterable[str] | str,
                          cfg: ReplayConfig = DEFAULT_CONFIG,
                          memo: FrontierMemo | None = None) -> GroupReplay:
     """Replay every event of one context group and union the outcomes.
 
-    With a ``memo``, each event reads its result off the memo's pass
-    (``FrontierMemo.result``), its counterpart's where its execution
-    repeats an earlier one; an event whose result was read already, and
-    every event without a memo, is replayed here from ``_START``
-    (``_replay_event``), the reference the pass must agree with.  A memo
-    built for another net, log or graph (as objects) or for an unequal
-    config raises ``ValueError``: its frontiers were searched under that
-    config's budget.  Members that share a result read its enabled labels
-    once.
+    With a ``memo`` that ``replay_log`` filled, each event takes its
+    result off the memo, its counterpart's where its execution repeats
+    an earlier one, and drops it there; an event whose result was taken
+    already, and every event without a memo, is replayed here from the
+    empty frontier (``_replay_event``), the reference the pass must agree
+    with.  A memo built for another net, log or graph (as objects) or for
+    an unequal config raises ``ValueError``: its frontiers were searched
+    under that config's budget.  Members that share a result read its
+    enabled labels once.
     ``markings`` renames each member's result back to real names on first
     read, once per distinct result and renaming, by the objects its
     names' keys stand for: a counterpart's are paired to the member's.
@@ -539,7 +535,6 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
         events = (events,)
     if memo is None:
         memo = FrontierMemo(net, log, graph, cfg)
-        memo._pending = False  # no pass: every member from _START
     elif not (memo.net is net and memo.log is log and memo.graph is graph
               and (memo.cfg is cfg or memo.cfg == cfg)):
         raise ValueError("the memo was built for another net, log, graph or config")
@@ -548,8 +543,8 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
         position = graph._position(eid)
-        single, names, objects, reached, cut, _ = (memo.result(position)
-                                                   or _replay_event(memo, position, _START))
+        single, names, objects, reached, cut, _ = (memo._results.pop(position, None)
+                                                   or _replay_event(memo, position, None))
         reached_final_by_event[eid] = reached
         truncated = truncated or cut
         members.append((single, names, objects))

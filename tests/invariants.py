@@ -23,9 +23,9 @@ from oconform.ocel import ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
-from oconform.replay import (_START, FrontierMemo, ReplayConfig, VisibleBindingStep,
+from oconform.replay import (FrontierMemo, ReplayConfig, VisibleBindingStep,
                              _expanded, _preset_search, lazy_entry_exact,
-                             replay_context_group)
+                             replay_context_group, replay_log)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -415,9 +415,9 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
         truncated = truncated or eager.outcome.truncated
         for eid in members:
             memo = FrontierMemo(net, log, graph, cfg)
-            found = _preset_search(memo, log.event_index[eid], _START, True)
+            found = _preset_search(memo, log.event_index[eid], None, True)
             if found[0].truncated:
-                found = _preset_search(memo, log.event_index[eid], _START, False)
+                found = _preset_search(memo, log.event_index[eid], None, False)
             single, own, names = found
             kinds = graph.kinds
             want = singles[eid]
@@ -563,7 +563,8 @@ def run_repeated_executions_agreement(log, net, cfg) -> Counter:
     replayed because a search of the first one was cut ("cut")."""
     run_resumed_replay_agreement(log, net, cfg)
     graph = build_graph(log)
-    memo = FrontierMemo(net, log, graph, cfg)
+    memo = replay_log(net, log, graph, cfg)
+    assert sorted(memo._results) == list(range(len(log.events)))
     for members in graph.members:
         detail = replay_context_group(net, log, graph, members, cfg, memo)
         assert detail == replay_context_group(net, log, graph, members, cfg), members

@@ -11,9 +11,9 @@ from oconform.fixtures import load_l1
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
-from oconform.replay import (DEFAULT_CONFIG, FrontierMemo, ReplayConfig,
-                             ReplayOutcome, VisibleBindingStep, lazy_entry_exact,
-                             replay_context_group)
+from oconform.replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
+                             VisibleBindingStep, lazy_entry_exact,
+                             replay_context_group, replay_log)
 
 E5_STATES = frozenset({
     Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
@@ -564,11 +564,12 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
 
         def spy(memo, position, base, canonical):
             names, steps, own, entering = sequence(memo, position, base, canonical)
-            start, _, _, opening = base
+            # steps open with the base's own step, built for the base
+            resumed = base is not None
             eid = memo.log.events[position].id
-            positions = [*memo.graph.preset_positions(eid, start), position]
-            built.update(zip(positions, [*steps[opening is not None:], own],
-                             strict=True))
+            positions = [*memo.graph.preset_positions(eid, base + 1 if resumed else 0),
+                         position]
+            built.update(zip(positions, [*steps[resumed:], own], strict=True))
             return names, steps, own, entering
 
         monkeypatch.setattr(replay, "_sequence", spy)
@@ -730,7 +731,8 @@ def test_twins_in_a_cut_class_share_one_search_by_number(monkeypatch, ocpn1,
                                                           log, searches):
     # a cut class's members are searched again by graph number; members
     # with the same preset and objects run the same search, so it runs
-    # once per group, and no group runs any search twice
+    # once per pass, or per group, and neither the pass nor any group
+    # runs any search twice
     runs: list[list[tuple]] = []
     search = replay._search
 
@@ -739,17 +741,20 @@ def test_twins_in_a_cut_class_share_one_search_by_number(monkeypatch, ocpn1,
                          budget))
         return search(net, steps, start, entry, cfg, budget)
 
-    replay_group = metrics.replay_context_group
-
-    def in_group(*args):
-        runs.append([])
-        return replay_group(*args)
+    def own_run(function):
+        def in_run(*args):
+            runs.append([])
+            return function(*args)
+        return in_run
 
     monkeypatch.setattr(replay, "_search", spy)
-    monkeypatch.setattr(metrics, "replay_context_group", in_group)
+    monkeypatch.setattr(metrics, "replay_log", own_run(metrics.replay_log))
+    monkeypatch.setattr(metrics, "replay_context_group",
+                        own_run(metrics.replay_context_group))
     report = metrics.check(log, ocpn1, ReplayConfig(max_states=4))
     assert report.truncated
     graph = build_graph(log)
+    assert len(runs) == 1 + len(graph.members) and runs[0]
     cut_twins = Counter((tuple(graph.preset_positions(d.event_id)),
                          oracles.preset_objects(log, graph, d.event_id))
                         for d in report.per_event if d.truncated)
@@ -866,33 +871,43 @@ def test_lazy_entry_not_exact_for_silent_output_only_type():
         (Arc("x1", "tau"), Arc("tau", "x2"), Arc("tau", "y1"))))
 
 
-def test_one_memo_replays_the_log_inside_the_first_call_of_check(monkeypatch):
-    # check hands one memo to every group's call; its pass replays every
-    # event inside the first call, most from the frontier in an earlier
-    # event's result, and each result is handed out once, so none is left
-    # after check
+def test_check_replays_every_event_once_before_its_first_group_call(monkeypatch):
+    # check runs one pass, which replays every event before the first
+    # group's call, most from the frontier in an earlier event's result;
+    # it hands the pass's memo to every group's call, and each result is
+    # taken once, so none is left after check
     log = invariants.chained_airport_log()
-    memos, replayed, resumed = [], [], []
+    passes, memos, replayed, resumed, held = [], [], [], [], []
+    replay_pass = metrics.replay_log
     replay_group, replay_event = metrics.replay_context_group, replay._replay_event
 
+    def spy_pass(*args):
+        passes.append(replay_pass(*args))
+        return passes[-1]
+
     def spy(net, log, graph, events, cfg, memo):
+        if not memos:
+            held.extend(sorted(memo._results))
         memos.append(memo)
         return replay_group(net, log, graph, events, cfg, memo)
 
     def spy_replay_event(memo, position, base):
         replayed.append(len(memos))
-        resumed.append(base is not replay._START)
+        resumed.append(base is not None)
         return replay_event(memo, position, base)
 
+    monkeypatch.setattr(metrics, "replay_log", spy_pass)
     monkeypatch.setattr(metrics, "replay_context_group", spy)
     monkeypatch.setattr(replay, "_replay_event", spy_replay_event)
     metrics.check(log, flower_model(log))
-    memo = memos[0]
+    (memo,) = passes
     assert memo.lazy and all(m is memo for m in memos) and len(memos) > 1
-    assert replayed == [1] * len(log.events)
+    assert replayed == [0] * len(log.events)
+    assert held == list(range(len(log.events)))
     assert sum(resumed) > len(log.events) // 2
     assert not memo._results
-    assert all(memo.result(position) is None for position in range(len(log.events)))
+    assert all(memo._results.pop(position, None) is None
+               for position in range(len(log.events)))
 
 
 def _shared_planes_log():
@@ -908,7 +923,8 @@ def test_memo_filled_under_one_config_rejects_another(ocpn1):
     log = _shared_planes_log()
     graph = build_graph(log)
     groups = list(group_by_context(log, graph).values())
-    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG)
+    memo = replay_log(ocpn1, log, graph, DEFAULT_CONFIG)
+    assert sorted(memo._results) == list(range(len(log.events)))
     for members in groups[:44]:
         replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
     members, small = groups[44], ReplayConfig(max_states=5)
@@ -923,7 +939,8 @@ def test_memo_filled_under_one_config_rejects_another(ocpn1):
 
 def test_memo_serves_only_its_own_net_log_and_graph(l1, ocpn1):
     graph = build_graph(l1)
-    memo = FrontierMemo(ocpn1, l1, graph, DEFAULT_CONFIG)
+    memo = replay_log(ocpn1, l1, graph, DEFAULT_CONFIG)
+    assert sorted(memo._results) == list(range(len(l1.events)))
     # equal copies are others: the memo holds the objects it was built for
     for net, log, other_graph in ((flower_model(l1), l1, graph),
                                   (ocpn1, load_l1(), graph),
@@ -1076,7 +1093,8 @@ def test_memo_shares_results_of_repeated_executions(monkeypatch, ocpn1):
     log = invariants.disjoint_airport_log(4)
     graph = build_graph(log)
     calls = _replayed_events(monkeypatch)
-    memo = FrontierMemo(ocpn1, log, graph, DEFAULT_CONFIG)
+    memo = replay_log(ocpn1, log, graph, DEFAULT_CONFIG)
+    assert sorted(memo._results) == list(range(36))
     details = [replay_context_group(ocpn1, log, graph, members, DEFAULT_CONFIG, memo)
                for members in graph.members]
     assert sorted(calls) == list(range(9)) and len(log.events) == 36
@@ -1084,6 +1102,34 @@ def test_memo_shares_results_of_repeated_executions(monkeypatch, ocpn1):
     assert details == [replay_context_group(ocpn1, log, graph, members)
                        for members in graph.members]
     assert sorted(calls) == list(range(36))
+
+
+def test_a_group_read_twice_through_a_memo_replays_only_the_second_time(monkeypatch):
+    # a group takes its members' results off the memo, which drops them,
+    # so reading it again replays each member from the empty frontier, the
+    # reference path; the pass resumed them from earlier frontiers, and
+    # both reads must agree
+    log = invariants.chained_airport_log()
+    net, graph = flower_model(log), build_graph(log)
+    calls: list[tuple[int, int | None]] = []
+    replay_event = replay._replay_event
+
+    def spy(memo, position, base):
+        calls.append((position, base))
+        return replay_event(memo, position, base)
+
+    monkeypatch.setattr(replay, "_replay_event", spy)
+    memo = replay_log(net, log, graph, DEFAULT_CONFIG)
+    members = graph.members[-1]
+    positions = [graph._position(eid) for eid in members]
+    assert sorted(memo._results) == list(range(len(log.events)))
+    assert all(base is not None for position, base in calls if position in positions)
+    calls.clear()
+    first = replay_context_group(net, log, graph, members, DEFAULT_CONFIG, memo)
+    assert calls == []
+    second = replay_context_group(net, log, graph, members, DEFAULT_CONFIG, memo)
+    assert calls == [(position, None) for position in positions]
+    assert first == second and first.outcome.enabled
 
 
 def test_executions_that_differ_only_in_types_share_nothing(monkeypatch, ocpn1):
