@@ -278,16 +278,18 @@ class EventObjectGraph:
 
 def build_graph(log: EventLog) -> EventObjectGraph:
     """Build the event-object graph.  One pass in log order gives each
-    event its direct predecessors, as log positions; it also extends each
-    object's trace in the trie, counts direct successors and joins each
-    event to its predecessors' process executions.  The executions that
-    repeat an earlier one are found from that union (``_repeats``); context
-    groups, and each event's preset weight, come from a second pass over
-    the other events (``_context_groups``).  Event ids are built only when
-    read."""
+    event its direct predecessors, as log positions (an event with one
+    object takes that object's last event, with no sort or set built from
+    its slots); it also extends each object's trace in the trie, counts
+    direct successors and joins each event to its predecessors' process
+    executions.  The executions that repeat an earlier one are found from
+    that union (``_repeats``); context groups, and each event's preset
+    weight, come from a second pass over the other events
+    (``_context_groups``).  Event ids are built only when read."""
     objects = tuple(sorted({o for e in log.events for o in e.omap}))
     number = {o: s for s, o in enumerate(objects)}
-    slots = [sorted(map(number.__getitem__, e.omap)) for e in log.events]
+    slots = [[number[o] for o in e.omap] if len(e.omap) == 1
+             else sorted(map(number.__getitem__, e.omap)) for e in log.events]
     kinds = tuple(sorted({o.otype for o in objects}))
     index = {otype: t for t, otype in enumerate(kinds)}
     kind_of = [index[o.otype] for o in objects]
@@ -299,7 +301,10 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     children, parents = trie._children, trie._parents
     trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
     for i, own in enumerate(slots):
-        preds = {last_seen[s] for s in own}
+        if len(own) == 1:  # its object's last event, if any, is its one predecessor
+            preds = {last_seen[own[0]]}
+        else:
+            preds = {last_seen[s] for s in own}
         preds.discard(-1)
         direct.append(preds)
         root.append(i)

@@ -58,25 +58,27 @@ def check(log: EventLog, net: AcceptingOCPN,
     ``replay_context_group`` is called once per context group, and reads
     its members' results off the memo; every event of a group shares the
     group's enabled-activity sets and its digest, read off its bag items
-    with no ``Context`` built (``graph.digest``).  An event counts as
-    replayable when the net enables at least one activity for its
-    context; precision averages over exactly those events and is None
-    when there are none.
+    with no ``Context`` built (``graph.digest``), and each member's record
+    is written once, at its log position.  An event counts as replayable
+    when the net enables at least one activity for its context; precision
+    averages over exactly those events and is None when there are none.
     """
     if not log.events:
         raise LogError("cannot check an empty log")
     graph = build_graph(log)
     memo = replay_log(net, log, graph, cfg)
+    events, index = log.events, log.event_index
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()
     num_replayable = 0
-    diagnostics: dict[str, EventDiagnostic] = {}
+    per_event: list[EventDiagnostic | None] = [None] * len(events)  # by log position
     truncated = False
     for group, members in enumerate(graph.members):
         detail = replay_context_group(net, log, graph, members, cfg, memo)
+        positions = [index[eid] for eid in members]
         en_model = detail.outcome.enabled
-        en_log = frozenset(log.event(eid).activity for eid in members)
+        en_log = frozenset([events[p].activity for p in positions])
         replayable = bool(en_model)
         overlap = len(en_log & en_model)
         truncated = truncated or detail.outcome.truncated
@@ -90,9 +92,10 @@ def check(log: EventLog, net: AcceptingOCPN,
         log_side = tuple(sorted(en_log))
         model_side = tuple(sorted(en_model))
         reached, cut = detail.reached_final_by_event, detail.outcome.truncated
-        for eid in members:
-            diagnostics[eid] = EventDiagnostic(eid, digest, log_side, model_side,
-                                               replayable, reached[eid], cut)
+        for eid, p in zip(members, positions):
+            # EventDiagnostic._make without its length check or Python-level __new__
+            per_event[p] = tuple.__new__(EventDiagnostic, (
+                eid, digest, log_side, model_side, replayable, reached[eid], cut))
     num_events = len(log.events)
     report = ConformanceReport(
         fitness=_sum_of(fitness_sums) / num_events,
@@ -101,7 +104,7 @@ def check(log: EventLog, net: AcceptingOCPN,
         num_replayable=num_replayable,
         skipped_fraction=Fraction(num_events - num_replayable, num_events),
         truncated=truncated,
-        per_event=tuple(diagnostics[e.id] for e in log.events),
+        per_event=tuple(per_event),
         config=cfg,
     )
     return report
@@ -177,6 +180,10 @@ def report_to_dict(report: ConformanceReport, decimals: int = 2) -> dict[str, An
     }
 
 
+_ENTRY_TAIL = (',\n      "context_digest": {},\n      "en_log": {},\n      "en_model": {},\n'
+               '      "replayable": {},\n      "reached_final": {}\n    }}')
+
+
 def report_to_json(report: ConformanceReport, decimals: int = 2) -> str:
     """``json.dumps(report_to_dict(report, decimals), indent=2,
     ensure_ascii=False) + "\\n"``, byte for byte, without the pure-Python
@@ -184,25 +191,26 @@ def report_to_json(report: ConformanceReport, decimals: int = 2) -> str:
     written here, with strings escaped by ``encode_basestring``, the C
     function that encoder calls, and spliced into the rest of the report,
     dumped without them.  Everything an entry holds after its id, its
-    tail, is rendered once per distinct tail, and each distinct activity
-    list once; per event only the quoted id is joined to its tail."""
+    tail, is looked up once per event and rendered on a miss, and each
+    distinct activity list once; per event only the quoted id is joined."""
     quote = json.encoder.encode_basestring
-    keys = [d[1:6] for d in report.per_event]  # the rendered fields after the id
-    tails = dict.fromkeys(keys)
-    sides = {side for key in tails for side in key[1:3]}
-    lists = {side: "[\n        " + ",\n        ".join(map(quote, side)) + "\n      ]"
-             if side else "[]" for side in sides}
-    tail = (',\n      "context_digest": {},\n      "en_log": {},\n      "en_model": {},\n'
-            '      "replayable": {},\n      "reached_final": {}\n    }}')
-    for key in tails:
-        digest, en_log, en_model, replayable, reached_final = key
-        tails[key] = tail.format(quote(digest), lists[en_log], lists[en_model],
-                                 "true" if replayable else "false",
-                                 "true" if reached_final else "false")
-    entries = ",\n".join([f'    {{\n      "id": {quote(d.event_id)}{tails[key]}'
-                          for d, key in zip(report.per_event, keys)])
+    lists = {(): "[]"}
+    tails: dict[tuple, str] = {}
+    entries = []
+    for d in report.per_event:
+        key = d[1:6]  # the rendered fields after the id
+        rendered = tails.get(key)
+        if rendered is None:  # a new tail: render it, and its lists not seen yet
+            digest, en_log, en_model, replayable, reached_final = key
+            for side in {en_log, en_model} - lists.keys():
+                lists[side] = "[\n        " + ",\n        ".join(map(quote, side)) + "\n      ]"
+            rendered = tails[key] = _ENTRY_TAIL.format(
+                quote(digest), lists[en_log], lists[en_model],
+                "true" if replayable else "false", "true" if reached_final else "false")
+        entries.append(f'    {{\n      "id": {quote(d.event_id)}{rendered}')
     text = json.dumps(report_to_dict(replace(report, per_event=()), decimals),
                       indent=2, ensure_ascii=False)
     if entries:  # the keys before "per_event" hold numbers, bools or null
-        text = text.replace('"per_event": []', f'"per_event": [\n{entries}\n  ]', 1)
+        text = text.replace('"per_event": []',
+                            '"per_event": [\n' + ",\n".join(entries) + "\n  ]", 1)
     return text + "\n"

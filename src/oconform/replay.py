@@ -542,7 +542,9 @@ def replay_context_group(net: AcceptingOCPN, log: EventLog, graph: EventObjectGr
     truncated = False
     reached_final_by_event: dict[str, bool] = {}
     for eid in events:
-        position = graph._position(eid)
+        position = graph._index.get(eid)
+        if position is None:  # raises LogError for an unknown id
+            position = graph._position(eid)
         single, names, objects, reached, cut, _ = (memo._results.pop(position, None)
                                                    or _replay_event(memo, position, None))
         reached_final_by_event[eid] = reached

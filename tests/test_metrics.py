@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+import invariants
 import oracles
+from oconform.context import build_graph
 from oconform.metrics import (ConformanceReport, EventDiagnostic, check, fitness,
                               format_fraction, format_summary,
                               precision, report_to_dict, report_to_json,
                               round_fraction, skipped_percent)
 from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import AcceptingOCPN, Place, flower_model
-from oconform.replay import ReplayConfig
+from oconform.replay import ReplayConfig, replay_context_group, replay_log
 
 SURPLUS_EVENTS = {"e5", "e6", "e14", "e15"}
 
@@ -215,6 +217,45 @@ def test_report_json_schema(l1, ocpn1):
         "reverse_successors": False,
         "decimals": 3,
     }
+
+
+def _records_by_group(log, net, cfg) -> dict[str, EventDiagnostic]:
+    """Each event's record built by id, the reference for ``check``'s
+    records by log position: one ``replay_context_group`` per group."""
+    graph = build_graph(log)
+    memo = replay_log(net, log, graph, cfg)
+    records = {}
+    for group, members in enumerate(graph.members):
+        detail = replay_context_group(net, log, graph, members, cfg, memo)
+        en_log = tuple(sorted({log.event(eid).activity for eid in members}))
+        en_model = tuple(sorted(detail.outcome.enabled))
+        for eid in members:
+            records[eid] = EventDiagnostic(
+                eid, graph.digest(group), en_log, en_model, bool(en_model),
+                detail.reached_final_by_event[eid], detail.outcome.truncated)
+    return records
+
+
+@pytest.mark.parametrize("case", ["l1", "bench", "bench_cut", "chained"])
+def test_records_are_diagnostics_in_log_order(l1, ocpn1, case):
+    # four states cut the bench log's first executions, whose repeats are
+    # then replayed by graph number; the chained log's presets grow long
+    cfg = ReplayConfig(max_states=4) if case == "bench_cut" else ReplayConfig()
+    if case == "l1":
+        log, net = l1, ocpn1
+    elif case == "chained":
+        log = invariants.chained_airport_log()
+        net = flower_model(log)
+    else:
+        log, net = invariants.bench_log(5, 1512), ocpn1
+    report = check(log, net, cfg)
+    assert report.truncated == (case == "bench_cut")
+    assert [d.event_id for d in report.per_event] == [e.id for e in log.events]
+    expected = _records_by_group(log, net, cfg)
+    for d in report.per_event:
+        assert type(d) is EventDiagnostic
+        assert d == EventDiagnostic(*d) and hash(d) == hash(tuple(d))
+        assert d == expected[d.event_id]
 
 
 def test_events_of_a_group_share_diagnostics(l1, ocpn1):

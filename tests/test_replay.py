@@ -151,6 +151,15 @@ def test_unknown_event_raises(l1, l1_graph, ocpn1):
         replay_context_group(ocpn1, l1, l1_graph, "e99")
 
 
+def test_unknown_event_raises_through_a_memo(l1, l1_graph, ocpn1):
+    memo = replay_log(ocpn1, l1, l1_graph, DEFAULT_CONFIG)
+    with pytest.raises(LogError, match="unknown event id"):
+        replay_context_group(ocpn1, l1, l1_graph, ["e99"], DEFAULT_CONFIG, memo)
+    # also after a known member has taken its result off the memo
+    with pytest.raises(LogError, match="unknown event id"):
+        replay_context_group(ocpn1, l1, l1_graph, ["e1", "e99"], DEFAULT_CONFIG, memo)
+
+
 def test_truncation_flag(l1, l1_graph, ocpn1):
     outcome = replay_context_group(ocpn1, l1, l1_graph, "e7",
                                    ReplayConfig(max_states=1)).outcome
