@@ -74,61 +74,6 @@ class Context:
         return _digest(self.canonical_json())
 
 
-class _Trie:
-    """Activity sequences as nodes: one root per object type, and one child
-    per (node, activity).  A node is an object type plus the sequence that
-    leads to it from the type's root.  Its sequence, as a tuple or as JSON
-    text, is built on first use from its parent's, so a label is quoted once."""
-
-    def __init__(self) -> None:
-        self._parents: list[tuple[int, str]] = []  # roots: (-1, type)
-        self._children: dict[tuple[int, str], int] = {}
-        self._sequences: dict[int, tuple[str, Prefix]] = {}
-        self._texts: dict[int, tuple[str, str]] = {}
-
-    def child(self, parent: int, label: str) -> int:
-        """The node after ``label``; a root, for an object type, at parent -1."""
-        node = self._children.setdefault((parent, label), len(self._parents))
-        if node == len(self._parents):
-            self._parents.append((parent, label))
-            if parent < 0:
-                self._sequences[node] = (label, ())
-                self._texts[node] = (label, "[]")
-        return node
-
-    def text(self, node: int) -> tuple[str, str]:
-        """The node's object type and its sequence as compact JSON."""
-        path = []
-        while node not in self._texts:
-            path.append(node)
-            node = self._parents[node][0]
-        otype, text = self._texts[node]
-        for at in reversed(path):
-            text = f"{text[:-1]}{',' * (len(text) > 2)}{_quote(self._parents[at][1])}]"
-            self._texts[at] = (otype, text)
-        return otype, text
-
-    def sequence(self, node: int) -> tuple[str, Prefix]:
-        """The node's object type and activity sequence."""
-        tail = []
-        at = node
-        while at not in self._sequences:
-            at, activity = self._parents[at]
-            tail.append(activity)
-        otype, head = self._sequences[at]
-        self._sequences[node] = (otype, head + tuple(reversed(tail)))
-        return self._sequences[node]
-
-    def context(self, bag: Iterable[tuple[int, int]]) -> Context:
-        """The context of (node, number of objects) pairs."""
-        per_type: dict[str, list[tuple[Prefix, int]]] = {}
-        for node, n in bag:
-            otype, seq = self.sequence(node)
-            per_type.setdefault(otype, []).append((seq, n))
-        return Context(tuple((otype, tuple(sorted(per_type[otype])))
-                             for otype in sorted(per_type)))
-
-
 class _EventSets(Mapping):
     """Per event, a set of events (its preset, say) as a frozenset of event
     ids, built when read from the log positions ``positions`` gives."""
@@ -149,7 +94,7 @@ class _EventSets(Mapping):
         return len(self._graph.order)
 
 
-@dataclass
+@dataclass(eq=False)
 class EventObjectGraph:
     """Sparse event-object graph over one log, with its context groups.
 
@@ -175,7 +120,11 @@ class EventObjectGraph:
     ``_repeats`` records each process execution that repeats an earlier
     one up to renaming objects, as ``build_graph`` finds them: the first
     one's positions, its own, and its objects by the first's graph
-    numbers.
+    numbers.  A bag counts objects per node of a trie of activity
+    sequences: ``_parents[node]`` is its (parent, activity), and node t
+    is the root of ``kinds[t]``.  A node's sequence, as a tuple or as
+    JSON text, is built on first use from its parent's, so a label is
+    quoted once.
     """
 
     order: tuple[str, ...]
@@ -184,14 +133,19 @@ class EventObjectGraph:
     _index: Mapping[str, int] = field(repr=False)
     _direct: list[set[int]] = field(repr=False)
     _weight: list[int] = field(repr=False)
-    _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
-    _trie: _Trie = field(repr=False, compare=False)
-    objects: tuple[ObjectId, ...] = field(repr=False, compare=False)
-    _slots: list[list[int]] = field(repr=False, compare=False)
-    kinds: tuple[str, ...] = field(repr=False, compare=False)
-    _kind_of: list[int] = field(repr=False, compare=False)
-    _repeats: tuple[tuple[list[int], list[int], dict[int, ObjectId]], ...] = field(
-        repr=False, compare=False)
+    _bags: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    _parents: list[tuple[int, str]] = field(repr=False)
+    objects: tuple[ObjectId, ...] = field(repr=False)
+    _slots: list[list[int]] = field(repr=False)
+    kinds: tuple[str, ...] = field(repr=False)
+    _kind_of: list[int] = field(repr=False)
+    _repeats: tuple[tuple[list[int], list[int], dict[int, ObjectId]], ...] = field(repr=False)
+    _texts: dict[int, tuple[str, str]] = field(init=False, repr=False)
+    _sequences: dict[int, tuple[str, Prefix]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._texts = {t: (otype, "[]") for t, otype in enumerate(self.kinds)}
+        self._sequences = {t: (otype, ()) for t, otype in enumerate(self.kinds)}
 
     @property
     def direct_predecessors(self) -> Mapping[str, frozenset[str]]:
@@ -208,35 +162,65 @@ class EventObjectGraph:
 
     def context(self, group: int) -> Context:
         """The context shared by the events of one group."""
-        return self._trie.context(self._bags[group])
+        per_type: dict[str, list[tuple[Prefix, int]]] = {}
+        for node, n in self._bags[group]:
+            otype, seq = self._sequence(node)
+            per_type.setdefault(otype, []).append((seq, n))
+        return Context(tuple((otype, tuple(sorted(per_type[otype])))
+                             for otype in sorted(per_type)))
 
     def digest(self, group: int) -> str:
         """``context(group).digest()``, rendered with no ``Context`` built from
         the bag's node texts: types by name, and a type's items in sequence
         order, whose tuples are read only when the type has two or more."""
-        trie = self._trie
-        texts, sequences = trie._texts, trie._sequences
+        texts, sequences = self._texts, self._sequences
         per_type: dict[str, list[tuple[int, str]]] = {}
         for node, n in self._bags[group]:
-            otype, text = texts.get(node) or trie.text(node)
+            otype, text = texts.get(node) or self._text(node)
             per_type.setdefault(otype, []).append((node, f"[{text},{n}]"))
         entries = []
         for otype in sorted(per_type):
             items = per_type[otype]
             if len(items) > 1:  # JSON texts sort unlike tuples: '"' > ' '
                 items.sort(key=lambda item: (sequences.get(item[0])
-                                             or trie.sequence(item[0]))[1])
+                                             or self._sequence(item[0]))[1])
             entries.append((otype, [item for _, item in items]))
         return _digest(_canonical(entries))
+
+    def _text(self, node: int) -> tuple[str, str]:
+        """The node's object type and its sequence as compact JSON."""
+        path = []
+        while node not in self._texts:
+            path.append(node)
+            node = self._parents[node][0]
+        otype, text = self._texts[node]
+        for at in reversed(path):
+            text = f"{text[:-1]}{',' * (len(text) > 2)}{_quote(self._parents[at][1])}]"
+            self._texts[at] = (otype, text)
+        return otype, text
+
+    def _sequence(self, node: int) -> tuple[str, Prefix]:
+        """The node's object type and activity sequence."""
+        tail = []
+        at = node
+        while at not in self._sequences:
+            at, activity = self._parents[at]
+            tail.append(activity)
+        otype, head = self._sequences[at]
+        self._sequences[node] = (otype, head + tuple(reversed(tail)))
+        return self._sequences[node]
 
     def preset_positions(self, event_id: str, start: int = 0) -> list[int]:
         """Log positions of the event's preset from ``start`` on, ascending."""
         return self._preset_positions(self._position(event_id), start)
 
     def _preset_positions(self, position: int, start: int = 0) -> list[int]:
-        # every edge goes forward in the log, so a path from an ancestor at
-        # or after start passes only through positions at or after start
+        # no ancestor lies past the latest direct predecessor; and every
+        # edge goes forward in the log, so a path from an ancestor at or
+        # after start passes only through positions at or after start
         direct = self._direct
+        if max(direct[position], default=-1) < start:
+            return []
         found: set[int] = set()
         stack = [position]
         while stack:
@@ -297,9 +281,9 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     direct: list[set[int]] = []
     users = [0] * len(slots)
     root: list[int] = []  # an earlier event of the same execution, or a root: its first
-    trie = _Trie()
-    children, parents = trie._children, trie._parents
-    trace = [[trie.child(-1, o.otype)] for o in objects]  # node after k occurrences
+    parents = [(-1, otype) for otype in kinds]  # the trie's nodes, roots first
+    children: dict[tuple[int, str], int] = {}  # (node, activity) -> node
+    trace = [[t] for t in kind_of]  # node after k occurrences
     for i, own in enumerate(slots):
         if len(own) == 1:  # its object's last event, if any, is its one predecessor
             preds = {last_seen[own[0]]}
@@ -322,7 +306,7 @@ def build_graph(log: EventLog) -> EventObjectGraph:
         for s in own:
             last_seen[s] = i
             nodes = trace[s]
-            step = (nodes[-1], activity)  # the trie's child, inline
+            step = (nodes[-1], activity)
             node = children.get(step)
             if node is None:
                 node = children[step] = len(parents)
@@ -333,7 +317,7 @@ def build_graph(log: EventLog) -> EventObjectGraph:
     group_of, members, bags, weight = _context_groups(order, direct, users, slots, trace,
                                                       repeats)
     return EventObjectGraph(order, group_of, members, log.event_index, direct,
-                            weight, bags, trie, objects, slots, kinds, kind_of, repeats)
+                            weight, bags, parents, objects, slots, kinds, kind_of, repeats)
 
 
 def _repeats(events: Sequence[Event], slots: list[list[int]], objects: Sequence[ObjectId],

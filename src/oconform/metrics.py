@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, NamedTuple
 
 from .context import build_graph, group_by_context  # noqa: F401  bench/worker.py traces it here
-from .ocel import EventLog, LogError
+from .ocel import EventLog, LogError, validate_log
 from .ocpn import AcceptingOCPN
 from .replay import DEFAULT_CONFIG, ReplayConfig, replay_context_group, replay_log
 
@@ -62,12 +62,15 @@ def check(log: EventLog, net: AcceptingOCPN,
     is written once, at its log position.  An event counts as replayable
     when the net enables at least one activity for its context; precision
     averages over exactly those events and is None when there are none.
+    An empty log, or one whose event ids repeat, raises LogError.
     """
-    if not log.events:
+    events, index = log.events, log.event_index
+    if not events:
         raise LogError("cannot check an empty log")
+    if len(index) < len(events):  # some event id repeats
+        raise LogError(validate_log(log)[0])
     graph = build_graph(log)
     memo = replay_log(net, log, graph, cfg)
-    events, index = log.events, log.event_index
     # per denominator, len(en_log) or len(en_model), the summed numerators
     fitness_sums: Counter[int] = Counter()
     precision_sums: Counter[int] = Counter()

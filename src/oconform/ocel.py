@@ -271,7 +271,10 @@ def make_log(events: Iterable[tuple[str, str, Iterable[ObjectId]]]) -> EventLog:
     """Build a log from (event id, activity, objects) triples.
 
     Convenience for tests and generators; object types and the objects
-    table are derived from the events.
+    table are derived from the events, an object's type from its first
+    occurrence.  Raises LogError, with ``validate_log``'s first violation,
+    when event ids repeat, an object id comes with two types, an event
+    has no objects or a name is empty.
     """
     built = []
     objects: dict[str, ObjectId] = {}
@@ -282,4 +285,8 @@ def make_log(events: Iterable[tuple[str, str, Iterable[ObjectId]]]) -> EventLog:
         built.append(Event(eid, activity, omap, index))
     types = tuple(sorted({o.otype for o in objects.values()}))
     ordered = tuple(objects[k] for k in sorted(objects))
-    return EventLog(types, ordered, tuple(built))
+    log = EventLog(types, ordered, tuple(built))
+    violations = validate_log(log)
+    if violations:
+        raise LogError(violations[0])
+    return log

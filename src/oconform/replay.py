@@ -346,12 +346,10 @@ def _sequence(memo: FrontierMemo, position: int, base: int | None, canonical: bo
         _, names, _, _, _, opening = memo._results[base]
         start, steps = base + 1, [opening]
     graph = memo.graph
-    # no ancestor lies past the latest direct predecessor, so none past start
-    rest = (graph._preset_positions(position, start)
-            if max(graph._direct[position], default=-1) >= start else [])
     entering: list[tuple[int, tuple[int, ...]]] = []
     names = _named(memo.log.events, graph._slots, graph._kind_of, len(graph.kinds),
-                   [*rest, position], names, canonical, steps, entering)
+                   [*graph._preset_positions(position, start), position], names,
+                   canonical, steps, entering)
     if entering and not memo.lazy:
         entering = [(0, tuple(name for _, new in entering for name in new))]
     own = steps.pop()
@@ -482,8 +480,8 @@ def replay_log(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     (``_repeats``), takes its counterpart's result instead, with the
     objects its names stand for paired to the event's own.  What a cut
     search finds follows graph numbers, so where a search of the first
-    execution was cut (``_cut``), its repeats are replayed last.  Every
-    ancestor of an event lies in its execution, so its prefix
+    execution was cut (``_cut``), its repeats are replayed instead.
+    Every ancestor of an event lies in its execution, so its prefix
     predecessor is replayed before it.  The search caches are dropped
     after the pass."""
     memo = FrontierMemo(net, log, graph, cfg)
@@ -499,15 +497,13 @@ def replay_log(net: AcceptingOCPN, log: EventLog, graph: EventObjectGraph,
     # first the first execution of each key and every unrepeated one
     replay(sorted(set(range(len(log.events))).difference(
         *[positions for _, positions, _ in repeats])))
-    later: list[int] = []
     for first, positions, objects in repeats:
         if not memo._cut.isdisjoint(first):
-            later += positions
+            replay(positions)  # in log order, as an execution lists them
             continue
         for p, c in zip(positions, first):
             single, names, _, reached, truncated, opening = results[c]
             results[p] = (single, names, objects, reached, truncated, opening)
-    replay(sorted(later))
     memo._searched, memo._finals = {}, {}
     return memo
 

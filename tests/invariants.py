@@ -191,12 +191,12 @@ def run_graph_properties(seed: int = 13, rounds: int = 50) -> int:
 
 
 GRAPH_INTERNALS = ("order", "group_of", "members", "_direct", "_weight", "_bags",
-                   "objects", "_slots")
+                   "_parents", "objects", "_slots")
 
 
 def run_graph_reference_agreement(seed: int = 26, rounds: int = 100,
                                   repeated: int = 40) -> int:
-    """The graph's internals, and its trie's nodes, pickle to the same
+    """The graph's internals, its trie's nodes included, pickle to the same
     bytes as those of the graph built the way it was before events with
     one direct predecessor took their own path, with every preset stored
     as a bitset and no execution taking a counterpart's groups
@@ -220,8 +220,6 @@ def run_graph_reference_agreement(seed: int = 26, rounds: int = 100,
         for name in GRAPH_INTERNALS:
             assert pickle.dumps(getattr(graph, name)) == \
                 pickle.dumps(getattr(reference, name)), name
-        assert pickle.dumps(graph._trie._parents) == \
-            pickle.dumps(reference._trie._parents)
         for e, bitset in zip(log.events, bitsets):
             assert graph.preset_positions(e.id) == oracles.bitset_positions(*bitset)
         early += any(p < c for first, positions, _ in graph._repeats
@@ -255,7 +253,10 @@ def run_preset_bitsets(seed: int = 23, rounds: int = 50) -> int:
         for i, e in enumerate(log.events):
             want = sorted(log.event_index[a] for a in anc[e.id])
             assert graph.preset_positions(e.id) == want
-            for start in (0, i // 3, i // 2, i):
+            # a walk from the latest direct predecessor finds it, and one
+            # from just past it stops at once with nothing
+            latest = max(graph._direct[i], default=-1)
+            for start in (0, i // 3, i // 2, i, latest, latest + 1):
                 assert graph.preset_positions(e.id, start) == \
                     [p for p in want if p >= start]
             assert graph._weight[i] == sum(len(log.event(a).omap) for a in anc[e.id])

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from oconform import replay
-from oconform.context import Context, EventObjectGraph, _Trie
+from oconform.context import Context, EventObjectGraph
 from oconform.ocel import (Event, EventLog, LogError, ObjectId, make_log,
                            validate_log)
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, ModelError, Place,
@@ -133,9 +133,10 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
     users = [0] * len(slots)
     low: list[int] = []
     bits: list[int] = []
-    trie = _Trie()
-    children, parents = trie._children, trie._parents
-    trace = [[trie.child(-1, otype)] for otype in types]
+    kinds = tuple(sorted(set(types)))
+    parents = [(-1, otype) for otype in kinds]  # trie nodes: node t roots kinds[t]
+    children: dict[tuple[int, str], int] = {}
+    trace = [[kinds.index(otype)] for otype in types]
     for i, own in enumerate(slots):
         preds = {last_seen[s] for s in own}
         preds.discard(-1)
@@ -162,9 +163,8 @@ def reference_build_graph(log: EventLog) -> tuple[EventObjectGraph, list[tuple[i
         order, direct, users, low, bits, slots, trace)
     weight = [sum(len(slots[p]) for p in bitset_positions(*preset))
               for preset in zip(low, bits)]
-    kinds = tuple(sorted(set(types)))
     graph = EventObjectGraph(order, group_of, members, log.event_index, direct,
-                             weight, bags, trie, objects, slots, kinds,
+                             weight, bags, parents, objects, slots, kinds,
                              [kinds.index(otype) for otype in types], ())
     return graph, list(zip(low, bits))
 

@@ -134,6 +134,13 @@ def test_empty_log_is_rejected(ocpn1):
         check(make_log([]), ocpn1)
 
 
+def test_repeated_event_ids_are_rejected(l1, ocpn1):
+    # an EventLog built directly is not validated; each id must index one event
+    events = (*l1.events[:5], l1.events[5]._replace(id="e2"), *l1.events[6:])
+    with pytest.raises(LogError, match="^duplicate event id 'e2'$"):
+        check(replace(l1, events=events), ocpn1)
+
+
 def test_precision_is_undefined_without_replayable_events():
     net = AcceptingOCPN(
         object_types=("case",),

@@ -206,6 +206,19 @@ def test_make_log_derives_objects_and_types():
     assert validate_log(log) == []
 
 
+def test_make_log_rejects_what_parse_log_rejects():
+    plane = ObjectId("p1", "plane")
+    with pytest.raises(LogError, match="^duplicate event id 'e1'$"):
+        make_log([("e1", "a", [plane]), ("e1", "b", [plane])])
+    with pytest.raises(LogError, match="^event 'e2': object 'p1' used with type 'bag' "
+                                       "but declared 'plane'$"):
+        make_log([("e1", "a", [plane]), ("e2", "b", [ObjectId("p1", "bag")])])
+    with pytest.raises(LogError, match="^event 'e1': empty omap$"):
+        make_log([("e1", "a", [])])
+    empty = make_log([])
+    assert empty.events == () and validate_log(empty) == []
+
+
 def test_object_ids_hash_print_and_order_as_their_fields():
     obj = ObjectId("p1", "plane")
     assert ObjectId._fields == ("id", "otype")
@@ -417,19 +430,24 @@ def test_parse_matches_reference_on_two_faults():
 
 
 def test_parse_runs_validate_log_only_on_a_failing_log(monkeypatch):
+    # the documents are built first: make_log, behind them, validates
+    rng = random.Random(1604)
+    valid = [_text(random_document(rng)) for _ in range(20)]
+    faulty = []
+    for name in SET_FAULTS:
+        doc = random_document(rng)
+        LOCAL_FAULTS[name](rng, doc)
+        faulty.append((name, _text(doc)))
     calls = []
     real = ocel.validate_log
     monkeypatch.setattr(ocel, "validate_log",
                         lambda log: calls.append(log) or real(log))
-    rng = random.Random(1604)
-    for _ in range(20):
-        parse_log(_text(random_document(rng)))
+    for text in valid:
+        parse_log(text)
     parse_log(fixture_text("l1_log.json"))
     assert calls == []
-    for name in SET_FAULTS:
-        doc = random_document(rng)
-        LOCAL_FAULTS[name](rng, doc)
+    for name, text in faulty:
         with pytest.raises(LogError):
-            parse_log(_text(doc))
+            parse_log(text)
         assert len(calls) == 1, name
         calls.clear()

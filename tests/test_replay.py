@@ -515,18 +515,20 @@ def test_searches_and_firings_per_check_on_bench_logs(monkeypatch, ocpn1, build_
 ], ids=["disjoint-ref", "chained-flower", "silent-bags"])
 def test_preset_walks_per_check_on_bench_logs(monkeypatch, ocpn1, build_log,
                                               reference, walks):
-    # no ancestor lies past an event's latest direct predecessor, so replay
-    # walks the rest of a preset only from a start at or before it, and
-    # such a walk finds that predecessor at least; most events resume from
-    # it and walk nothing
+    # no ancestor lies past an event's latest direct predecessor, so the
+    # graph walks the rest of a preset only from a start at or before it,
+    # and such a walk finds that predecessor at least; most events resume
+    # from it, and their walks stop at once
     log = build_log()
     net = ocpn1 if reference else flower_model(log)
     found = []
     walk = EventObjectGraph._preset_positions
 
-    def spy(graph, *args):
-        found.append(walk(graph, *args))
-        return found[-1]
+    def spy(graph, position, start=0):
+        positions = walk(graph, position, start)
+        if start <= max(graph._direct[position], default=-1):
+            found.append(positions)
+        return positions
 
     monkeypatch.setattr(EventObjectGraph, "_preset_positions", spy)
     report = metrics.check(log, net)
