@@ -11,7 +11,7 @@ from .ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError, Place,
                    enumerate_bindings, execute_binding, flower_model,
                    initial_marking_for, is_final, parse_model, serialize_model)
 from .replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
-                     VisibleBindingStep, replay_context_group)
+                     replay_context_group)
 from .simulate import DeadModelError, SimulationResult, simulate_log
 
 __version__ = "0.1.0"

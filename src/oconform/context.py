@@ -331,10 +331,10 @@ def _repeats(events: Sequence[Event], slots: list[list[int]], objects: Sequence[
     an earlier event of the i-th event's, or the event itself when it is
     the first.  Only executions whose length another one shares are keyed.
     A key lists the steps in the canonical names ``_named`` gives from no
-    names, as replay's ``_sequence`` does.  Equal keys pair two executions'
-    objects by ``k`` and their events by index.  An event's preset lies
-    inside its execution, so paired events have equal contexts, weights,
-    canonical names, searches and answers.
+    names, as replay's ``_preset_search`` does.  Equal keys pair two
+    executions' objects by ``k`` and their events by index.  An event's
+    preset lies inside its execution, so paired events have equal
+    contexts, weights, canonical names, searches and answers.
     """
     for i, up in enumerate(root):  # every earlier position points at its root
         root[i] = root[up]

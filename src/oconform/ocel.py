@@ -219,6 +219,10 @@ def validate_log(log: EventLog) -> list[str]:
 
     seen_events = set()
     for position, e in enumerate(log.events):
+        if not isinstance(e.id, str) or not e.id:
+            violations.append(f"event at position {position}: missing or empty 'id'")
+        if not isinstance(e.activity, str) or not e.activity:
+            violations.append(f"event {e.id!r}: missing or empty 'activity'")
         if e.id in seen_events:
             violations.append(f"duplicate event id {e.id!r}")
         seen_events.add(e.id)

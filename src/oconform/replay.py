@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .context import EventObjectGraph, _named
 from .ocel import EventLog, ObjectId
@@ -66,22 +66,6 @@ class ReplayConfig:
 DEFAULT_CONFIG = ReplayConfig()
 
 
-class VisibleBindingStep(NamedTuple):
-    """One visible firing as the log records it: activity plus objects by type."""
-
-    activity: str
-    objects: tuple[tuple[str, frozenset[str]], ...]  # (otype, object ids), sorted
-
-    @classmethod
-    def for_event(cls, event) -> "VisibleBindingStep":
-        """The step the event records."""
-        grouped: dict[str, set[str]] = {}
-        for o in event.omap:
-            grouped.setdefault(o.otype, set()).add(o.id)
-        return cls(event.activity,
-                   tuple(sorted((ot, frozenset(ids)) for ot, ids in grouped.items())))
-
-
 @dataclass(frozen=True)
 class ReplayOutcome:
     """What replaying a context group produced.
@@ -129,26 +113,6 @@ class GroupReplay:
             (other.outcome, other.markings, other.reached_final_by_event)
 
 
-class _Firing(NamedTuple):
-    """A visible step as the net fires it: the binding, None when the
-    activity is no visible label of the net, and the tokens it consumes,
-    None when there is no binding or it is malformed.  A marking enables
-    the binding exactly when it holds ``need`` (``binding_enabled``)."""
-
-    binding: Binding | None
-    need: Marking | None
-
-
-def _firing(net: AcceptingOCPN, step: VisibleBindingStep) -> _Firing:
-    transition = net.label_to_transition.get(step.activity)
-    if transition is None:
-        return _Firing(None, None)
-    binding = Binding(transition.id, step.objects)
-    if not binding_well_formed(net, binding):
-        return _Firing(binding, None)
-    return _Firing(binding, consumed(net, binding))
-
-
 @dataclass(frozen=True, eq=False)
 class _SingleReplay:
     """One search's result, compared by identity: a replay class's result
@@ -168,7 +132,7 @@ class _SingleReplay:
 _UNREPLAYABLE = _SingleReplay((), False)
 
 
-def _search(net: AcceptingOCPN, steps: Sequence[_Firing],
+def _search(net: AcceptingOCPN, steps: Sequence[tuple[Binding, Marking | None]],
             start: Sequence[Marking], entry: Mapping[int, Marking],
             cfg: ReplayConfig, budget: int) -> _SingleReplay:
     """Breadth-first replay of a binding sequence from ``start``.
@@ -261,21 +225,11 @@ def lazy_entry_exact(net: AcceptingOCPN) -> bool:
 # visible step as ``(activity, *names)``, the names ascending.  A name says
 # its object's type: it is ``k * T + t``, where ``t`` indexes the graph's
 # ``kinds``, ``T`` of them, and ``k`` numbers the object (``context._named``).
-# So a compact step alone gives the ``VisibleBindingStep`` (``_expanded``).
+# So a compact step alone gives its binding (``FrontierMemo.firing``).
 _Step = tuple
 
 # The class result of no base: the empty marking enters cursor 0.
 _EMPTY = _SingleReplay((), False, (Marking(),))
-
-
-def _expanded(step: _Step, kinds: Sequence[str]) -> VisibleBindingStep:
-    """The visible step a compact step stands for, each name's object type
-    read as ``kinds[name % len(kinds)]``."""
-    by_type: dict[str, list[int]] = {}
-    for name in step[1:]:
-        by_type.setdefault(kinds[name % len(kinds)], []).append(name)
-    return VisibleBindingStep(step[0], tuple(sorted(
-        [(otype, frozenset(ids)) for otype, ids in by_type.items()])))
 
 
 class FrontierMemo:
@@ -291,8 +245,8 @@ class FrontierMemo:
     position, the **base** of the events that resume there: each resumes
     from its prefix predecessor's frontier, replays its preset from the
     position just past the base, opening with the base's own step, and
-    names new objects on from the base's names (``_sequence``).  A base
-    of None is the empty frontier, whose class result is ``_EMPTY``:
+    names new objects on from the base's names (``_preset_search``).  A
+    base of None is the empty frontier, whose class result is ``_EMPTY``:
     events whose prefix predecessor's canonical search was cut, and all
     events on nets where lazy entry is not exact (``lazy`` is False),
     resume there.  The frontiers depend on the config, so one memo serves
@@ -309,41 +263,57 @@ class FrontierMemo:
         initial = net.initial_places
         self._initial = [initial[otype].id if otype in initial else None
                          for otype in graph.kinds]
-        self._firings: dict[_Step, _Firing] = {}
+        self._firings: dict[_Step, tuple[Binding | None, Marking | None]] = {}
         self._results: dict[int, tuple] = {}  # by log position
         self._searched: dict[tuple, _SingleReplay] = {}
         self._finals: dict[tuple[_SingleReplay, _Step], tuple[bool, bool]] = {}
         self._cut: set[int] = set()  # positions where a search was cut
 
-    def firing(self, step: _Step) -> _Firing:
-        """The binding and needed tokens of a compact step, built on first
-        use with its ``VisibleBindingStep``.  The step is the key: its
-        names say their types, so it gives the ``VisibleBindingStep``, and
-        it gives the step."""
+    def firing(self, step: _Step) -> tuple[Binding | None, Marking | None]:
+        """The binding of a compact step, each name's type read as
+        ``kinds[name % T]``, and the tokens it consumes, built on first use:
+        (None, None) for an activity that is no visible label of the net,
+        and None tokens for a malformed binding.  A marking enables the
+        binding exactly when it holds the tokens (``binding_enabled``)."""
         firing = self._firings.get(step)
         if firing is None:
-            firing = self._firings[step] = _firing(self.net,
-                                                   _expanded(step, self.graph.kinds))
+            net, kinds = self.net, self.graph.kinds
+            transition = net.label_to_transition.get(step[0])
+            if transition is None:
+                firing = (None, None)
+            else:
+                by_type: dict[str, list[int]] = {}
+                for name in step[1:]:
+                    by_type.setdefault(kinds[name % len(kinds)], []).append(name)
+                binding = Binding(transition.id, tuple(sorted(
+                    [(otype, frozenset(ids)) for otype, ids in by_type.items()])))
+                firing = (binding, consumed(net, binding)
+                          if binding_well_formed(net, binding) else None)
+            self._firings[step] = firing
         return firing
 
 
-def _sequence(memo: FrontierMemo, position: int, base: int | None, canonical: bool,
-              ) -> tuple:
-    """The names, the compact preset steps, the compact own step and the
-    (cursor, names) of objects entering the markings of the event at log
-    ``position``, resumed from the frontier of the event at log position
-    ``base``, or from the empty frontier when it is None.
+def _preset_search(memo: FrontierMemo, position: int, base: int | None, canonical: bool,
+                   ) -> tuple[_SingleReplay, _Step, dict[int, int]]:
+    """Search the preset of the event at log ``position`` from the
+    frontier of the event at log position ``base``, or from the empty
+    frontier when it is None, once per key in the memo's ``_searched``:
+    the base's class, the rest of the preset's compact steps and the
+    entering names.  Returns the result, the event's compact own step and
+    the names.
 
     The preset's steps past the base follow the base's own step, named on
-    from the base's names (``context._named``), both read off the base's
-    result.  An object enters where a step first binds it, the event's
-    own new objects at the end; all at cursor 0 when lazy entry is not
-    exact.
+    from the base's names (``context._named``), all three read off the
+    base's result.  An object enters where a step first binds it, the
+    event's own new objects at the end; all at cursor 0 when lazy entry
+    is not exact.  Only a search builds the firings of its steps, through
+    the memo.  The search starts from the class's entering markings, under
+    the budget its states leave.
     """
     if base is None:
-        start, names, steps = 0, {}, []
+        cls, start, names, steps = _EMPTY, 0, {}, []
     else:
-        _, names, _, _, _, opening = memo._results[base]
+        cls, names, _, _, _, opening = memo._results[base]
         start, steps = base + 1, [opening]
     graph = memo.graph
     entering: list[tuple[int, tuple[int, ...]]] = []
@@ -353,21 +323,7 @@ def _sequence(memo: FrontierMemo, position: int, base: int | None, canonical: bo
     if entering and not memo.lazy:
         entering = [(0, tuple(name for _, new in entering for name in new))]
     own = steps.pop()
-    return names, steps, own, tuple(entering)
-
-
-def _preset_search(memo: FrontierMemo, position: int, base: int | None, canonical: bool,
-                   ) -> tuple[_SingleReplay, _Step, dict[int, int]]:
-    """Search the preset of the event at ``position`` from the base's
-    frontier in the names ``_sequence`` gives, once per key in the memo's
-    ``_searched``: the base's class, the rest of the preset's compact
-    steps and the entering names.  Only a search builds the firings of
-    its steps, through the memo.  The search starts from the class's
-    entering markings, under the budget its states leave.  Returns the
-    result, the event's compact own step and the names."""
-    names, steps, own, entering = _sequence(memo, position, base, canonical)
-    cls = _EMPTY if base is None else memo._results[base][0]
-    key = (cls, tuple(steps), entering)
+    key = (cls, tuple(steps), tuple(entering))
     single = memo._searched.get(key)
     if single is None:
         net, cfg, initial = memo.net, memo.cfg, memo._initial
@@ -388,7 +344,8 @@ def _preset_search(memo: FrontierMemo, position: int, base: int | None, canonica
     return single, own, names
 
 
-def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking], own: _Firing,
+def _reaches_final(net: AcceptingOCPN, markings: Iterable[Marking],
+                   own: tuple[Binding | None, Marking | None],
                    cfg: ReplayConfig) -> tuple[bool, bool]:
     """Whether firing the event's own binding from some marking, then silent
     firings, reaches an accepting marking; and whether the silent search

@@ -23,9 +23,8 @@ from oconform.ocel import ObjectId, make_log, parse_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, _fire, consumed,
                            enabled_visible_labels, enumerate_bindings,
                            execute_binding, flower_model, is_final, produced)
-from oconform.replay import (FrontierMemo, ReplayConfig, VisibleBindingStep,
-                             _expanded, _preset_search, lazy_entry_exact,
-                             replay_context_group, replay_log)
+from oconform.replay import (FrontierMemo, ReplayConfig, _preset_search,
+                             lazy_entry_exact, replay_context_group, replay_log)
 
 
 def run_marking_conservation(seed: int = 11, wanted: int = 1000) -> int:
@@ -423,7 +422,7 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
             kinds = graph.kinds
             want = singles[eid]
             event = log.event(eid)
-            real_own = VisibleBindingStep.for_event(event)
+            real_own = oracles.VisibleBindingStep.for_event(event)
             assert single.truncated == want.truncated, eid
             objects = oracles.preset_objects(log, graph, eid)
             # names maps the graph's object numbers to the result's names
@@ -432,7 +431,7 @@ def run_resumed_replay_agreement(log, net, cfg) -> None:
             assert all(kinds[name % len(kinds)] == o.otype
                        for o, name in named.items()), eid
             assert own == (event.activity, *sorted(named[o] for o in event.omap)), eid
-            assert (_expanded(own, kinds),) == \
+            assert (oracles.expanded_step(own, kinds),) == \
                 oracles.renamed_steps((real_own,), named), eid
             back = {ObjectId(name, o.otype): o.id for o, name in named.items()}
             real = oracles.renamed_markings(net, single.markings, back)

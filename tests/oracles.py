@@ -14,14 +14,16 @@ from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from oconform import replay
 from oconform.context import Context, EventObjectGraph
 from oconform.ocel import (Event, EventLog, LogError, ObjectId, make_log,
                            validate_log)
-from oconform.ocpn import (AcceptingOCPN, Arc, Marking, ModelError, Place,
-                           Transition, enabled_visible_labels, initial_marking_for)
-from oconform.replay import GroupReplay, ReplayConfig, ReplayOutcome, VisibleBindingStep
+from oconform.ocpn import (AcceptingOCPN, Arc, Binding, Marking, ModelError, Place,
+                           Transition, binding_well_formed, consumed,
+                           enabled_visible_labels, initial_marking_for)
+from oconform.replay import GroupReplay, ReplayConfig, ReplayOutcome
 
 SUBSET_CAP = 8
 
@@ -428,7 +430,46 @@ def reaches_final_after(net: AcceptingOCPN, markings, activity: str,
 # eager replay: each event's whole preset searched from the initial marking
 # of every object it involves, all at cursor 0.  It runs replay._search, so
 # it checks where resumed replay starts and which objects it adds when,
-# not the search itself.
+# not the search itself.  Its firings are built here, from the log's ids.
+
+class VisibleBindingStep(NamedTuple):
+    """One visible firing as the log records it: activity plus objects by type."""
+
+    activity: str
+    objects: tuple[tuple[str, frozenset[str]], ...]  # (otype, object ids), sorted
+
+    @classmethod
+    def for_event(cls, event) -> "VisibleBindingStep":
+        """The step the event records."""
+        grouped: dict[str, set[str]] = {}
+        for o in event.omap:
+            grouped.setdefault(o.otype, set()).add(o.id)
+        return cls(event.activity,
+                   tuple(sorted((ot, frozenset(ids)) for ot, ids in grouped.items())))
+
+
+def expanded_step(step: tuple, kinds) -> VisibleBindingStep:
+    """The visible step a compact step ``(activity, *names)`` stands for:
+    a name ``k * T + t`` is an object of type ``kinds[t]``, ``T`` kinds."""
+    grouped: dict[str, set[int]] = {}
+    for name in step[1:]:
+        grouped.setdefault(kinds[name % len(kinds)], set()).add(name)
+    return VisibleBindingStep(step[0],
+                              tuple(sorted((ot, frozenset(ids)) for ot, ids in grouped.items())))
+
+
+def firing(net: AcceptingOCPN, step: VisibleBindingStep):
+    """The step's binding and the tokens it consumes: (None, None) when
+    the activity is no visible label of the net, None tokens when the
+    binding is malformed."""
+    transition = net.label_to_transition.get(step.activity)
+    if transition is None:
+        return None, None
+    binding = Binding(transition.id, step.objects)
+    if not binding_well_formed(net, binding):
+        return binding, None
+    return binding, consumed(net, binding)
+
 
 def binding_sequence_of_preset(log: EventLog, graph: EventObjectGraph,
                                event_id: str) -> tuple[VisibleBindingStep, ...]:
@@ -481,8 +522,8 @@ def eager_replay(net: AcceptingOCPN, steps, objects, cfg: ReplayConfig):
         start = initial_marking_for(net, objects)
     except ModelError:
         return replay._UNREPLAYABLE
-    firings = [replay._firing(net, step) for step in steps]
-    if any(f.binding is None for f in firings):
+    firings = [firing(net, step) for step in steps]
+    if any(binding is None for binding, _ in firings):
         return replay._UNREPLAYABLE
     return replay._search(net, firings, (start,), {}, cfg, cfg.max_states)
 
@@ -517,7 +558,7 @@ def eager_group_replay(net: AcceptingOCPN, log: EventLog, graph: EventObjectGrap
     for eid in members:
         single = eager_replay(net, binding_sequence_of_preset(log, graph, eid),
                               preset_objects(log, graph, eid), cfg)
-        own = replay._firing(net, VisibleBindingStep.for_event(log.event(eid)))
+        own = firing(net, VisibleBindingStep.for_event(log.event(eid)))
         reached[eid], cut = replay._reaches_final(net, single.markings, own, cfg)
         singles[eid] = single
         # a cut counts only when no final marking was found

@@ -1,9 +1,11 @@
 """The names the package exports, pinned, so a removed name cannot come
 back unnoticed and an added one is a deliberate change here."""
+import ast
 import dataclasses
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -19,7 +21,7 @@ EXPORTS = {
     "DEFAULT_CONFIG", "DeadModelError", "Event", "EventDiagnostic", "EventLog",
     "EventObjectGraph", "LogError", "Marking", "ModelError", "ObjectId",
     "Place", "ReplayConfig", "ReplayOutcome", "SimulationResult",
-    "Transition", "VisibleBindingStep", "binding_enabled", "build_graph",
+    "Transition", "binding_enabled", "build_graph",
     "check", "context_of_event", "enabled_log_activities",
     "enabled_visible_labels", "enumerate_bindings", "event_preset",
     "execute_binding", "fitness", "flower_model", "format_summary",
@@ -99,3 +101,17 @@ def test_readme_dotted_references_resolve(l1, ocpn1):
         except AttributeError:
             missing.append(reference)
     assert not missing, missing
+
+
+def test_package_imports_only_the_stdlib():
+    # the package declares no runtime dependency; a new one fails here
+    # rather than at a user's install
+    imported = set()
+    for path in Path(oconform.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert {"__future__", "json", "typing"} <= imported
+    assert sorted(imported - set(sys.stdlib_module_names)) == []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -17,6 +18,7 @@ L1 = str(files("oconform").joinpath("fixtures/l1_log.json"))
 OCPN1 = str(files("oconform").joinpath("fixtures/ocpn1_model.json"))
 FLOWER_L1 = str(files("oconform").joinpath("fixtures/flower_l1_model.json"))
 RESTRICTED = str(files("oconform").joinpath("fixtures/restricted_model.json"))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_check_prints_summary(capsys):
@@ -349,10 +351,21 @@ def test_help_exits_cleanly():
     assert excinfo.value.code == 0
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "oconform", "check",
-         "--log", L1, "--model", OCPN1],
-        capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK
-    assert proc.stdout == "fitness=1.00 precision=0.89 skipped=0%\n"
+def test_module_entry_point(tmp_path):
+    # the package's __main__ and the cli module's own entry, both run from
+    # this checkout's src rather than from an installed copy
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    for module in ("oconform", "oconform.cli"):
+        def run(model):
+            return subprocess.run(
+                [sys.executable, "-m", module, "check", "--log", L1, "--model", model],
+                capture_output=True, text=True, env=env)
+
+        proc = run(OCPN1)
+        assert proc.returncode == EXIT_OK, module
+        assert proc.stdout == "fitness=1.00 precision=0.89 skipped=0%\n", module
+        proc = run(str(bad))
+        assert proc.returncode == EXIT_INVALID, module
+        assert proc.stdout == "" and proc.stderr.startswith("error: "), module

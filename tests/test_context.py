@@ -263,10 +263,11 @@ ADVERSARIAL = ['say "hi"', "\\", "\t\n\x01\x1f", "Zürich", "\u2028", "\U0001f6e
 
 
 def _adversarial_log(rng):
-    # a log's object type names are not empty
-    types = rng.sample([name for name in ADVERSARIAL if name], rng.randint(1, 3))
+    # a log's object type names and activity names are not empty
+    names = [name for name in ADVERSARIAL if name]
+    types = rng.sample(names, rng.randint(1, 3))
     objs = [ObjectId(f"o{i}", rng.choice(types)) for i in range(rng.randint(2, 6))]
-    return make_log([(f"e{k}", rng.choice(ADVERSARIAL),
+    return make_log([(f"e{k}", rng.choice(names),
                       rng.sample(objs, rng.randint(1, min(3, len(objs)))))
                      for k in range(rng.randint(4, 16))])
 

@@ -215,6 +215,10 @@ def test_make_log_rejects_what_parse_log_rejects():
         make_log([("e1", "a", [plane]), ("e2", "b", [ObjectId("p1", "bag")])])
     with pytest.raises(LogError, match="^event 'e1': empty omap$"):
         make_log([("e1", "a", [])])
+    with pytest.raises(LogError, match="^event at position 0: missing or empty 'id'$"):
+        make_log([("", "a", [ObjectId("o1", "t")])])
+    with pytest.raises(LogError, match="^event 'e1': missing or empty 'activity'$"):
+        make_log([("e1", "", [ObjectId("o1", "t")])])
     empty = make_log([])
     assert empty.events == () and validate_log(empty) == []
 

@@ -12,8 +12,7 @@ from oconform.ocel import LogError, ObjectId, make_log
 from oconform.ocpn import (AcceptingOCPN, Arc, Marking, Place, Transition,
                            flower_model)
 from oconform.replay import (DEFAULT_CONFIG, ReplayConfig, ReplayOutcome,
-                             VisibleBindingStep, lazy_entry_exact,
-                             replay_context_group, replay_log)
+                             lazy_entry_exact, replay_context_group, replay_log)
 
 E5_STATES = frozenset({
     Marking([("pl5", "p1"), ("pl6", "b1"), ("pl6", "b2")]),
@@ -64,7 +63,7 @@ def test_binding_sequence_of_preset(l1, l1_graph):
 
 
 def test_step_for_event(l1):
-    step = VisibleBindingStep.for_event(l1.event("e4"))
+    step = oracles.VisibleBindingStep.for_event(l1.event("e4"))
     assert step.activity == "Load cargo"
     assert dict(step.objects) == {"plane": frozenset({"p1"}),
                                   "baggage": frozenset({"b1", "b2"})}
@@ -449,7 +448,7 @@ def test_reached_final_budget_cut_follows_the_order_of_the_markings():
     net = _fork_net()
     far = Marking([("u", "x1"), ("c0", "x1")])
     near = Marking([("u", "x1"), ("e0", "x1")])
-    own = replay._firing(net, VisibleBindingStep("b", (("X", frozenset({"x1"})),)))
+    own = oracles.firing(net, oracles.VisibleBindingStep("b", (("X", frozenset({"x1"})),)))
     # three states: both fired markings, then the first one's successor;
     # a search that finds a final marking may still be cut, and
     # replay_context_group counts a cut only when no final marking was found
@@ -466,13 +465,14 @@ def test_reached_final_budget_cut_follows_the_order_of_the_markings():
 def test_each_distinct_step_firing_is_built_once_per_check(monkeypatch):
     log = invariants.chained_airport_log()
     calls = Counter()
-    firing = replay._firing
+    firing = replay.FrontierMemo.firing
 
-    def spy(net, step):
-        calls[step] += 1
-        return firing(net, step)
+    def spy(memo, step):
+        if step not in memo._firings:
+            calls[step] += 1
+        return firing(memo, step)
 
-    monkeypatch.setattr(replay, "_firing", spy)
+    monkeypatch.setattr(replay.FrontierMemo, "firing", spy)
     report = metrics.check(log, flower_model(log))
     assert not report.truncated
     assert calls and set(calls.values()) == {1}
@@ -491,18 +491,19 @@ def test_searches_and_firings_per_check_on_bench_logs(monkeypatch, ocpn1, build_
     log = build_log()
     net = ocpn1 if reference else flower_model(log)
     calls = Counter()
-    search, firing = replay._search, replay._firing
+    search, firing = replay._search, replay.FrontierMemo.firing
 
     def spy_search(*args):
         calls["searches"] += 1
         return search(*args)
 
-    def spy_firing(*args):
-        calls["firings"] += 1
-        return firing(*args)
+    def spy_firing(memo, step):
+        if step not in memo._firings:
+            calls["firings"] += 1
+        return firing(memo, step)
 
     monkeypatch.setattr(replay, "_search", spy_search)
-    monkeypatch.setattr(replay, "_firing", spy_firing)
+    monkeypatch.setattr(replay.FrontierMemo, "firing", spy_firing)
     report = metrics.check(log, net)
     assert not report.truncated
     assert calls == {"searches": searches, "firings": firings}
@@ -558,8 +559,8 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
     def no_for_event(cls, event):
         raise AssertionError("check builds steps from the graph's numbers")
 
-    monkeypatch.setattr(VisibleBindingStep, "for_event", classmethod(no_for_event))
-    sequence, build = replay._sequence, metrics.build_graph
+    monkeypatch.setattr(oracles.VisibleBindingStep, "for_event", classmethod(no_for_event))
+    preset_search, named, build = replay._preset_search, replay._named, metrics.build_graph
     copied: set[int] = set()
 
     def spy_build(log):
@@ -573,17 +574,28 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
         built = Counter()
         copied.clear()
 
-        def spy(memo, position, base, canonical):
-            names, steps, own, entering = sequence(memo, position, base, canonical)
+        searching = []
+
+        def spy_search(memo, position, base, canonical):
+            searching[:] = [memo, position, base]
+            return preset_search(memo, position, base, canonical)
+
+        def spy_named(events, slots, kind_of, width, positions, names, canonical, steps,
+                      entering):
             # steps open with the base's own step, built for the base
+            memo, position, base = searching
             resumed = base is not None
             eid = memo.log.events[position].id
-            positions = [*memo.graph.preset_positions(eid, base + 1 if resumed else 0),
-                         position]
-            built.update(zip(positions, [*steps[resumed:], own], strict=True))
-            return names, steps, own, entering
+            assert positions == [
+                *memo.graph.preset_positions(eid, base + 1 if resumed else 0), position]
+            assert len(steps) == resumed
+            names = named(events, slots, kind_of, width, positions, names, canonical,
+                          steps, entering)
+            built.update(zip(positions, steps[resumed:], strict=True))
+            return names
 
-        monkeypatch.setattr(replay, "_sequence", spy)
+        monkeypatch.setattr(replay, "_preset_search", spy_search)
+        monkeypatch.setattr(replay, "_named", spy_named)
         report = metrics.check(log, net)
         assert not report.truncated
         assert {position for position, _ in built} == \
@@ -595,17 +607,18 @@ def test_no_step_is_built_twice_per_check(monkeypatch, ocpn1):
 
 def test_steps_are_expanded_per_searched_class_not_per_event(monkeypatch, ocpn1):
     # nearly every flight repeats a replay class already searched; a
-    # VisibleBindingStep is built only for a class's search or for a
-    # missing reached_final answer, and never for an event whose class
-    # and answer are known
+    # step's binding is built only for a class's search or for a missing
+    # reached_final answer, and never for an event whose class and answer
+    # are known
     log = _bench_disjoint_log(1512)
     counts = Counter()
-    new, search, reaches_final = (VisibleBindingStep.__new__, replay._search,
-                                  replay._reaches_final)
+    firing, search, reaches_final = (replay.FrontierMemo.firing, replay._search,
+                                     replay._reaches_final)
 
-    def counted_new(cls, *args):
-        counts["built"] += 1
-        return new(cls, *args)
+    def counted_firing(memo, step):
+        if step not in memo._firings:
+            counts["built"] += 1
+        return firing(memo, step)
 
     def counted_search(net, steps, *args):
         counts["searched steps"] += len(steps)
@@ -615,7 +628,7 @@ def test_steps_are_expanded_per_searched_class_not_per_event(monkeypatch, ocpn1)
         counts["final searches"] += 1
         return reaches_final(*args)
 
-    monkeypatch.setattr(VisibleBindingStep, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(replay.FrontierMemo, "firing", counted_firing)
     monkeypatch.setattr(replay, "_search", counted_search)
     monkeypatch.setattr(replay, "_reaches_final", counted_final)
     report = metrics.check(log, ocpn1)
@@ -1013,13 +1026,10 @@ def test_check_replays_each_event_once_in_log_order(monkeypatch, ocpn1, cfg):
     log = _shared_planes_log()
     calls: list[tuple[int, bool]] = []
     cut: set[int] = set()
-    sequence, preset_search, final = replay._sequence, replay._preset_search, replay._final
-
-    def spy_sequence(memo, position, base, canonical):
-        calls.append((position, canonical))
-        return sequence(memo, position, base, canonical)
+    preset_search, final = replay._preset_search, replay._final
 
     def spy_preset_search(memo, position, base, canonical):
+        calls.append((position, canonical))
         found = preset_search(memo, position, base, canonical)
         if canonical and found[0].truncated:
             cut.add(position)
@@ -1032,7 +1042,6 @@ def test_check_replays_each_event_once_in_log_order(monkeypatch, ocpn1, cfg):
             cut.add(position)
         return answer
 
-    monkeypatch.setattr(replay, "_sequence", spy_sequence)
     monkeypatch.setattr(replay, "_preset_search", spy_preset_search)
     monkeypatch.setattr(replay, "_final", spy_final)
     report = metrics.check(log, ocpn1, cfg)
