@@ -98,9 +98,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     log = parse_log(_read(args.log))
     net = parse_model(_read(args.model))
     report = check(log, net, _config_from(args))
-    print(format_summary(report, args.decimals))
-    if args.output:
+    if args.output:  # first, so a failed write prints no summary
         _write(args.output, report_to_json(report, args.decimals))
+    print(format_summary(report, args.decimals))
     return EXIT_OK
 
 

@@ -391,6 +391,17 @@ def _named(events: Sequence[Event], slots: list[list[int]], kind_of: list[int], 
     return names
 
 
+def _move(bag: dict[int, int], old: int | None, new: int) -> None:
+    """Move one object of ``bag`` from trie node ``old`` to node ``new``;
+    ``old`` is None when the object enters."""
+    if old is not None:
+        if bag[old] == 1:
+            del bag[old]
+        else:
+            bag[old] -= 1
+    bag[new] = bag.get(new, 0) + 1
+
+
 def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[int],
                     slots: list[list[int]], trace: list[list[int]],
                     repeats: Sequence[tuple[list[int], list[int], dict]],
@@ -407,24 +418,26 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
     ``counts``: per object, how many of its occurrences the preset holds.
     An event's preset is the union of its direct predecessors and their
     presets, so its counts are, object by object, the largest of its
-    predecessors' counts taken after each predecessor itself.  The largest
-    predecessor's counts are copied, or taken over by its last successor;
-    the others are merged in unless one of their objects already counts
-    their occurrence, which puts them in the preset; and counts are freed
-    once their last successor has read them.  A sole predecessor needs no
-    sort and no merge.  An event's weight, the sum of its counts, is its
-    base predecessor's weight and object count, plus what each merge
-    raises.  ``bag`` counts the objects at each trie node alongside
-    ``counts``, and each count moves inline: the bag is the context, so
-    equal contexts have equal bag items.  Groups are keyed by the
-    frozenset of the bag's items, which hashes in C with no sort per
-    event.  The events of an execution that repeats an earlier one
-    (``repeats``, as ``_repeats`` gives them) build no counts and no bag:
-    each takes its counterpart's key and weight after the pass, since a
-    repeat's event may come first in the log.  So groups are numbered
-    after the pass, in the log order of their first events.  Returns each
-    event's group number, each group's events, each group's bag items,
-    sorted once per group, and each event's weight.
+    predecessors' counts taken after each predecessor itself.  Every
+    event with predecessors takes one path: they are sorted by the size
+    of their counts when there are two or more, and the first, the base,
+    gives its counts, taken over by its last successor and copied
+    otherwise; the others are merged in unless one of their objects
+    already counts their occurrence, which puts them in the preset; and
+    each predecessor's counts are freed once its last successor has read
+    them.  An event's weight, the sum of its counts, is its base's weight
+    and object count, plus what each merge raises.  ``bag`` counts the
+    objects at each trie node alongside ``counts``, and every count moves
+    through ``_move``: the bag is the context, so equal contexts have
+    equal bag items.  Groups are keyed by the frozenset of the bag's
+    items, which hashes in C with no sort per event.  The events of an
+    execution that repeats an earlier one (``repeats``, as ``_repeats``
+    gives them) build no counts and no bag: each takes its counterpart's
+    key and weight after the pass, since a repeat's event may come first
+    in the log.  So groups are numbered after the pass, in the log order
+    of their first events.  Returns each event's group number, each
+    group's events, each group's bag items, sorted once per group, and
+    each event's weight.
     """
     after: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     keys: list[frozenset[tuple[int, int]] | None] = [None] * len(slots)
@@ -434,8 +447,12 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
         if i in repeated:
             continue
         preds = direct[i]
-        if len(preds) == 1:
-            (base,) = preds
+        if not preds:
+            w, counts, bag = 0, {}, {}
+        else:
+            if len(preds) > 1:
+                preds = sorted(preds, key=lambda d: len(after[d][0]), reverse=True)
+            base, *others = preds
             w = weight[base] + len(slots[base])
             users[base] -= 1
             if users[base]:
@@ -443,59 +460,29 @@ def _context_groups(order: tuple[str, ...], direct: list[set[int]], users: list[
                 counts, bag = counts.copy(), bag.copy()
             else:
                 counts, bag = after.pop(base)
-        elif not preds:
-            w = 0
-            counts: dict[int, int] = {}
-            bag: dict[int, int] = {}
-        else:
-            preds = sorted(preds, key=lambda d: len(after[d][0]), reverse=True)
-            base = preds[0]
-            w = weight[base] + len(slots[base])
-            if users[base] == 1:
-                counts, bag = after[base]
-            else:
-                counts, bag = (m.copy() for m in after[base])
-            for d in preds[1:]:
-                theirs = after[d][0]
+            for d in others:
+                users[d] -= 1
+                theirs = (after[d] if users[d] else after.pop(d))[0]
                 s = slots[d][0]
                 if counts.get(s, 0) >= theirs[s]:  # d is in the preset already
                     continue
                 for s, k in theirs.items():
                     was = counts.get(s, 0)  # no count is 0 before own objects join
                     if was < k:
-                        if was:
-                            node = trace[s][was]
-                            if bag[node] == 1:
-                                del bag[node]
-                            else:
-                                bag[node] -= 1
+                        _move(bag, trace[s][was] if was else None, trace[s][k])
                         w += k - was
                         counts[s] = k
-                        node = trace[s][k]
-                        bag[node] = bag.get(node, 0) + 1
-            for d in preds:
-                users[d] -= 1
-                if not users[d]:
-                    del after[d]
         weight[i] = w
         for s in own:
             if s not in counts:
                 counts[s] = 0
-                node = trace[s][0]
-                bag[node] = bag.get(node, 0) + 1
+                _move(bag, None, trace[s][0])
         keys[i] = frozenset(bag.items())
         if users[i]:
             for s in own:
-                nodes = trace[s]
                 k = counts[s]
-                node = nodes[k]
-                if bag[node] == 1:
-                    del bag[node]
-                else:
-                    bag[node] -= 1
+                _move(bag, trace[s][k], trace[s][k + 1])
                 counts[s] = k + 1
-                node = nodes[k + 1]
-                bag[node] = bag.get(node, 0) + 1
             after[i] = (counts, bag)
     for first, positions, _ in repeats:
         for p, c in zip(positions, first):

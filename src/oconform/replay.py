@@ -285,8 +285,7 @@ class FrontierMemo:
                 by_type: dict[str, list[int]] = {}
                 for name in step[1:]:
                     by_type.setdefault(kinds[name % len(kinds)], []).append(name)
-                binding = Binding(transition.id, tuple(sorted(
-                    [(otype, frozenset(ids)) for otype, ids in by_type.items()])))
+                binding = Binding.make(transition.id, by_type)
                 firing = (binding, consumed(net, binding)
                           if binding_well_formed(net, binding) else None)
             self._firings[step] = firing

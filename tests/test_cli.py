@@ -67,6 +67,21 @@ def test_check_writes_report(tmp_path, capsys):
     assert doc["config"]["max_states"] == 100000
 
 
+@pytest.mark.parametrize("case", ["missing directory", "unencodable report"])
+def test_check_report_that_fails_to_write_prints_no_summary(tmp_path, capsys, case):
+    out_file = tmp_path / "report.json"
+    if case == "missing directory":
+        log, out_file, code = L1, tmp_path / "missing" / "report.json", EXIT_IO
+    else:
+        log, code = _unencodable_log(tmp_path), EXIT_INVALID
+    assert main(["check", "--log", log, "--model", OCPN1, "-o", str(out_file)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: " if code == EXIT_IO else "error: ")
+    assert captured.err.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_check_replay_flags_are_threaded_through(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["check", "--log", L1, "--model", OCPN1,
@@ -168,15 +183,20 @@ def test_flower_to_file(tmp_path, capsys):
     assert out_file.read_text() == fixture_text("flower_l1_model.json")
 
 
-def test_unencodable_output_leaves_the_file_as_it_was(tmp_path, capsys):
+def _unencodable_log(tmp_path) -> str:
     # the JSON escape parses to a lone surrogate, which UTF-8 cannot encode
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"object_types": ["case"], "objects": {"o1": "case"},
                                "events": [{"id": "e1", "activity": "\ud800",
                                            "omap": ["o1"]}]}))
+    return str(bad)
+
+
+def test_unencodable_output_leaves_the_file_as_it_was(tmp_path, capsys):
     out_file = tmp_path / "model.json"
     out_file.write_text('{"earlier": "model"}')
-    assert main(["flower", "--log", str(bad), "-o", str(out_file)]) == EXIT_INVALID
+    assert main(["flower", "--log", _unencodable_log(tmp_path),
+                 "-o", str(out_file)]) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("error: ")
     assert out_file.read_text() == '{"earlier": "model"}'
 
